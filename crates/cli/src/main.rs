@@ -326,6 +326,9 @@ fn build_run_options(args: &Args) -> Result<RunOptions, String> {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let cfg = build_config(args)?;
     let opts = build_run_options(args)?;
+    if opts.sim.is_some() {
+        cfg.defense.check_sim()?;
+    }
     let topk: f64 = args.get_or("topk", 25.0).map_err(|e| e.to_string())?;
     let repeats: usize = args.get_or("repeats", 1).map_err(|e| e.to_string())?;
     if repeats > 1 {
@@ -871,6 +874,18 @@ mod tests {
         assert_eq!(knobs.churn_up_ms, 400.0);
         assert_eq!(knobs.churn_down_ms, 100.0);
         assert_eq!(knobs.train_mean_ms, SimKnobs::default().train_mean_ms);
+    }
+
+    #[test]
+    fn sim_rejects_aggregator_defenses_before_running() {
+        let argv = |defense: &str| -> Vec<String> {
+            ["run", "--sim", "true", "--defense", defense]
+                .map(String::from)
+                .to_vec()
+        };
+        let e = run(&argv("krum")).unwrap_err();
+        assert!(e.contains("krum") && e.contains("sim mode"), "{e}");
+        assert!(run(&argv("median")).is_err());
     }
 
     #[test]

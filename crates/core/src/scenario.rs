@@ -146,6 +146,21 @@ impl DefenseKind {
         }
     }
 
+    /// Checks that the buffered-async simulator can run this defense. A
+    /// flush always merges with FedBuff, so only defenses that keep the
+    /// plain FedAvg aggregator (`none`, and `fine-prune`, a
+    /// post-aggregation hook) mean what their label says in sim mode.
+    pub fn check_sim(&self) -> Result<(), String> {
+        match self {
+            Self::None | Self::FinePrune => Ok(()),
+            other => Err(format!(
+                "defense '{}' replaces the aggregator, but sim mode always merges \
+                 with FedBuff (only none and fine-prune run under the simulator)",
+                other.name()
+            )),
+        }
+    }
+
     /// All defenses evaluated by the paper's Table I battery.
     pub fn all() -> &'static [DefenseKind] {
         &[
@@ -534,6 +549,7 @@ pub struct RunOptions {
     /// Run the buffered-async discrete-event simulator instead of the
     /// synchronous round loop (`None` = synchronous). Each buffer flush
     /// plays a round; the scenario's `rounds` becomes the flush target.
+    /// Only defenses that pass [`DefenseKind::check_sim`] are accepted.
     /// Checkpointing is disabled in sim mode — the same-seed bitwise
     /// replay is its resume story.
     pub sim: Option<SimKnobs>,
@@ -879,11 +895,12 @@ impl Scenario {
         let personalization = self.build_personalization();
         let mut server = FlServer::new(fl_cfg, fed, aggregator, personalization);
         server.collect_updates(cfg.collect_updates);
-        // Fine-Pruning runs inside the synchronous round loop; the
-        // buffered-async simulator has no post-aggregation hook, so the
-        // defense is inert there (documented limitation shared by the
-        // monitor and checkpointing).
-        if cfg.defense == DefenseKind::FinePrune && opts.sim.is_none() {
+        // Fine-Pruning is a post-aggregation hook of the cohort step, so it
+        // runs after every synchronous round and every buffered flush.
+        if opts.sim.is_some() {
+            cfg.defense.check_sim().unwrap_or_else(|e| panic!("{e}"));
+        }
+        if cfg.defense == DefenseKind::FinePrune {
             let p = &cfg.defense_params;
             server.enable_fine_pruning(p.fp_fraction, p.fp_every);
         }
@@ -1339,9 +1356,9 @@ mod tests {
         assert_ne!(rep.runs[0].final_global, rep.runs[1].final_global);
     }
 
-    #[test]
-    fn sim_mode_runs_and_is_deterministic() {
-        let mut cfg = tiny(AttackKind::CollaPois, DefenseKind::None, FlAlgo::FedAvg);
+    /// A 4-flush sim run of the tiny scenario under `defense`.
+    fn tiny_sim(defense: DefenseKind) -> (ScenarioConfig, RunOptions) {
+        let mut cfg = tiny(AttackKind::CollaPois, defense, FlAlgo::FedAvg);
         cfg.rounds = 4; // flush target in sim mode
         let opts = RunOptions {
             sim: Some(SimKnobs {
@@ -1353,6 +1370,28 @@ mod tests {
             }),
             ..RunOptions::default()
         };
+        (cfg, opts)
+    }
+
+    #[test]
+    fn sim_mode_runs_fine_pruning() {
+        let run = |defense| {
+            let (cfg, opts) = tiny_sim(defense);
+            Scenario::new(cfg).run_with(&opts).final_global
+        };
+        assert_ne!(run(DefenseKind::None), run(DefenseKind::FinePrune));
+    }
+
+    #[test]
+    #[should_panic(expected = "replaces the aggregator")]
+    fn sim_mode_rejects_aggregator_defenses() {
+        let (cfg, opts) = tiny_sim(DefenseKind::Krum);
+        Scenario::new(cfg).run_with(&opts);
+    }
+
+    #[test]
+    fn sim_mode_runs_and_is_deterministic() {
+        let (cfg, opts) = tiny_sim(DefenseKind::None);
         let a = Scenario::new(cfg.clone()).run_with(&opts);
         assert_eq!(a.records.len(), 4, "each flush plays a round");
         assert!(a.final_global.iter().all(|v| v.is_finite()));

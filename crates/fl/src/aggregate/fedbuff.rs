@@ -50,11 +50,6 @@ impl FedBuff {
         "fedbuff"
     }
 
-    /// The configured staleness exponent.
-    pub fn decay(&self) -> f64 {
-        self.decay
-    }
-
     /// Merges one flushed buffer: `out = Σ wᵢ·Δθᵢ / Σ wᵢ` with
     /// `wᵢ = (1 + staleness[i])^(-decay)`, fanned over `pool` through the
     /// fixed-shape reduction tree (bitwise worker-count-invariant).

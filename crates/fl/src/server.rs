@@ -14,6 +14,8 @@
 //! * benign local training fans out over a [`WorkerPool`] — `workers = N`
 //!   is bit-identical to `workers = 1` because strategies follow the
 //!   compute/commit contract of [`Personalization`];
+//! * a synchronous round and a buffered-async flush ([`FlServer::run_sim`])
+//!   run the same cohort step, so every defense hook sees both modes;
 //! * every round emits structured [`TraceEvent`]s into a [`TraceLog`], and
 //!   the [`RoundRecord`] handed to callers is rebuilt from those events so
 //!   live runs and `--trace` files expose the same data;
@@ -217,6 +219,8 @@ pub struct FlServer {
     /// Reusable round-update assembly buffer (recycled unless update
     /// collection keeps the round's updates).
     updates_buf: Vec<ClientUpdate>,
+    /// Reusable synchronous-round participant list for the cohort step.
+    participant_buf: Vec<Completion>,
     /// Lane-pinned scratch models for pooled client evaluation.
     eval_arenas: WorkerArenas<Sequential>,
     /// Cumulative per-phase wall-clock, drained by
@@ -271,6 +275,7 @@ impl FlServer {
             job_buf: Vec::new(),
             outcome_buf: Vec::new(),
             updates_buf: Vec::new(),
+            participant_buf: Vec::new(),
             eval_arenas: WorkerArenas::new(),
             profile: PhaseProfile::default(),
             trace: TraceLog::in_memory(),
@@ -296,9 +301,9 @@ impl FlServer {
     /// prune the `fraction` least-activated hidden units of the global model
     /// against the server's held-out clean split (the pooled test splits of
     /// the first clients, which poisoning never touches — adversaries
-    /// poison their local *training* copies). Applies only to the
-    /// synchronous round loop; the buffered-async simulator ignores the
-    /// configured defense (documented limitation shared by all defenses).
+    /// poison their local *training* copies). Runs after the merge of every
+    /// cohort step, so it applies to synchronous rounds and buffered-async
+    /// flushes alike.
     ///
     /// # Panics
     ///
@@ -651,8 +656,10 @@ impl FlServer {
         self.execute_round(cohort.to_vec(), None, Vec::new(), Vec::new(), adversary)
     }
 
-    /// The round body shared by [`FlServer::run_round`] and
-    /// [`FlServer::run_round_with_cohort`]. `cohort` is the subset of
+    /// The synchronous side of [`FlServer::run_round`] and
+    /// [`FlServer::run_round_with_cohort`]: every participant trains
+    /// against the shared global under the round's RNG key, then the
+    /// sync-only checkpoint schedule runs. `cohort` is the subset of
     /// `sampled` that actually participates (`None` means everyone);
     /// `dropped` carries `(client, cause, delay_ms)` fault verdicts for the
     /// trace; `corrupt` lists cohort members whose transmitted update is
@@ -663,6 +670,52 @@ impl FlServer {
         cohort: Option<Vec<usize>>,
         dropped: Vec<(usize, &'static str, f64)>,
         corrupt: Vec<usize>,
+        adversary: Option<&mut (dyn Adversary + '_)>,
+    ) -> RoundRecord {
+        let key = self.round as u64;
+        let mut participants = std::mem::take(&mut self.participant_buf);
+        participants.clear();
+        participants.extend(cohort.as_deref().unwrap_or(&sampled).iter().map(|&client| {
+            Completion {
+                client,
+                arrival_index: key,
+                fetched_version: 0,
+                staleness: 0,
+                corrupt: corrupt.contains(&client),
+                completed_at: 0,
+            }
+        }));
+        let record = self.step_cohort(sampled, &participants, dropped, None, adversary);
+        self.participant_buf = participants;
+
+        if self.checkpoint_every > 0 && self.round.is_multiple_of(self.checkpoint_every) {
+            if let Some(dir) = self.checkpoint_dir.clone() {
+                let path = checkpoint::checkpoint_path(&dir, self.round as u32);
+                self.write_checkpoint_with_retry(&path);
+            }
+        }
+        record
+    }
+
+    /// One cohort step: the round body a synchronous round and a
+    /// buffered-async flush share. The modes differ in three things only:
+    ///
+    /// * the snapshot each participant trains and crafts against — the
+    ///   shared global, or (with `flush`) the version it fetched;
+    /// * the RNG stream key, [`Completion::arrival_index`] — the round
+    ///   number in a synchronous round, the arrival index in a flush;
+    /// * the merge — the configured [`Aggregator`], or [`FedBuff`] with
+    ///   staleness weights.
+    ///
+    /// `sampled` is what `RoundStarted` reports; `participants` are the
+    /// clients that actually train, in commit order; `dropped` carries
+    /// `(client, cause, delay_ms)` fault verdicts for the trace.
+    fn step_cohort(
+        &mut self,
+        sampled: Vec<usize>,
+        participants: &[Completion],
+        dropped: Vec<(usize, &'static str, f64)>,
+        mut flush: Option<&mut FlushState>,
         mut adversary: Option<&mut (dyn Adversary + '_)>,
     ) -> RoundRecord {
         let round_start = Instant::now();
@@ -670,7 +723,6 @@ impl FlServer {
         let round_u64 = round as u64;
         let run_seed = self.cfg.seed;
         let dim = self.global.len();
-        let participants: &[usize] = cohort.as_deref().unwrap_or(&sampled);
 
         let compromised: Vec<usize> = match adversary.as_ref() {
             Some(adv) => sampled
@@ -712,13 +764,12 @@ impl FlServer {
             None
         };
 
-        // Benign training jobs, fanned over the worker pool with one
-        // persistent arena per lane. Each job is paired with a recycled
-        // delta buffer it fills in place; the closure only holds shared
-        // borrows of the round snapshot, so all mutation is deferred to
-        // commits and determinism is independent of scheduling. Job and
-        // outcome buffers persist across rounds so the steady-state fan-out
-        // allocates nothing.
+        // Benign training jobs — `(participant index, recycled delta
+        // buffer)` — fanned over the worker pool with one persistent arena
+        // per lane. The closure only holds shared borrows of the frozen
+        // snapshots, so all mutation is deferred to commits and determinism
+        // is independent of scheduling. Job and outcome buffers persist
+        // across rounds so the steady-state fan-out allocates nothing.
         let fed = &self.fed;
         let update_pool = &mut self.update_pool;
         let mut jobs = std::mem::take(&mut self.job_buf);
@@ -726,14 +777,17 @@ impl FlServer {
         jobs.extend(
             participants
                 .iter()
-                .copied()
-                .filter(|cid| !compromised.contains(cid) && !fed.client(*cid).train.is_empty())
-                .map(|cid| (cid, update_pool.pop().unwrap_or_default())),
+                .enumerate()
+                .filter(|(_, p)| {
+                    !compromised.contains(&p.client) && !fed.client(p.client).train.is_empty()
+                })
+                .map(|(i, _)| (i, update_pool.pop().unwrap_or_default())),
         );
         let mut outcomes = std::mem::take(&mut self.outcome_buf);
         let pers: &dyn Personalization = self.personalization.as_ref();
         let cfg = &self.cfg;
-        let global = &self.global;
+        let global = self.global.as_slice();
+        let versions = flush.as_deref().map(|f| &f.versions);
         let template = &self.scratch;
         let train_start = Instant::now();
         self.workers.map_with_arena_into(
@@ -741,80 +795,81 @@ impl FlServer {
             &mut jobs,
             &mut outcomes,
             || ClientScratch::for_model(template),
-            move |_, (cid, buf), scratch| {
+            move |_, (i, buf), scratch| {
+                let p = &participants[i];
                 scratch.delta = buf;
-                let mut rng = seed::client_rng(run_seed, round_u64, cid);
-                let out =
-                    pers.local_train(cid, global, &fed.client(cid).train, cfg, scratch, &mut rng);
-                (cid, out)
+                let snapshot = versions.map_or(global, |v| v.get(p.fetched_version));
+                let mut rng = seed::client_rng(run_seed, p.arrival_index, p.client);
+                let train = &fed.client(p.client).train;
+                let out = pers.local_train(p.client, snapshot, train, cfg, scratch, &mut rng);
+                (i, out)
             },
         );
         self.profile.train_ms += train_start.elapsed().as_secs_f64() * 1e3;
         self.job_buf = jobs;
 
-        // Assemble updates in sampled order; personalization commits land
-        // in the same order, independent of worker scheduling.
+        // Assemble updates in participant order; personalization commits
+        // land in the same order, independent of worker scheduling.
         let commit_start = Instant::now();
         let mut updates = std::mem::take(&mut self.updates_buf);
         updates.clear();
+        if let Some(f) = flush.as_deref_mut() {
+            f.staleness.clear();
+        }
         let mut benign_norms = Vec::new();
         let mut malicious_norms = Vec::new();
         let mut outcome_iter = outcomes.drain(..).peekable();
-        for &cid in participants {
-            if compromised.contains(&cid) {
+        for (i, p) in participants.iter().enumerate() {
+            let cid = p.client;
+            let (mut delta, commit) = if compromised.contains(&cid) {
                 let adv = adversary.as_mut().expect("compromised implies adversary");
-                let mut rng = seed::adversary_rng(run_seed, round_u64, cid);
-                let mut delta = adv.craft_update(cid, &self.global, round, &mut rng);
-                assert_eq!(
-                    delta.len(),
-                    dim,
-                    "client {cid} produced a wrong-sized update"
-                );
-                if corrupt.contains(&cid) {
-                    poison_delta(&mut delta);
-                }
-                // Simulated transport: encode/decode through the scenario's
-                // codec before the finite-norm gate, so the gate and every
-                // aggregator see exactly what a real receiver would.
-                self.cfg.quantization.roundtrip_inplace(&mut delta);
-                let update = ClientUpdate::new(cid, delta, self.fed.client(cid).train.len());
-                let norm = update.norm();
-                if norm.is_finite() {
-                    malicious_norms.push(norm);
-                    updates.push(update);
-                } else {
-                    self.reject_update(round, cid, corrupt.contains(&cid));
-                    self.update_pool.push(update.delta);
-                }
-            } else if outcome_iter.peek().map(|(c, _)| *c) == Some(cid) {
+                let snapshot = match flush.as_deref() {
+                    Some(f) => f.versions.get(p.fetched_version),
+                    None => self.global.as_slice(),
+                };
+                let mut rng = seed::adversary_rng(run_seed, p.arrival_index, cid);
+                (adv.craft_update(cid, snapshot, round, &mut rng), None)
+            } else if outcome_iter.peek().map(|(j, _)| *j) == Some(i) {
                 let (_, out) = outcome_iter.next().expect("peeked");
-                assert_eq!(
-                    out.delta.len(),
-                    dim,
-                    "client {cid} produced a wrong-sized update"
-                );
-                let mut delta = out.delta;
-                if corrupt.contains(&cid) {
-                    poison_delta(&mut delta);
-                }
-                // Same simulated transport round-trip as the malicious arm.
-                self.cfg.quantization.roundtrip_inplace(&mut delta);
-                let update = ClientUpdate::new(cid, delta, self.fed.client(cid).train.len());
-                let norm = update.norm();
-                if norm.is_finite() {
-                    // Client-local state is committed only for accepted
-                    // updates: a rejected client is treated exactly as if
-                    // it had dropped this round.
-                    self.personalization.commit(cid, out.commit);
-                    benign_norms.push(norm);
-                    updates.push(update);
-                } else {
-                    self.reject_update(round, cid, corrupt.contains(&cid));
-                    self.update_pool.push(update.delta);
-                }
+                (out.delta, Some(out.commit))
+            } else {
+                // A benign client without training data contributes
+                // nothing this round.
+                continue;
+            };
+            assert_eq!(
+                delta.len(),
+                dim,
+                "client {cid} produced a wrong-sized update"
+            );
+            if p.corrupt {
+                poison_delta(&mut delta);
             }
-            // else: a benign client without training data — contributes
-            // nothing this round.
+            // Simulated transport: encode/decode through the scenario's
+            // codec before the finite-norm gate, so the gate and every
+            // aggregator see exactly what a real receiver would.
+            self.cfg.quantization.roundtrip_inplace(&mut delta);
+            let update = ClientUpdate::new(cid, delta, self.fed.client(cid).train.len());
+            let norm = update.norm();
+            if !norm.is_finite() {
+                self.reject_update(round, cid, p.corrupt);
+                self.update_pool.push(update.delta);
+                continue;
+            }
+            match commit {
+                // Client-local state is committed only for accepted
+                // updates: a rejected client is treated exactly as if it
+                // had dropped this round.
+                Some(commit) => {
+                    self.personalization.commit(cid, commit);
+                    benign_norms.push(norm);
+                }
+                None => malicious_norms.push(norm),
+            }
+            if let Some(f) = flush.as_deref_mut() {
+                f.staleness.push(p.staleness);
+            }
+            updates.push(update);
         }
         let num_malicious = malicious_norms.len();
         drop(outcome_iter);
@@ -831,8 +886,17 @@ impl FlServer {
             0.0
         } else {
             let mut agg_rng = seed::aggregation_rng(run_seed, round_u64);
-            self.aggregator
-                .aggregate_pooled(&updates, &mut agg, &mut agg_rng, &self.workers);
+            match flush.as_deref_mut() {
+                Some(f) => f
+                    .fedbuff
+                    .merge_pooled(&updates, &f.staleness, &mut agg, &self.workers),
+                None => self.aggregator.aggregate_pooled(
+                    &updates,
+                    &mut agg,
+                    &mut agg_rng,
+                    &self.workers,
+                ),
+            }
             let lr = self.cfg.server_lr as f32;
             let mut agg_sq = 0.0f64;
             for (g, &d) in self.global.iter_mut().zip(&agg) {
@@ -849,7 +913,7 @@ impl FlServer {
         // In-training Fine-Pruning, keyed on the absolute completed-round
         // number so a resumed run prunes on exactly the same schedule. The
         // pruned model is what the adversary observes, the monitor sees,
-        // and the checkpoint below records.
+        // and a checkpoint records.
         if let Some(fp) = &self.fine_prune {
             if (round + 1).is_multiple_of(fp.every) {
                 self.scratch.set_params(&self.global);
@@ -874,9 +938,13 @@ impl FlServer {
             }
         }
 
+        let aggregator = match flush.as_deref() {
+            Some(f) => f.fedbuff.name(),
+            None => self.aggregator.name(),
+        };
         self.trace.push(TraceEvent::RoundCompleted {
             round,
-            aggregator: self.aggregator.name().to_string(),
+            aggregator: aggregator.to_string(),
             num_malicious,
             benign_norms: benign_norms.clone(),
             malicious_norms: malicious_norms.clone(),
@@ -901,7 +969,9 @@ impl FlServer {
         self.profile.steals += steals;
         self.profile.stolen_items += stolen;
         self.profile.rounds += 1;
-        let record = RoundRecord {
+        self.round += 1;
+        self.rounds_executed += 1;
+        RoundRecord {
             round,
             sampled,
             num_malicious,
@@ -910,19 +980,7 @@ impl FlServer {
             updates: kept_updates,
             global_before,
             dropped: dropped_ids,
-        };
-
-        self.round += 1;
-        self.rounds_executed += 1;
-
-        if self.checkpoint_every > 0 && self.round.is_multiple_of(self.checkpoint_every) {
-            if let Some(dir) = self.checkpoint_dir.clone() {
-                let path = checkpoint::checkpoint_path(&dir, self.round as u32);
-                self.write_checkpoint_with_retry(&path);
-            }
         }
-
-        record
     }
 
     /// Logs a pre-aggregation rejection of a non-finite update.
@@ -1013,24 +1071,24 @@ impl FlServer {
     /// Clients arrive per `plan` (Poisson or trace-driven, filtered by
     /// availability churn and the concurrency cap), fetch the current
     /// global version, train against that exact snapshot for a virtual
-    /// duration, and land in a buffer; the buffer flushes into the model
-    /// when it holds `buffer_k` completions or the virtual deadline
-    /// passes, using the staleness-weighted [`FedBuff`] merge (decay from
-    /// `plan.staleness_decay`) and the configured `server_lr`.
+    /// duration, and land in a buffer; the buffer flushes when it holds
+    /// `buffer_k` completions or the virtual deadline passes.
     ///
-    /// Each flush plays the role of a round: it emits
-    /// `RoundStarted`/`RoundCompleted` trace events (participants in
-    /// completion order) around the driver's `buffer_flushed` event and
-    /// advances [`FlServer::rounds_done`], so downstream trace tooling
-    /// works unchanged. Benign training streams are keyed by `(arrival
-    /// index, client)` — a pure function of the virtual schedule — and
-    /// flush work fans out over the worker pool through fixed-shape
-    /// kernels, so two same-seed runs are bitwise identical at any worker
-    /// count. The active [`FaultPlan`] composes: dropout, stragglers
-    /// (extra virtual delay; the flush deadline, not the synchronous round
-    /// deadline, governs shedding) and in-flight corruption all apply per
-    /// arrival. Sim runs do not write checkpoints — the same-seed replay
-    /// *is* the resume story.
+    /// Each flush is one cohort step, the same round body the synchronous
+    /// loop runs: it emits `RoundStarted`/`RoundCompleted` (participants in
+    /// completion order) around the driver's `buffer_flushed` event,
+    /// advances [`FlServer::rounds_done`], and runs fine-pruning, the
+    /// adversary's `observe_global` and the shift monitor. Only three
+    /// things differ: participants train against the version they fetched,
+    /// their RNG streams are keyed by `(arrival index, client)` — a pure
+    /// function of the virtual schedule — and the merge is the
+    /// staleness-weighted [`FedBuff`] (decay from `plan.staleness_decay`)
+    /// instead of the configured aggregator, so two same-seed runs are
+    /// bitwise identical at any worker count. The active [`FaultPlan`]
+    /// composes: dropout, stragglers (extra virtual delay; the flush
+    /// deadline, not the synchronous round deadline, governs shedding) and
+    /// in-flight corruption all apply per arrival. Sim runs do not write
+    /// checkpoints — the same-seed replay *is* the resume story.
     ///
     /// Returns the driver's event-level summary; stops after
     /// `target_flushes` flushes (or earlier if the plan's event source
@@ -1052,284 +1110,70 @@ impl FlServer {
             "sim population must match the federated dataset"
         );
         self.ensure_run_started();
-        let compromised = adversary
-            .as_ref()
-            .map(|a| a.compromised().to_vec())
-            .unwrap_or_default();
         let mut driver = SimDriver::new(plan.clone(), self.cfg.seed, self.fault_plan)
             .unwrap_or_else(|e| panic!("invalid SimPlan: {e}"));
-        // The driver needs the trace sink while the handler borrows the
-        // server's engine pieces, so the log steps out of `self` for the
-        // duration of the run.
+        // The driver owns the trace sink for the run; each flush lends it
+        // back to the server for the cohort step's events.
         let mut trace = std::mem::take(&mut self.trace);
-        let summary = {
-            let mut handler = ServerSimHandler {
-                run_seed: self.cfg.seed,
-                base_round: self.round,
-                cfg: &self.cfg,
-                fed: &self.fed,
-                personalization: &mut self.personalization,
-                global: &mut self.global,
-                template: &self.scratch,
-                workers: &self.workers,
-                arenas: &mut self.arenas,
-                update_pool: &mut self.update_pool,
-                profile: &mut self.profile,
-                adversary,
-                compromised,
+        let mut handler = ServerSimHandler {
+            server: self,
+            adversary,
+            state: FlushState {
                 versions: VersionStore::new(),
                 fedbuff: FedBuff::new(plan.staleness_decay),
-                jobs: Vec::new(),
-                outcomes: Vec::new(),
-                updates: Vec::new(),
                 staleness: Vec::new(),
-                agg: Vec::new(),
-            };
-            driver.run(&mut handler, &mut trace, target_flushes as u64)
+            },
         };
+        let summary = driver.run(&mut handler, &mut trace, target_flushes as u64);
         self.trace = trace;
-        let flushes = summary.flushes as usize;
-        self.round += flushes;
-        self.rounds_executed += flushes;
         summary
     }
 }
 
-/// Flush-time state for [`FlServer::run_sim`]: borrows the server's engine
-/// pieces for one simulation run and implements the driver's
-/// [`SimHandler`]. Each flush mirrors the synchronous round body — benign
-/// fan-out with per-lane arenas, commit in deterministic (completion)
-/// order, staleness-weighted merge, `θ ← θ + λ·Δ` — against the *fetched*
-/// snapshots rather than one shared round global.
-struct ServerSimHandler<'a, 'b> {
-    run_seed: u64,
-    /// Rounds the server had completed before this sim run (flush `i`
-    /// becomes round `base_round + i` in trace events and RNG keys).
-    base_round: usize,
-    cfg: &'a FlConfig,
-    fed: &'a FederatedDataset,
-    personalization: &'a mut Box<dyn Personalization>,
-    global: &'a mut Vec<f32>,
-    template: &'a Sequential,
-    workers: &'a WorkerPool,
-    arenas: &'a mut WorkerArenas<ClientScratch>,
-    update_pool: &'a mut Vec<Vec<f32>>,
-    profile: &'a mut PhaseProfile,
-    adversary: Option<&'a mut (dyn Adversary + 'b)>,
-    compromised: Vec<usize>,
+/// The sim-only state a buffered-async flush adds to a cohort step.
+#[derive(Debug)]
+struct FlushState {
+    /// Refcounted snapshots of every version a buffered client fetched.
     versions: VersionStore,
     fedbuff: FedBuff,
-    /// `(client, arrival_index, fetched_version, delta buffer)` benign
-    /// training jobs, rebuilt per flush (buffers recycled).
-    jobs: Vec<(usize, u64, u64, Vec<f32>)>,
-    outcomes: Vec<(usize, LocalOutcome)>,
-    updates: Vec<ClientUpdate>,
+    /// Staleness of each accepted update, aligned with the step's updates.
     staleness: Vec<u64>,
-    agg: Vec<f32>,
+}
+
+/// [`FlServer::run_sim`]'s [`SimHandler`]: retains a snapshot per fetch and
+/// runs each flush as one cohort step over the buffered completions.
+struct ServerSimHandler<'a, 'b> {
+    server: &'a mut FlServer,
+    adversary: Option<&'a mut (dyn Adversary + 'b)>,
+    state: FlushState,
 }
 
 impl SimHandler for ServerSimHandler<'_, '_> {
     fn on_fetch(&mut self, _client: usize, version: u64) {
-        self.versions.retain(version, self.global);
+        self.state.versions.retain(version, &self.server.global);
     }
 
     fn flush(
         &mut self,
-        flush_index: u64,
+        _flush_index: u64,
         _now: Ticks,
         buffer: &[Completion],
         trace: &mut TraceLog,
     ) {
-        let flush_start = Instant::now();
-        let round = self.base_round + flush_index as usize;
-        let round_u64 = round as u64;
-        let run_seed = self.run_seed;
-        let dim = self.global.len();
-
-        let sampled: Vec<usize> = buffer.iter().map(|c| c.client).collect();
-        let compromised_here: Vec<usize> = sampled
-            .iter()
-            .copied()
-            .filter(|c| self.compromised.contains(c))
-            .collect();
-        trace.push(TraceEvent::RoundStarted {
-            round,
+        std::mem::swap(&mut self.server.trace, trace);
+        let sampled = buffer.iter().map(|c| c.client).collect();
+        self.server.step_cohort(
             sampled,
-            compromised: compromised_here,
-        });
-
-        let mut setup_rng = seed::round_setup_rng(run_seed, round_u64);
-        self.personalization
-            .begin_round(self.global, &mut setup_rng);
-
-        // Benign training jobs in completion order, each against the
-        // snapshot its client fetched. The snapshot set is frozen before
-        // the fan-out, so parallel lanes only share immutable borrows and
-        // determinism is independent of scheduling.
-        let fed = self.fed;
-        let cfg = self.cfg;
-        self.jobs.clear();
-        for c in buffer {
-            if self.compromised.contains(&c.client) || fed.client(c.client).train.is_empty() {
-                continue;
-            }
-            self.jobs.push((
-                c.client,
-                c.arrival_index,
-                c.fetched_version,
-                self.update_pool.pop().unwrap_or_default(),
-            ));
-        }
-        let pers: &dyn Personalization = self.personalization.as_ref();
-        let versions = &self.versions;
-        let template = self.template;
-        let train_start = Instant::now();
-        self.workers.map_with_arena_into(
-            self.arenas,
-            &mut self.jobs,
-            &mut self.outcomes,
-            || ClientScratch::for_model(template),
-            move |_, (cid, arrival_index, version, buf), scratch| {
-                scratch.delta = buf;
-                let snapshot = versions.get(version);
-                let mut rng = seed::client_rng(run_seed, arrival_index, cid);
-                let out = pers.local_train(
-                    cid,
-                    snapshot,
-                    &fed.client(cid).train,
-                    cfg,
-                    scratch,
-                    &mut rng,
-                );
-                (cid, out)
-            },
+            buffer,
+            Vec::new(),
+            Some(&mut self.state),
+            self.adversary.as_deref_mut(),
         );
-        self.profile.train_ms += train_start.elapsed().as_secs_f64() * 1e3;
-
-        // Assemble updates in completion order; commits land in the same
-        // order, independent of worker scheduling.
-        let commit_start = Instant::now();
-        self.updates.clear();
-        self.staleness.clear();
-        let mut benign_norms = Vec::new();
-        let mut malicious_norms = Vec::new();
-        let mut outcomes = std::mem::take(&mut self.outcomes);
-        let mut outcome_iter = outcomes.drain(..);
+        std::mem::swap(&mut self.server.trace, trace);
+        // Every buffered completion holds exactly one snapshot reference.
         for c in buffer {
-            let cid = c.client;
-            let delta = if self.compromised.contains(&cid) {
-                let adv = self
-                    .adversary
-                    .as_mut()
-                    .expect("compromised implies adversary");
-                let snapshot = self.versions.get(c.fetched_version);
-                let mut rng = seed::adversary_rng(run_seed, c.arrival_index, cid);
-                Some((adv.craft_update(cid, snapshot, round, &mut rng), true, None))
-            } else if !fed.client(cid).train.is_empty() {
-                let (ocid, out) = outcome_iter.next().expect("one outcome per benign job");
-                debug_assert_eq!(ocid, cid, "outcomes must follow job order");
-                Some((out.delta, false, Some(out.commit)))
-            } else {
-                // A benign client without training data contributes
-                // nothing (it still held a snapshot reference).
-                None
-            };
-            let Some((mut delta, malicious, commit)) = delta else {
-                continue;
-            };
-            assert_eq!(
-                delta.len(),
-                dim,
-                "client {cid} produced a wrong-sized update"
-            );
-            if c.corrupt {
-                poison_delta(&mut delta);
-            }
-            // Simulated transport round-trip, identical to the synchronous
-            // loop: before the finite-norm gate, after any corruption.
-            self.cfg.quantization.roundtrip_inplace(&mut delta);
-            let update = ClientUpdate::new(cid, delta, fed.client(cid).train.len());
-            let norm = update.norm();
-            if norm.is_finite() {
-                if malicious {
-                    malicious_norms.push(norm);
-                } else {
-                    // Client-local state is committed only for accepted
-                    // updates, exactly as in the synchronous loop.
-                    self.personalization
-                        .commit(cid, commit.expect("benign outcome has a commit"));
-                    benign_norms.push(norm);
-                }
-                self.staleness.push(c.staleness);
-                self.updates.push(update);
-            } else {
-                self.profile.rejected_updates += 1;
-                let reason = if c.corrupt {
-                    "injected_corruption"
-                } else {
-                    "non_finite"
-                };
-                trace.push(TraceEvent::UpdateRejected {
-                    round,
-                    client: cid,
-                    reason: reason.to_string(),
-                });
-                self.update_pool.push(update.delta);
-            }
+            self.state.versions.release(c.fetched_version);
         }
-        drop(outcome_iter);
-        self.outcomes = outcomes;
-        self.profile.commit_ms += commit_start.elapsed().as_secs_f64() * 1e3;
-
-        let agg_start = Instant::now();
-        self.agg.resize(dim, 0.0);
-        let agg_delta_norm = if self.updates.is_empty() {
-            // Every buffered update was rejected: the flush applies
-            // nothing (mirrors the synchronous degradation policy).
-            0.0
-        } else {
-            self.fedbuff
-                .merge_pooled(&self.updates, &self.staleness, &mut self.agg, self.workers);
-            let lr = self.cfg.server_lr as f32;
-            let mut agg_sq = 0.0f64;
-            for (g, &d) in self.global.iter_mut().zip(&self.agg) {
-                let step = lr * d;
-                agg_sq += f64::from(step) * f64::from(step);
-                *g += step;
-            }
-            agg_sq.sqrt()
-        };
-        self.profile.aggregate_ms += agg_start.elapsed().as_secs_f64() * 1e3;
-
-        if let Some(adv) = self.adversary.as_mut() {
-            adv.observe_global(self.global, round);
-        }
-
-        trace.push(TraceEvent::RoundCompleted {
-            round,
-            aggregator: self.fedbuff.name().to_string(),
-            num_malicious: malicious_norms.len(),
-            benign_norms,
-            malicious_norms,
-            agg_delta_norm,
-            elapsed_ms: flush_start.elapsed().as_secs_f64() * 1e3,
-        });
-
-        // Reclaim delta buffers and snapshot references: every buffered
-        // completion fetched exactly once.
-        for u in self.updates.drain(..) {
-            self.update_pool.push(u.delta);
-        }
-        for c in buffer {
-            self.versions.release(c.fetched_version);
-        }
-        let (wait_ns, dispatch_ns) = self.workers.take_sync_ns();
-        self.profile.barrier_ms += wait_ns as f64 * 1e-6;
-        self.profile.dispatch_ms += dispatch_ns as f64 * 1e-6;
-        let (steals, stolen) = self.workers.take_steal_stats();
-        self.profile.steals += steals;
-        self.profile.stolen_items += stolen;
-        self.profile.rounds += 1;
     }
 }
 
@@ -1861,6 +1705,33 @@ mod tests {
                 r.num_malicious,
                 r.sampled.iter().filter(|c| adv.ids.contains(c)).count()
             );
+        }
+    }
+
+    #[test]
+    fn sim_flushes_run_fine_pruning_worker_count_invariantly() {
+        let plain = {
+            let mut server = quick_server();
+            server.run_sim(&quick_sim_plan(), 6, None);
+            server.global().to_vec()
+        };
+        let mut reference: Option<Vec<u32>> = None;
+        for workers in [1usize, 2, 4] {
+            let mut server = quick_server();
+            server.set_workers(workers);
+            server.enable_fine_pruning(0.25, 2);
+            let summary = server.run_sim(&quick_sim_plan(), 6, None);
+            assert!(summary.reached_target);
+            assert_ne!(
+                server.global(),
+                plain.as_slice(),
+                "pruning must run in flushes"
+            );
+            let bits: Vec<u32> = server.global().iter().map(|v| v.to_bits()).collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(r) => assert_eq!(r, &bits, "global diverged at workers={workers}"),
+            }
         }
     }
 

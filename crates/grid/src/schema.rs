@@ -22,8 +22,6 @@
 //! [variants.plain]          # named overlays, appended as the last axis
 //! [variants.faulted]
 //! fault.dropout = 0.2
-//! [variants.sim]
-//! sim.enabled = true
 //! ```
 //!
 //! Every key is validated against a closed vocabulary — unknown keys,
@@ -34,7 +32,7 @@
 //!
 //! Expansion order is deterministic: the odometer runs the *last* axis
 //! fastest, with the variant list (file order) as the final axis; cell ids
-//! (`attack=collapois+defense=krum+variant=sim`) and config hashes are
+//! (`attack=collapois+defense=krum+variant=faulted`) and config hashes are
 //! therefore stable across machines and runs — the property the grid
 //! conformance harness pins against golden fixtures.
 
@@ -486,6 +484,9 @@ impl CellSpec {
                  (the simulator models its own availability churn)"
                     .to_string(),
             ));
+        }
+        if self.sim_enabled {
+            c.defense.check_sim().map_err(&invalid)?;
         }
         if c.defense == DefenseKind::FinePrune && c.model_kind == ScenarioModel::Cnn {
             return Err(invalid(
@@ -1077,6 +1078,18 @@ fault.dropout = 0.2
             GridSpec::parse(&doc).unwrap_err(),
             SchemaError::InvalidCell { .. }
         ));
+        // Sim + a defense that replaces the aggregator would run FedBuff
+        // under the defense's label; fine-prune is a hook and runs.
+        let doc = SMOKE.replace("fault.dropout = 0.2", "sim.enabled = true");
+        match GridSpec::parse(&doc).unwrap_err() {
+            SchemaError::InvalidCell { cell, message } => {
+                assert_eq!(cell, "attack=collapois+defense=norm-bound+variant=faulted");
+                assert!(message.contains("norm-bound"), "{message}");
+            }
+            other => panic!("expected InvalidCell, got {other}"),
+        }
+        let doc = doc.replace("\"norm-bound\", \"krum\"", "\"none\", \"fine-prune\"");
+        assert_eq!(GridSpec::parse(&doc).unwrap().cells().unwrap().len(), 8);
     }
 
     #[test]

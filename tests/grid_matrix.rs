@@ -1,11 +1,12 @@
 //! Grid conformance harness (tier-1).
 //!
 //! Runs the committed CI smoke grid (`scenarios/smoke.toml` — 3 attacks ×
-//! 3 defenses × {plain, faulted, sim, quant-f16, quant-int8, scaffold})
+//! 3 defenses × {plain, faulted, quant-f16, quant-int8, scaffold})
 //! end to end and pins every
 //! cell's canonical trace-event hash against the committed fixture
-//! `tests/fixtures/golden_grid_smoke.txt`. The grid is executed at two
-//! worker counts and the JSONL reports must be byte-identical — the
+//! `tests/fixtures/golden_grid_smoke.txt`. An inline buffered-async sim
+//! grid pins the two defenses sim mode accepts. Each grid is executed at
+//! two worker counts and the JSONL reports must be byte-identical — the
 //! determinism contract the scenario matrix inherits from the runtime
 //! engine.
 //!
@@ -38,35 +39,30 @@ fn run_to(spec: &GridSpec, name: &str, opts: &GridRunOptions) -> String {
     std::fs::read_to_string(&out).unwrap()
 }
 
-#[test]
-fn smoke_grid_matches_golden_fixture_and_is_worker_count_invariant() {
-    let spec = GridSpec::parse(&repo_file("scenarios/smoke.toml")).unwrap();
-    let cells = spec.cells().unwrap();
-    assert_eq!(cells.len(), 54, "the CI smoke matrix is 3x3x6");
-
-    let w1 = run_to(
-        &spec,
-        "smoke_w1.jsonl",
-        &GridRunOptions {
-            workers: 1,
-            ..GridRunOptions::default()
-        },
-    );
-    let w2 = run_to(
-        &spec,
-        "smoke_w2.jsonl",
-        &GridRunOptions {
-            workers: 2,
-            ..GridRunOptions::default()
-        },
-    );
+/// Runs `spec` at workers 1 and 2, asserts the reports are byte-identical,
+/// and returns the workers=1 report.
+fn run_at_workers_1_and_2(spec: &GridSpec, name: &str) -> String {
+    let [w1, w2] = [1, 2].map(|workers| {
+        run_to(
+            spec,
+            &format!("{name}_w{workers}.jsonl"),
+            &GridRunOptions {
+                workers,
+                ..GridRunOptions::default()
+            },
+        )
+    });
     assert_eq!(
         w1, w2,
         "grid reports must be byte-identical across worker counts"
     );
+    w1
+}
 
-    // Pin each cell's canonical event digest against the fixture.
-    let actual: String = w1
+/// One `cell event_hash event_count` line per report row (the fixture
+/// format).
+fn digests(report: &str) -> String {
+    report
         .lines()
         .map(|line| {
             format!(
@@ -76,7 +72,16 @@ fn smoke_grid_matches_golden_fixture_and_is_worker_count_invariant() {
                 extract_raw_field(line, "event_count").expect("event_count field"),
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn smoke_grid_matches_golden_fixture_and_is_worker_count_invariant() {
+    let spec = GridSpec::parse(&repo_file("scenarios/smoke.toml")).unwrap();
+    let cells = spec.cells().unwrap();
+    assert_eq!(cells.len(), 45, "the CI smoke matrix is 3x3x5");
+
+    let actual = digests(&run_at_workers_1_and_2(&spec, "smoke"));
     let expected = repo_file("tests/fixtures/golden_grid_smoke.txt");
     assert_eq!(
         actual, expected,
@@ -84,6 +89,66 @@ fn smoke_grid_matches_golden_fixture_and_is_worker_count_invariant() {
          behavior change is intentional, replace the fixture with this \
          actual fixture block:\n{actual}"
     );
+}
+
+/// The smoke grid's `[base]` on the buffered-async simulator, over the
+/// two defenses sim mode accepts.
+const SIM_GRID: &str = r#"
+schema_version = 1
+name = "smoke-sim"
+
+[base]
+dataset = "image"
+clients = 10
+samples_per_client = 16
+alpha = 1.0
+compromised_frac = 0.4
+algo = "fedavg"
+model = "mlp"
+rounds = 3
+local_steps = 2
+batch_size = 8
+client_lr = 0.1
+server_lr = 1.0
+sample_rate = 0.5
+eval_every = 3
+seed = 42
+poison_fraction = 0.5
+trojan_epochs = 6
+sim.enabled = true
+sim.arrival_mean_ms = 20.0
+sim.train_mean_ms = 30.0
+sim.buffer_k = 4
+sim.max_concurrency = 8
+
+[axes]
+attack = ["collapois", "label-flip", "semantic"]
+defense = ["none", "fine-prune"]
+"#;
+
+#[test]
+fn sim_grid_matches_pinned_hashes_and_is_worker_count_invariant() {
+    let spec = GridSpec::parse(SIM_GRID).unwrap();
+    assert_eq!(spec.cells().unwrap().len(), 6);
+    let actual = digests(&run_at_workers_1_and_2(&spec, "sim"));
+    // The defense=none cells are the plain FedBuff flush pipeline, pinned
+    // since the simulator landed. Fine-pruning runs after flush 1
+    // (fp_every = 2), and one flush-2 client trains on the pruned model.
+    // Under collapois and semantic the pruned units are inactive on that
+    // client's data, so its update and the trace are unchanged and only
+    // the final model moves (asserted in the core and fl unit tests).
+    // Under label-flip, live units are pruned and the update norm moves.
+    let expected = [
+        ("collapois", "0x1a658871b00878b9", "0x1a658871b00878b9"),
+        ("label-flip", "0x2f3103b4934cbdbd", "0x6e0702ef450278f5"),
+        ("semantic", "0x519252b71e905d9f", "0x519252b71e905d9f"),
+    ];
+    let mut pinned = String::new();
+    for (attack, none, pruned) in expected {
+        pinned += &format!("attack={attack}+defense=none {none} 61\n");
+        pinned += &format!("attack={attack}+defense=fine-prune {pruned} 61\n");
+    }
+    assert_eq!(actual, pinned, "sim-grid event hashes diverged");
 }
 
 const TINY: &str = r#"
