@@ -18,7 +18,7 @@
 //!                 [--fresh true] [--limit N] [--list true] — scenario matrix
 //! collapois bound [--a 0.9] [--b 1.0] [--clients N] — Theorem 1 table
 //! collapois trace --file RUN.jsonl — inspect a structured run trace
-//! collapois help
+//! collapois help   (or -h / --help anywhere on the command line)
 //! ```
 
 mod args;
@@ -49,6 +49,12 @@ fn main() {
 }
 
 fn run(argv: &[String]) -> Result<(), String> {
+    // `-h`/`--help` anywhere wins over everything else, including a
+    // command whose options would otherwise fail to parse.
+    if argv.iter().any(|a| a == "-h" || a == "--help") {
+        print_help();
+        return Ok(());
+    }
     let args = Args::parse(argv.iter().map(String::as_str)).map_err(|e| e.to_string())?;
     // `grid` takes the scenario file as a positional; every other command
     // takes none.
@@ -78,7 +84,7 @@ fn print_help() {
          \u{20}  grid   run a declarative scenario matrix from a TOML file\n\
          \u{20}  bound  print Theorem 1's |C| lower-bound table\n\
          \u{20}  trace  inspect a structured run trace (--file RUN.jsonl)\n\
-         \u{20}  help   this message\n\n\
+         \u{20}  help   this message (also -h / --help anywhere)\n\n\
          grid (collapois grid SCENARIOS.toml; cells run deterministically and\n\
          resume by skipping rows already present in the report):\n\
          \u{20}  --out REPORT.jsonl   report path (default: <scenarios>.report.jsonl)\n\
@@ -710,6 +716,20 @@ mod tests {
         assert!(run(&[]).is_ok());
         let e = run(&["frobnicate".to_string()]).unwrap_err();
         assert!(e.contains("unknown command"));
+    }
+
+    #[test]
+    fn help_flags_anywhere_print_usage() {
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for flag in ["--help", "-h"] {
+            assert!(run(&argv(&[flag])).is_ok(), "{flag}");
+            assert!(run(&argv(&["run", flag])).is_ok(), "run {flag}");
+            assert!(run(&argv(&["grid", flag])).is_ok(), "grid {flag}");
+            assert!(
+                run(&argv(&["run", "--rounds", "3", flag])).is_ok(),
+                "run --rounds 3 {flag}"
+            );
+        }
     }
 
     #[test]

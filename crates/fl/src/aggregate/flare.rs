@@ -7,8 +7,9 @@
 //! DESIGN.md §1).
 
 use super::Aggregator;
-use crate::update::ClientUpdate;
+use crate::update::{pairwise_sq_distances_pooled, ClientUpdate};
 use collapois_nn::kernels;
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// Trust-weighted aggregation with softmax over negative mean pairwise
@@ -32,6 +33,29 @@ impl Flare {
 
     /// Trust scores (softmax weights, sum to 1) for the given updates.
     pub fn trust_scores(&self, updates: &[ClientUpdate]) -> Vec<f64> {
+        self.trust_scores_with(updates, |us| {
+            let deltas: Vec<&[f32]> = us.iter().map(|u| u.delta.as_slice()).collect();
+            kernels::pairwise_sq_distances(&deltas)
+        })
+    }
+
+    /// [`Flare::trust_scores`] with the distance triangle sharded over
+    /// `pool`'s lanes ([`pairwise_sq_distances_pooled`]); bitwise equal to
+    /// the serial scores at every worker count.
+    pub(crate) fn trust_scores_pooled(
+        &self,
+        updates: &[ClientUpdate],
+        pool: &WorkerPool,
+    ) -> Vec<f64> {
+        self.trust_scores_with(updates, |us| pairwise_sq_distances_pooled(us, pool))
+    }
+
+    /// Trust scores from the pairwise squared-distance matrix `pairwise`
+    /// builds (one evaluation per unordered pair).
+    fn trust_scores_with<P>(&self, updates: &[ClientUpdate], pairwise: P) -> Vec<f64>
+    where
+        P: FnOnce(&[ClientUpdate]) -> Vec<f64>,
+    {
         let n = updates.len();
         if n == 0 {
             return Vec::new();
@@ -39,11 +63,8 @@ impl Flare {
         if n == 1 {
             return vec![1.0];
         }
-        // Mean distance of each update to all others, from the kernel-layer
-        // pairwise squared-distance matrix (one evaluation per unordered
-        // pair).
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let d2 = kernels::pairwise_sq_distances(&deltas);
+        // Mean distance of each update to all others.
+        let d2 = pairwise(updates);
         let mut mean_dist = vec![0.0f64; n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -75,15 +96,31 @@ impl Aggregator for Flare {
     }
 
     fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        if updates.is_empty() {
-            return vec![0.0; dim];
-        }
-        let trust = self.trust_scores(updates);
-        let mut acc = vec![0.0f64; dim];
-        for (u, &w) in updates.iter().zip(&trust) {
-            kernels::acc_scaled(&mut acc, &u.delta, w);
-        }
-        acc.into_iter().map(|a| a as f32).collect()
+        let mut out = vec![0.0f32; dim];
+        trust_weighted_sum(updates, &self.trust_scores(updates), &mut out);
+        out
+    }
+
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
+        trust_weighted_sum(updates, &self.trust_scores_pooled(updates, pool), out);
+    }
+}
+
+/// `out = Σ trustᵢ·Δθᵢ`, accumulated in `f64` in update order (zeros when
+/// `updates` is empty).
+fn trust_weighted_sum(updates: &[ClientUpdate], trust: &[f64], out: &mut [f32]) {
+    let mut acc = vec![0.0f64; out.len()];
+    for (u, &w) in updates.iter().zip(trust) {
+        kernels::acc_scaled(&mut acc, &u.delta, w);
+    }
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = a as f32;
     }
 }
 
@@ -118,6 +155,40 @@ mod tests {
         let trust = agg.trust_scores(&us);
         for t in trust {
             assert!((t - 1.0 / 3.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn pooled_trust_and_aggregate_match_serial_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1, 2, 5, 13, 40] {
+            let us: Vec<ClientUpdate> = (0..n)
+                .map(|i| {
+                    let delta: Vec<f32> =
+                        (0..11).map(|j| ((i * 13 + j * 7) as f32).cos()).collect();
+                    ClientUpdate::new(i, delta, 10)
+                })
+                .collect();
+            let mut agg = Flare::new(4.0);
+            let trust: Vec<u64> = agg.trust_scores(&us).iter().map(|v| v.to_bits()).collect();
+            let serial: Vec<u32> = agg
+                .aggregate(&us, 11, &mut rng)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for workers in [1, 2, 4, 8] {
+                let pool = WorkerPool::new(workers);
+                let pooled: Vec<u64> = agg
+                    .trust_scores_pooled(&us, &pool)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(trust, pooled, "trust diverges: n={n} workers={workers}");
+                let mut out = vec![0.0f32; 11];
+                agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+                let out: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(serial, out, "aggregate diverges: n={n} workers={workers}");
+            }
         }
     }
 

@@ -8,9 +8,9 @@
 //! substantial drops in Benign AC").
 
 use super::Aggregator;
-use crate::update::{tree_reduce_into, ClientUpdate, MEAN_CHUNK};
+use crate::update::{pairwise_sq_distances_pooled, tree_reduce_into, ClientUpdate, MEAN_CHUNK};
 use collapois_nn::kernels;
-use collapois_runtime::pool::{WorkerArenas, WorkerPool};
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// Krum / Multi-Krum aggregation.
@@ -47,60 +47,39 @@ impl Krum {
     /// Krum scores for each update (lower = more central).
     ///
     /// The pairwise squared distances are computed once per unordered pair
-    /// through the blocked kernel layer and mirrored; each score sorts its
-    /// row and sums the `k` nearest in ascending order, so scores are
-    /// exactly stable under client reordering.
+    /// through the kernel layer and mirrored; each score sorts its row and
+    /// sums the `k` nearest in ascending order, so scores are exactly
+    /// stable under client reordering.
     pub fn scores(&self, updates: &[ClientUpdate]) -> Vec<f64> {
-        let n = updates.len();
-        let k = self.neighbours(n);
         let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let d2 = kernels::pairwise_sq_distances(&deltas);
+        self.score_rows(&kernels::pairwise_sq_distances(&deltas), updates.len())
+    }
+
+    /// [`Krum::scores`] with the distance triangle sharded over `pool`'s
+    /// lanes, each unordered pair computed once (DESIGN.md §9). The matrix
+    /// is bitwise the serial one, so the scores are too.
+    pub fn scores_pooled(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
+        self.score_rows(&pairwise_sq_distances_pooled(updates, pool), updates.len())
+    }
+
+    /// Scores the rows of a finished `n × n` distance matrix: each row's
+    /// off-diagonal entries sorted ascending, the `k` nearest summed in
+    /// that order.
+    fn score_rows(&self, d2: &[f64], n: usize) -> Vec<f64> {
+        let k = self.neighbours(n);
         let mut scores = Vec::with_capacity(n);
         let mut dists = Vec::with_capacity(n.saturating_sub(1));
-        for i in 0..n {
+        for (i, row) in d2.chunks_exact(n.max(1)).enumerate() {
             dists.clear();
-            dists.extend((0..n).filter(|&j| j != i).map(|j| d2[i * n + j]));
+            dists.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &d)| d),
+            );
             dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
             scores.push(dists.iter().take(k).sum());
         }
-        scores
-    }
-
-    /// Row-sharded [`Krum::scores`]: each score depends only on its own row
-    /// of the distance matrix, so rows fan out over `pool`'s lanes into
-    /// per-lane scratch. Bitwise identical to the serial path — the
-    /// distance kernel is exactly symmetric, so recomputing a row equals
-    /// mirroring the triangle.
-    pub fn scores_pooled(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
-        let n = updates.len();
-        let k = self.neighbours(n);
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let deltas = deltas.as_slice();
-        let mut scores = vec![0.0f64; n];
-        let mut arenas: WorkerArenas<RowScratch> = WorkerArenas::new();
-        pool.for_chunks_mut_with_arena(
-            &mut arenas,
-            &mut scores,
-            1,
-            || RowScratch {
-                row: vec![0.0; n],
-                dists: Vec::with_capacity(n.saturating_sub(1)),
-            },
-            |i, slot, s| {
-                kernels::pairwise_sq_distances_row_into(deltas, i, &mut s.row);
-                s.dists.clear();
-                s.dists.extend(
-                    s.row
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .map(|(_, &d)| d),
-                );
-                s.dists
-                    .sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-                slot[0] = s.dists.iter().take(k).sum();
-            },
-        );
         scores
     }
 
@@ -127,13 +106,6 @@ impl Krum {
             }
         });
     }
-}
-
-/// Per-lane scratch for [`Krum::scores_pooled`]: one distance row plus the
-/// sort buffer, reused across the lane's rows.
-struct RowScratch {
-    row: Vec<f64>,
-    dists: Vec<f64>,
 }
 
 impl Aggregator for Krum {
@@ -235,27 +207,33 @@ mod tests {
 
     #[test]
     fn pooled_scores_and_aggregate_match_serial_bitwise() {
+        // Sizes cover the tiny-dispatch inline path, 4-wide column groups
+        // with and without tails, and a many-row triangle that lanes steal.
         let mut rng = StdRng::seed_from_u64(3);
-        let us: Vec<ClientUpdate> = (0..13)
-            .map(|i| {
-                let delta: Vec<f32> = (0..9).map(|j| ((i * 17 + j * 5) as f32).sin()).collect();
-                ClientUpdate::new(i, delta, 10)
-            })
-            .collect();
-        let mut agg = Krum::multi(2, 3);
-        let serial_scores = agg.scores(&us);
-        let serial = agg.aggregate(&us, 9, &mut rng);
-        for workers in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let pooled_scores = agg.scores_pooled(&us, &pool);
-            let s: Vec<u64> = serial_scores.iter().map(|v| v.to_bits()).collect();
-            let p: Vec<u64> = pooled_scores.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(s, p, "scores diverge at workers={workers}");
-            let mut out = vec![0.0f32; 9];
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "aggregate diverges at workers={workers}");
+        for n in [2, 3, 5, 13, 64] {
+            let us: Vec<ClientUpdate> = (0..n)
+                .map(|i| {
+                    let delta: Vec<f32> = (0..9).map(|j| ((i * 17 + j * 5) as f32).sin()).collect();
+                    ClientUpdate::new(i, delta, 10)
+                })
+                .collect();
+            for mut agg in [Krum::new(1), Krum::multi(2, 3)] {
+                let serial_scores = agg.scores(&us);
+                let serial = agg.aggregate(&us, 9, &mut rng);
+                for workers in [1, 2, 4, 8] {
+                    let pool = WorkerPool::new(workers);
+                    let pooled_scores = agg.scores_pooled(&us, &pool);
+                    let s: Vec<u64> = serial_scores.iter().map(|v| v.to_bits()).collect();
+                    let p: Vec<u64> = pooled_scores.iter().map(|v| v.to_bits()).collect();
+                    let what = format!("{} n={n} workers={workers}", agg.name());
+                    assert_eq!(s, p, "scores diverge: {what}");
+                    let mut out = vec![0.0f32; 9];
+                    agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+                    let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
+                    let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(a, b, "aggregate diverges: {what}");
+                }
+            }
         }
     }
 

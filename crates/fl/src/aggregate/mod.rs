@@ -58,12 +58,12 @@ pub trait Aggregator: std::fmt::Debug + Send {
     }
 
     /// Parallel [`Aggregator::aggregate_into`]: rules with shardable inner
-    /// loops (FedAvg's reduction tree, NormBound's clip-average, Krum's
-    /// distance rows, trimmed-mean/median's coordinate shards) fan them out
-    /// over `pool`. Implementations must keep shard boundaries a function
-    /// of the update count and dimension only — never the worker count — so
-    /// the result stays **bitwise identical** to the serial path. The
-    /// default ignores the pool and runs serially.
+    /// loops (FedAvg's reduction tree, NormBound's clip-average, Krum's and
+    /// FLARE's distance triangle, trimmed-mean/median's coordinate shards)
+    /// fan them out over `pool`. Implementations must keep shard boundaries
+    /// a function of the update count and dimension only — never the worker
+    /// count — so the result stays **bitwise identical** to the serial
+    /// path. The default ignores the pool and runs serially.
     fn aggregate_pooled(
         &mut self,
         updates: &[ClientUpdate],

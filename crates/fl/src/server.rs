@@ -192,6 +192,16 @@ struct FinePruneSchedule {
     clean: Dataset,
 }
 
+/// What a benign training job hands back to the commit phase.
+#[derive(Debug)]
+enum LaneOutcome {
+    /// The trained outcome and the client's training-sample count.
+    Trained(LocalOutcome, usize),
+    /// The client has no training data: its unused recycled delta buffer,
+    /// returned so the update pool does not grow.
+    Empty(Vec<f32>),
+}
+
 /// The federated server simulation.
 #[derive(Debug)]
 pub struct FlServer {
@@ -215,7 +225,7 @@ pub struct FlServer {
     /// Reusable benign-job input buffer for the training fan-out.
     job_buf: Vec<(usize, Vec<f32>)>,
     /// Reusable fan-out output buffer (one outcome per benign job).
-    outcome_buf: Vec<(usize, LocalOutcome)>,
+    outcome_buf: Vec<(usize, LaneOutcome)>,
     /// Reusable round-update assembly buffer (recycled unless update
     /// collection keeps the round's updates).
     updates_buf: Vec<ClientUpdate>,
@@ -770,6 +780,8 @@ impl FlServer {
         // snapshots, so all mutation is deferred to commits and determinism
         // is independent of scheduling. Job and outcome buffers persist
         // across rounds so the steady-state fan-out allocates nothing.
+        // Each lane fetches its client's shard itself, so a lazy cohort
+        // renders shard misses in parallel rather than on this thread.
         let fed = &self.fed;
         let update_pool = &mut self.update_pool;
         let mut jobs = std::mem::take(&mut self.job_buf);
@@ -778,9 +790,7 @@ impl FlServer {
             participants
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| {
-                    !compromised.contains(&p.client) && !fed.client(p.client).train.is_empty()
-                })
+                .filter(|(_, p)| !compromised.contains(&p.client))
                 .map(|(i, _)| (i, update_pool.pop().unwrap_or_default())),
         );
         let mut outcomes = std::mem::take(&mut self.outcome_buf);
@@ -797,12 +807,15 @@ impl FlServer {
             || ClientScratch::for_model(template),
             move |_, (i, buf), scratch| {
                 let p = &participants[i];
+                let train = &fed.client(p.client).train;
+                if train.is_empty() {
+                    return (i, LaneOutcome::Empty(buf));
+                }
                 scratch.delta = buf;
                 let snapshot = versions.map_or(global, |v| v.get(p.fetched_version));
                 let mut rng = seed::client_rng(run_seed, p.arrival_index, p.client);
-                let train = &fed.client(p.client).train;
                 let out = pers.local_train(p.client, snapshot, train, cfg, scratch, &mut rng);
-                (i, out)
+                (i, LaneOutcome::Trained(out, train.len()))
             },
         );
         self.profile.train_ms += train_start.elapsed().as_secs_f64() * 1e3;
@@ -818,24 +831,34 @@ impl FlServer {
         }
         let mut benign_norms = Vec::new();
         let mut malicious_norms = Vec::new();
-        let mut outcome_iter = outcomes.drain(..).peekable();
+        let mut outcome_iter = outcomes.drain(..);
         for (i, p) in participants.iter().enumerate() {
             let cid = p.client;
-            let (mut delta, commit) = if compromised.contains(&cid) {
+            let (mut delta, commit, num_samples) = if compromised.contains(&cid) {
                 let adv = adversary.as_mut().expect("compromised implies adversary");
                 let snapshot = match flush.as_deref() {
                     Some(f) => f.versions.get(p.fetched_version),
                     None => self.global.as_slice(),
                 };
                 let mut rng = seed::adversary_rng(run_seed, p.arrival_index, cid);
-                (adv.craft_update(cid, snapshot, round, &mut rng), None)
-            } else if outcome_iter.peek().map(|(j, _)| *j) == Some(i) {
-                let (_, out) = outcome_iter.next().expect("peeked");
-                (out.delta, Some(out.commit))
+                let delta = adv.craft_update(cid, snapshot, round, &mut rng);
+                (delta, None, self.fed.client(cid).train.len())
             } else {
-                // A benign client without training data contributes
-                // nothing this round.
-                continue;
+                let (j, outcome) = outcome_iter
+                    .next()
+                    .expect("one lane outcome per benign participant");
+                debug_assert_eq!(i, j, "lane outcomes arrive in participant order");
+                match outcome {
+                    LaneOutcome::Trained(out, num_samples) => {
+                        (out.delta, Some(out.commit), num_samples)
+                    }
+                    LaneOutcome::Empty(buf) => {
+                        // A benign client without training data contributes
+                        // nothing this round.
+                        self.update_pool.push(buf);
+                        continue;
+                    }
+                }
             };
             assert_eq!(
                 delta.len(),
@@ -849,7 +872,7 @@ impl FlServer {
             // codec before the finite-norm gate, so the gate and every
             // aggregator see exactly what a real receiver would.
             self.cfg.quantization.roundtrip_inplace(&mut delta);
-            let update = ClientUpdate::new(cid, delta, self.fed.client(cid).train.len());
+            let update = ClientUpdate::new(cid, delta, num_samples);
             let norm = update.norm();
             if !norm.is_finite() {
                 self.reject_update(round, cid, p.corrupt);
@@ -1182,8 +1205,10 @@ mod tests {
     use super::*;
     use crate::aggregate::FedAvg;
     use crate::personalize::{Clustered, Ditto, NoPersonalization};
+    use collapois_data::shard::{ShardSource, ShardSpec};
     use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
     use collapois_nn::zoo::ModelSpec;
+    use collapois_runtime::trace::hash_canonical_events;
 
     fn quick_server_with(personalization: Box<dyn Personalization>) -> FlServer {
         let cfg_img = SyntheticImageConfig {
@@ -1706,6 +1731,82 @@ mod tests {
                 r.sampled.iter().filter(|c| adv.ids.contains(c)).count()
             );
         }
+    }
+
+    /// Runs four adversarial rounds over `fed` at workers 1, 2 and 4,
+    /// asserts bit-identical final parameters and canonical event hashes,
+    /// and returns the workers-1 server.
+    fn run_at_worker_counts(fed: impl Fn() -> FederatedDataset) -> FlServer {
+        let bits = |s: &FlServer| s.global().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut first: Option<FlServer> = None;
+        for workers in [1usize, 2, 4] {
+            let mut cfg = FlConfig::quick(ModelSpec::mlp(64, &[16], 4));
+            cfg.sample_rate = 0.5;
+            let mut server = FlServer::new(
+                cfg,
+                fed(),
+                Box::new(FedAvg::new()),
+                Box::new(NoPersonalization::new()),
+            );
+            server.set_workers(workers);
+            let mut adv = ConstAdversary {
+                ids: vec![0, 1, 2],
+                value: 0.25,
+            };
+            server.run_rounds(4, Some(&mut adv));
+            server.finish_run();
+            match &first {
+                None => first = Some(server),
+                Some(f) => {
+                    assert_eq!(bits(f), bits(&server), "params at workers={workers}");
+                    assert_eq!(
+                        hash_canonical_events(f.trace_events()),
+                        hash_canonical_events(server.trace_events()),
+                        "event hash at workers={workers}"
+                    );
+                }
+            }
+        }
+        first.expect("ran at workers=1")
+    }
+
+    #[test]
+    fn lanes_fetch_shards_and_skip_empty_clients_worker_count_invariantly() {
+        let source = ShardSource::Image(SyntheticImage::new(SyntheticImageConfig {
+            side: 8,
+            classes: 4,
+            ..Default::default()
+        }));
+        // One sample per lazy shard under a budget of a few shards: lanes
+        // render, hit and evict concurrently.
+        let spec = ShardSpec::new(source, 1, 1.0, 11);
+        let server = run_at_worker_counts(|| FederatedDataset::lazy(spec.clone(), 40, 4096));
+        let stats = server.dataset().shard_stats().expect("lazy cohort");
+        assert!(
+            stats.evictions > 0,
+            "budget must force evictions: {stats:?}"
+        );
+
+        // A sparse partition with a 30% train split leaves the clients
+        // holding a single sample with no training data at all; sampled
+        // benign ones must be skipped at commit.
+        let ds = SyntheticImage::new(SyntheticImageConfig {
+            samples: 60,
+            side: 8,
+            classes: 4,
+            ..Default::default()
+        })
+        .generate();
+        let sparse = || {
+            let mut rng = StdRng::seed_from_u64(5);
+            FederatedDataset::build_with_split(&mut rng, &ds, 30, 1.0, 0.3, 0.15)
+        };
+        let server = run_at_worker_counts(sparse);
+        let skipped: usize = round_records_from_events(server.trace_events())
+            .iter()
+            .map(|r| r.sampled.len() - r.num_malicious - r.benign_norms.len())
+            .sum();
+        assert!(skipped > 0, "some sampled benign client had no data");
     }
 
     #[test]

@@ -224,6 +224,33 @@ pub(crate) fn tree_reduce_pooled_into<L>(
     tree_reduce_scaled_pooled_into(n, out, acc, pool, n.max(1) as f64, leaf);
 }
 
+/// Pooled [`kernels::pairwise_sq_distances`] over the updates' deltas: the
+/// `n × n` row-major matrix of squared l2 distances, bitwise identical to
+/// the serial kernel at every worker count.
+///
+/// Each row is one fixed chunk of [`WorkerPool::for_chunks_mut`] (a shard
+/// boundary that depends on `n` only). A lane fills row `i`'s upper part
+/// with [`kernels::pairwise_sq_distances_upper_row_into`] — the exact
+/// per-pair operation sequence of the serial kernel, and every unordered
+/// pair exactly once — and the caller mirrors the finished triangle.
+///
+/// # Panics
+///
+/// Panics if the deltas have different lengths.
+pub(crate) fn pairwise_sq_distances_pooled(
+    updates: &[ClientUpdate],
+    pool: &WorkerPool,
+) -> Vec<f64> {
+    let n = updates.len();
+    let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+    let mut d2 = vec![0.0f64; n * n];
+    pool.for_chunks_mut(&mut d2, n.max(1), |i, row| {
+        kernels::pairwise_sq_distances_upper_row_into(&deltas, i, row);
+    });
+    kernels::mirror_upper_triangle(&mut d2, n);
+    d2
+}
+
 /// [`tree_reduce_pooled_into`] with an arbitrary positive denominator:
 /// `out = root / denom`. The uniform mean is the `denom = max(n, 1)`
 /// special case; weighted means pass `Σ wᵢ`.

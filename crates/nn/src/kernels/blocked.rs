@@ -378,46 +378,30 @@ pub fn sq_l2_distance(a: &[f32], b: &[f32]) -> f64 {
     combine4(s, tail)
 }
 
-/// Pairwise squared l2 distances as an `n × n` matrix: each unordered pair
-/// is computed **once** and mirrored (the reference recomputes both
-/// triangles — half the work here, identical values because the distance
-/// kernel is exactly symmetric).
+/// Pairwise squared l2 distances as an `n × n` matrix: the upper rows of
+/// [`pairwise_sq_distances_upper_row_into`], then mirrored, so each
+/// unordered pair is computed **once**.
 ///
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
 pub fn pairwise_sq_distances(vectors: &[&[f32]]) -> Vec<f64> {
-    let n = vectors.len();
-    let mut out = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d2 = sq_l2_distance(vectors[i], vectors[j]);
-            out[i * n + j] = d2;
-            out[j * n + i] = d2;
-        }
-    }
-    out
+    super::pairwise_from_upper_rows(vectors, pairwise_sq_distances_upper_row_into)
 }
 
-/// One row of [`pairwise_sq_distances`] written into `row` (length `n`):
-/// `row[j] = ‖v_i − v_j‖²`, diagonal zero. This is the sharded entry point
-/// for parallel Krum: each row recomputes its distances directly instead of
-/// mirroring the triangle, which is bitwise identical because
-/// [`sq_l2_distance`] is exactly symmetric.
+/// The upper part of row `i` of [`pairwise_sq_distances`]: writes
+/// `row[j] = ‖v_i − v_j‖²` for every `j > i` and leaves `row[..=i]`
+/// untouched. Rows are independent, so they can be computed on any thread
+/// in any order and mirrored afterwards.
 ///
 /// # Panics
 ///
 /// Panics if `row.len() != vectors.len()` or the vectors have different
 /// lengths.
-pub fn pairwise_sq_distances_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
-    let n = vectors.len();
-    assert_eq!(row.len(), n, "pairwise row: length mismatch");
-    for (j, slot) in row.iter_mut().enumerate() {
-        *slot = if i == j {
-            0.0
-        } else {
-            sq_l2_distance(vectors[i], vectors[j])
-        };
+pub fn pairwise_sq_distances_upper_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
+    assert_eq!(row.len(), vectors.len(), "pairwise row: length mismatch");
+    for (slot, v) in row[i + 1..].iter_mut().zip(&vectors[i + 1..]) {
+        *slot = sq_l2_distance(vectors[i], v);
     }
 }
 

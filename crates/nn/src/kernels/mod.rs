@@ -39,6 +39,13 @@
 //! * `dot`, `sq_l2_norm`, `sq_l2_distance`, `pairwise_sq_distances`:
 //!   reassociated `f64` reductions, deterministic but up to a few `f64`
 //!   ulps from the reference.
+//! * Pairwise distances in every tier: `sq_l2_distance` is exactly
+//!   symmetric, so each tier computes only the upper row of each vector
+//!   ([`pairwise_sq_distances_upper_row_into`], one evaluation per
+//!   unordered pair) and [`mirror_upper_triangle`] fills the rest. The
+//!   serial [`pairwise_sq_distances`] is that loop over all rows; a pooled
+//!   caller (Krum, FLARE in `collapois-fl`) hands the same rows to worker
+//!   lanes and mirrors once they are done, with the same bits.
 //! * [`simd`] vs [`blocked`]: bitwise identical on **every** function,
 //!   including the reassociated reductions (the SIMD lanes map exactly onto
 //!   the blocked tier's four accumulator chains) — so switching tiers never
@@ -221,11 +228,43 @@ pub fn pairwise_sq_distances(vectors: &[&[f32]]) -> Vec<f64> {
     dispatch!(pairwise_sq_distances(vectors))
 }
 
-/// One row of [`pairwise_sq_distances`] written into a borrowed buffer —
-/// the shard-friendly entry point (each row is independent and bitwise
-/// identical to the full matrix's row).
-pub fn pairwise_sq_distances_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
-    dispatch!(pairwise_sq_distances_row_into(vectors, i, row))
+/// The upper part of row `i` of [`pairwise_sq_distances`]: writes
+/// `row[j]` for every `j > i` and leaves `row[..=i]` untouched — the
+/// shard-friendly entry point. Rows are independent and bitwise equal to
+/// the full matrix's, so a caller can compute them on any lanes and finish
+/// with [`mirror_upper_triangle`].
+pub fn pairwise_sq_distances_upper_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
+    dispatch!(pairwise_sq_distances_upper_row_into(vectors, i, row))
+}
+
+/// Copies the strict upper triangle of the row-major `n × n` matrix `d`
+/// onto its lower triangle (`d[j·n + i] = d[i·n + j]` for `i < j`).
+///
+/// # Panics
+///
+/// Panics if `d.len() != n * n`.
+pub fn mirror_upper_triangle(d: &mut [f64], n: usize) {
+    assert_eq!(d.len(), n * n, "mirror: not an n × n matrix");
+    for i in 0..n {
+        for j in (i + 1)..n {
+            d[j * n + i] = d[i * n + j];
+        }
+    }
+}
+
+/// A tier's full pairwise matrix from its upper-row kernel: zeroed matrix,
+/// rows in order, then [`mirror_upper_triangle`] — one code path per tier.
+fn pairwise_from_upper_rows(
+    vectors: &[&[f32]],
+    upper_row: fn(&[&[f32]], usize, &mut [f64]),
+) -> Vec<f64> {
+    let n = vectors.len();
+    let mut out = vec![0.0f64; n * n];
+    for (i, row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        upper_row(vectors, i, row);
+    }
+    mirror_upper_triangle(&mut out, n);
+    out
 }
 
 /// α-trimmed mean of a scratch buffer (reordered in place): drop the

@@ -170,43 +170,29 @@ pub fn sq_l2_distance(a: &[f32], b: &[f32]) -> f64 {
     acc
 }
 
-/// Full `n × n` matrix of pairwise squared l2 distances (diagonal zero),
-/// every ordered pair computed independently.
+/// Full `n × n` matrix of pairwise squared l2 distances (diagonal zero):
+/// the upper rows, mirrored. [`sq_l2_distance`] is exactly symmetric, so
+/// the mirror equals computing every ordered pair.
 ///
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
 pub fn pairwise_sq_distances(vectors: &[&[f32]]) -> Vec<f64> {
-    let n = vectors.len();
-    let mut out = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                out[i * n + j] = sq_l2_distance(vectors[i], vectors[j]);
-            }
-        }
-    }
-    out
+    super::pairwise_from_upper_rows(vectors, pairwise_sq_distances_upper_row_into)
 }
 
-/// One row of [`pairwise_sq_distances`] written into `row` (length `n`):
-/// `row[j] = ‖v_i − v_j‖²`, diagonal zero. Because the distance kernel is
-/// exactly symmetric, computing rows independently (in any sharding) yields
-/// the same matrix as the full kernel, bitwise.
+/// The upper part of row `i` of [`pairwise_sq_distances`]: writes
+/// `row[j] = ‖v_i − v_j‖²` for every `j > i`, leaving `row[..=i]`
+/// untouched.
 ///
 /// # Panics
 ///
 /// Panics if `row.len() != vectors.len()` or the vectors have different
 /// lengths.
-pub fn pairwise_sq_distances_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
-    let n = vectors.len();
-    assert_eq!(row.len(), n, "pairwise row: length mismatch");
-    for (j, slot) in row.iter_mut().enumerate() {
-        *slot = if i == j {
-            0.0
-        } else {
-            sq_l2_distance(vectors[i], vectors[j])
-        };
+pub fn pairwise_sq_distances_upper_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
+    assert_eq!(row.len(), vectors.len(), "pairwise row: length mismatch");
+    for (slot, v) in row[i + 1..].iter_mut().zip(&vectors[i + 1..]) {
+        *slot = sq_l2_distance(vectors[i], v);
     }
 }
 

@@ -264,7 +264,7 @@ pub fn sq_l2_distance(a: &[f32], b: &[f32]) -> f64 {
     blocked::sq_l2_distance(a, b)
 }
 
-/// Pairwise squared l2 distances (`n × n`, upper triangle computed once and
+/// Pairwise squared l2 distances (`n × n`, upper rows computed once and
 /// mirrored like the blocked tier). Bitwise identical to
 /// [`super::blocked::pairwise_sq_distances`].
 ///
@@ -272,32 +272,38 @@ pub fn sq_l2_distance(a: &[f32], b: &[f32]) -> f64 {
 ///
 /// Panics if the vectors have different lengths.
 pub fn pairwise_sq_distances(vectors: &[&[f32]]) -> Vec<f64> {
+    super::pairwise_from_upper_rows(vectors, pairwise_sq_distances_upper_row_into)
+}
+
+/// The upper part of row `i` of [`pairwise_sq_distances`]: writes
+/// `row[j]` for every `j > i`, leaving `row[..=i]` untouched. Columns go
+/// through the interleaved microkernel four at a time, the tail one pair
+/// at a time. Bitwise identical to
+/// [`super::blocked::pairwise_sq_distances_upper_row_into`].
+///
+/// # Panics
+///
+/// Panics if `row.len() != vectors.len()` or the vectors have different
+/// lengths.
+pub fn pairwise_sq_distances_upper_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
     let n = vectors.len();
-    let mut out = vec![0.0f64; n * n];
-    for i in 0..n {
-        let mut j = i + 1;
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            while j + 4 <= n {
-                let d4 = distance4(
-                    vectors[i],
-                    [vectors[j], vectors[j + 1], vectors[j + 2], vectors[j + 3]],
-                );
-                for (t, d2) in d4.into_iter().enumerate() {
-                    out[i * n + j + t] = d2;
-                    out[(j + t) * n + i] = d2;
-                }
-                j += 4;
-            }
-        }
-        while j < n {
-            let d2 = sq_l2_distance(vectors[i], vectors[j]);
-            out[i * n + j] = d2;
-            out[j * n + i] = d2;
-            j += 1;
+    assert_eq!(row.len(), n, "pairwise row: length mismatch");
+    let mut j = i + 1;
+    #[cfg(target_arch = "x86_64")]
+    if supported() {
+        while j + 4 <= n {
+            let d4 = distance4(
+                vectors[i],
+                [vectors[j], vectors[j + 1], vectors[j + 2], vectors[j + 3]],
+            );
+            row[j..j + 4].copy_from_slice(&d4);
+            j += 4;
         }
     }
-    out
+    while j < n {
+        row[j] = sq_l2_distance(vectors[i], vectors[j]);
+        j += 1;
+    }
 }
 
 /// Four distances from one anchor in a single interleaved sweep (asserted,
@@ -311,51 +317,6 @@ fn distance4(a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
     }
     // SAFETY: callers only reach this behind a `supported()` check.
     unsafe { x86::sq_l2_distance4(a, b) }
-}
-
-/// One row of [`pairwise_sq_distances`] written into `row` (length `n`),
-/// diagonal zero — the sharded entry point for parallel Krum. Bitwise
-/// identical to [`super::blocked::pairwise_sq_distances_row_into`].
-///
-/// # Panics
-///
-/// Panics if `row.len() != vectors.len()` or the vectors have different
-/// lengths.
-pub fn pairwise_sq_distances_row_into(vectors: &[&[f32]], i: usize, row: &mut [f64]) {
-    let n = vectors.len();
-    assert_eq!(row.len(), n, "pairwise row: length mismatch");
-    let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    if supported() {
-        // 4-way blocks that avoid the diagonal go through the interleaved
-        // microkernel; the block containing `i` falls back to one-pair.
-        while j + 4 <= n {
-            if (j..j + 4).contains(&i) {
-                for jj in j..j + 4 {
-                    row[jj] = if i == jj {
-                        0.0
-                    } else {
-                        sq_l2_distance(vectors[i], vectors[jj])
-                    };
-                }
-            } else {
-                let d4 = distance4(
-                    vectors[i],
-                    [vectors[j], vectors[j + 1], vectors[j + 2], vectors[j + 3]],
-                );
-                row[j..j + 4].copy_from_slice(&d4);
-            }
-            j += 4;
-        }
-    }
-    while j < n {
-        row[j] = if i == j {
-            0.0
-        } else {
-            sq_l2_distance(vectors[i], vectors[j])
-        };
-        j += 1;
-    }
 }
 
 /// α-trimmed mean — a selection problem with no lane structure; delegates

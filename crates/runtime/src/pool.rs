@@ -1,12 +1,13 @@
 //! Deterministic persistent worker pool with a low-overhead round barrier.
 //!
-//! [`WorkerPool::map`] fans independent jobs over up to `workers` threads
-//! and returns results **in input order**. Jobs must be independent (the
-//! closure takes `&self` state only through `Sync` captures); all
-//! order-sensitive effects belong in the caller's commit phase, which runs
-//! sequentially over the returned, input-ordered results. This
-//! snapshot-compute / ordered-commit split is what makes `workers = N`
-//! bit-identical to `workers = 1`.
+//! [`WorkerPool::map_with_arena`] fans independent jobs over up to
+//! `workers` threads and returns results **in input order**;
+//! [`WorkerPool::for_chunks_mut`] does the same for fixed chunks of a
+//! mutable slice. Jobs must be independent (the closure takes `&self` state
+//! only through `Sync` captures); all order-sensitive effects belong in the
+//! caller's commit phase, which runs sequentially over the returned,
+//! input-ordered results. This snapshot-compute / ordered-commit split is
+//! what makes `workers = N` bit-identical to `workers = 1`.
 //!
 //! # Persistent threads and the spin-then-park barrier
 //!
@@ -597,58 +598,25 @@ impl WorkerPool {
         }
     }
 
-    /// Applies `f` to every item, returning outputs in input order.
+    /// Applies `f` to every item, returning outputs in input order, and
+    /// hands each lane a persistent scratch arena from `arenas` (built on
+    /// demand with `init`, reused verbatim on subsequent calls).
     ///
-    /// `f` receives `(input_index, item)`. With one worker (or a tiny
-    /// input) this runs inline on the caller's thread; otherwise items flow
-    /// through the work-stealing index queues. Because each output lands in
-    /// the slot of its input index, the result is independent of
+    /// `f` receives `(input_index, item, arena)`. With one worker (or a
+    /// tiny input) this runs inline on the caller's thread; otherwise items
+    /// flow through the work-stealing index queues. Because each output
+    /// lands in the slot of its input index, the result is independent of
     /// scheduling, worker count, and steal order.
+    ///
+    /// Jobs must treat the arena as pure scratch: the output for an item
+    /// must not depend on which arena served it or on anything a previous
+    /// job left behind. Under that contract the result is bitwise identical
+    /// across worker counts.
     ///
     /// # Panics
     ///
     /// Propagates panics from `f`. Unprocessed items leak (they are never
     /// dropped) if a lane panics.
-    pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, T) -> U + Sync,
-    {
-        let n = items.len();
-        let mut items = items;
-        let mut out: Vec<U> = Vec::with_capacity(n);
-        let items_ptr = SyncPtr(items.as_mut_ptr());
-        let out_ptr = SyncPtr(out.as_mut_ptr());
-        // Elements are moved out through raw reads below; drop the vec's
-        // claim on them first so a panicking lane cannot double-drop.
-        unsafe { items.set_len(0) };
-        self.run_ranges(n, &|_lane, begin, end| {
-            for i in begin..end {
-                // SAFETY: the queue protocol hands each index to exactly
-                // one lane and both buffers hold >= n slots.
-                let item = unsafe { std::ptr::read(items_ptr.get().add(i)) };
-                let value = f(i, item);
-                unsafe { std::ptr::write(out_ptr.get().add(i), value) };
-            }
-        });
-        // SAFETY: every slot 0..n was written by exactly one lane.
-        unsafe { out.set_len(n) };
-        out
-    }
-
-    /// Like [`WorkerPool::map`], but hands each lane a persistent scratch
-    /// arena from `arenas` (built on demand with `init`, reused verbatim on
-    /// subsequent calls). Outputs are returned in input order.
-    ///
-    /// Jobs must treat the arena as pure scratch: the output for an item
-    /// must not depend on which arena served it or on anything a previous
-    /// job left behind. Under that contract the result is bitwise identical
-    /// across worker counts and to the arena-free path.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `f`.
     pub fn map_with_arena<A, T, U, F, I>(
         &self,
         arenas: &mut WorkerArenas<A>,
@@ -703,6 +671,8 @@ impl WorkerPool {
         let items_ptr = SyncPtr(items.as_mut_ptr());
         let out_ptr = SyncPtr(out.as_mut_ptr());
         let arenas_ptr = SyncPtr(arenas.arenas.as_mut_ptr());
+        // Elements are moved out through raw reads below; drop the vec's
+        // claim on them first so a panicking lane cannot double-drop.
         unsafe { items.set_len(0) };
         self.run_ranges(n, &|lane, begin, end| {
             // SAFETY: `lane` is unique to the executing thread for the
@@ -809,6 +779,17 @@ impl WorkerPool {
 mod tests {
     use super::*;
 
+    /// The arena-free fan-out most tests drive: `map_with_arena` over unit
+    /// arenas.
+    fn map<T, U, F>(pool: &WorkerPool, items: Vec<T>, f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(usize, T) -> U + Sync,
+    {
+        pool.map_with_arena(&mut WorkerArenas::new(), items, || (), |i, x, _| f(i, x))
+    }
+
     #[test]
     fn zero_workers_clamps_to_one() {
         assert_eq!(WorkerPool::new(0).workers(), 1);
@@ -819,7 +800,7 @@ mod tests {
         let items: Vec<usize> = (0..37).collect();
         for workers in [1, 2, 3, 8] {
             let pool = WorkerPool::new(workers);
-            let out = pool.map(items.clone(), |i, x| {
+            let out = map(&pool, items.clone(), |i, x| {
                 assert_eq!(i, x);
                 x * x
             });
@@ -831,17 +812,21 @@ mod tests {
     fn map_matches_sequential_for_stateful_jobs() {
         // Each job derives its own value from its index only; any schedule
         // must produce the same vector.
-        let seq = WorkerPool::new(1).map((0..100).collect(), |i, _x: usize| i as u64 * 7 + 3);
-        let par = WorkerPool::new(4).map((0..100).collect(), |i, _x: usize| i as u64 * 7 + 3);
+        let seq = map(&WorkerPool::new(1), (0..100).collect(), |i, _x: usize| {
+            i as u64 * 7 + 3
+        });
+        let par = map(&WorkerPool::new(4), (0..100).collect(), |i, _x: usize| {
+            i as u64 * 7 + 3
+        });
         assert_eq!(seq, par);
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let pool = WorkerPool::new(4);
-        let empty: Vec<u32> = pool.map(Vec::new(), |_, x: u32| x);
+        let empty: Vec<u32> = map(&pool, Vec::new(), |_, x: u32| x);
         assert!(empty.is_empty());
-        assert_eq!(pool.map(vec![5u32], |_, x| x + 1), vec![6]);
+        assert_eq!(map(&pool, vec![5u32], |_, x| x + 1), vec![6]);
     }
 
     #[test]
@@ -855,7 +840,7 @@ mod tests {
         // wedging (regression test for lost wake-ups in spin-then-park).
         let pool = WorkerPool::new(4);
         for round in 0..2000usize {
-            let out = pool.map(vec![1u64; 16], |i, x| x + (i + round) as u64);
+            let out = map(&pool, vec![1u64; 16], |i, x| x + (i + round) as u64);
             assert_eq!(out.len(), 16);
             assert_eq!(out[0], 1 + round as u64);
         }
@@ -873,7 +858,7 @@ mod tests {
         }
         let pool = WorkerPool::new(3);
         let items: Vec<Tracked> = (0..50).map(Tracked).collect();
-        let out = pool.map(items, |i, t| {
+        let out = map(&pool, items, |i, t| {
             let v = t.0 + i;
             drop(t);
             v
@@ -886,7 +871,7 @@ mod tests {
     fn panic_in_lane_propagates() {
         let pool = WorkerPool::new(4);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..32usize).collect::<Vec<_>>(), |i, x| {
+            map(&pool, (0..32usize).collect::<Vec<_>>(), |i, x| {
                 if i == 17 {
                     panic!("lane boom");
                 }
@@ -895,7 +880,7 @@ mod tests {
         }));
         assert!(result.is_err());
         // The pool must stay usable after a propagated panic.
-        let out = pool.map(vec![1u32, 2, 3], |_, x| x * 2);
+        let out = map(&pool, vec![1u32, 2, 3], |_, x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
     }
 
@@ -954,22 +939,6 @@ mod tests {
         let mut arenas: WorkerArenas<usize> = WorkerArenas::new();
         seq.warm_lanes(&mut arenas, || 0usize, |_, hits| *hits += 1);
         assert_eq!(arenas.arenas, vec![1usize]);
-    }
-
-    #[test]
-    fn map_with_arena_matches_map_for_pure_jobs() {
-        let items: Vec<usize> = (0..23).collect();
-        let plain = WorkerPool::new(4).map(items.clone(), |i, x| i as u64 + x as u64);
-        for workers in [1, 2, 4] {
-            let mut arenas: WorkerArenas<()> = WorkerArenas::new();
-            let pooled = WorkerPool::new(workers).map_with_arena(
-                &mut arenas,
-                items.clone(),
-                || (),
-                |i, x, _| i as u64 + x as u64,
-            );
-            assert_eq!(pooled, plain);
-        }
     }
 
     #[test]
@@ -1054,7 +1023,7 @@ mod tests {
         }
         let reference: Vec<u64> = (0..64).map(cost).collect();
         for workers in [1, 2, 4, 8] {
-            let out = WorkerPool::new(workers).map((0..64usize).collect(), |i, x| {
+            let out = map(&WorkerPool::new(workers), (0..64usize).collect(), |i, x| {
                 assert_eq!(i, x);
                 cost(i)
             });
@@ -1071,7 +1040,7 @@ mod tests {
         // n / (W * 4) = 1). Item 0 parks lane 0 until five items are done —
         // lane 1 holds only four, so the fifth must be stolen from lane 0's
         // queue. Termination is guaranteed by the steal pass.
-        let out = pool.map((0..8usize).collect(), |i, x| {
+        let out = map(&pool, (0..8usize).collect(), |i, x| {
             if i == 0 {
                 while done.load(Ordering::SeqCst) < 5 {
                     std::thread::yield_now();
@@ -1091,7 +1060,7 @@ mod tests {
     fn tiny_dispatches_run_inline_on_the_caller() {
         let pool = WorkerPool::new(4);
         let caller = std::thread::current().id();
-        let out = pool.map(vec![1u32, 2], |_, x| {
+        let out = map(&pool, vec![1u32, 2], |_, x| {
             assert_eq!(
                 std::thread::current().id(),
                 caller,
@@ -1131,7 +1100,7 @@ mod tests {
     fn sync_counters_accumulate_and_drain() {
         let pool = WorkerPool::new(2);
         let _ = pool.take_sync_ns();
-        pool.map((0..64usize).collect::<Vec<_>>(), |_, x| x + 1);
+        map(&pool, (0..64usize).collect::<Vec<_>>(), |_, x| x + 1);
         let (_wait, dispatch) = pool.take_sync_ns();
         assert!(dispatch > 0, "dispatch cost must be recorded");
         assert_eq!(pool.take_sync_ns(), (0, 0), "drained");

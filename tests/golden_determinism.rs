@@ -83,7 +83,7 @@ fn assert_cfg_matches_fixture(cfg: ScenarioConfig, fixture: &str) {
 
 #[test]
 fn five_round_krum_scenario_matches_committed_fixture_at_every_worker_count() {
-    // Krum routes the round through the (row-sharded) pairwise-distance
+    // Krum routes the round through the (triangle-sharded) pairwise-distance
     // kernels on top of the dense/loss kernels every client step already
     // exercises.
     assert_matches_fixture(DefenseKind::Krum, "golden_final_params.hash");

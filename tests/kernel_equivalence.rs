@@ -295,7 +295,7 @@ proptest! {
     }
 
     /// Pairwise distance matrices: symmetric, zero diagonal, each entry
-    /// within tolerance of the all-ordered-pairs reference.
+    /// within tolerance of the single-chain reference.
     #[test]
     fn pairwise_distances_within_tolerance(seed in 0u64..10_000, n in 1usize..8, dim in 1usize..80) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -393,10 +393,12 @@ proptest! {
         );
     }
 
-    /// SIMD pairwise distances (full matrix and the row-sharded Krum entry
-    /// point) are bitwise identical to the blocked tier.
+    /// SIMD pairwise distances (full matrix and the upper-row entry point
+    /// the pooled Krum/FLARE triangle shards over) are bitwise identical to
+    /// the blocked tier. `n` up to 19 puts rows across several 4-wide
+    /// `distance4` column groups and every tail length.
     #[test]
-    fn simd_pairwise_bitwise_vs_blocked(seed in 0u64..10_000, n in 1usize..8, dim in 1usize..80) {
+    fn simd_pairwise_bitwise_vs_blocked(seed in 0u64..10_000, n in 1usize..20, dim in 1usize..80) {
         let mut rng = StdRng::seed_from_u64(seed);
         let vs: Vec<Vec<f32>> = (0..n).map(|_| fill(&mut rng, dim)).collect();
         let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
@@ -405,11 +407,13 @@ proptest! {
         for (x, y) in d_simd.iter().zip(&d_blk) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-        let mut row = vec![0.0f64; n];
+        let mut row_simd = vec![0.0f64; n];
+        let mut row_blk = vec![0.0f64; n];
         for i in 0..n {
-            simd::pairwise_sq_distances_row_into(&refs, i, &mut row);
-            for j in 0..n {
-                prop_assert_eq!(row[j].to_bits(), d_blk[i * n + j].to_bits());
+            simd::pairwise_sq_distances_upper_row_into(&refs, i, &mut row_simd);
+            blocked::pairwise_sq_distances_upper_row_into(&refs, i, &mut row_blk);
+            for j in (i + 1)..n {
+                prop_assert_eq!(row_simd[j].to_bits(), row_blk[j].to_bits(), "row {} col {}", i, j);
             }
         }
     }
@@ -449,31 +453,35 @@ proptest! {
         prop_assert_eq!(simd::median_inplace(&mut b_simd), blocked::median_inplace(&mut b_blk));
     }
 
-    /// Single-row distance kernel (the row-sharded Krum path): each row
-    /// must be bitwise identical to the corresponding row of the full
-    /// matrix, in both implementations — the kernel-layer statement of the
+    /// Upper-row distance kernel (the triangle-sharded Krum/FLARE path):
+    /// row `i` must write exactly the entries `j > i` of the full matrix's
+    /// row, bit for bit, and leave `row[..=i]` untouched — in both
+    /// implementations. This is the kernel-layer statement of the
     /// shard-boundary determinism rule.
     #[test]
-    fn pairwise_row_matches_full_matrix_bitwise(seed in 0u64..10_000, n in 1usize..8, dim in 1usize..80) {
+    fn pairwise_row_matches_full_matrix_bitwise(seed in 0u64..10_000, n in 1usize..20, dim in 1usize..80) {
         let mut rng = StdRng::seed_from_u64(seed);
         let vs: Vec<Vec<f32>> = (0..n).map(|_| fill(&mut rng, dim)).collect();
         let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
-        let mut row = vec![0.0f64; n];
-        for (imp, full) in [
-            ("blocked", blocked::pairwise_sq_distances(&refs)),
-            ("reference", reference::pairwise_sq_distances(&refs)),
-        ] {
+        type UpperRow = fn(&[&[f32]], usize, &mut [f64]);
+        let tiers: [(&str, Vec<f64>, UpperRow); 2] = [
+            ("blocked", blocked::pairwise_sq_distances(&refs), blocked::pairwise_sq_distances_upper_row_into),
+            ("reference", reference::pairwise_sq_distances(&refs), reference::pairwise_sq_distances_upper_row_into),
+        ];
+        for (imp, full, upper_row) in tiers {
             for i in 0..n {
-                match imp {
-                    "blocked" => blocked::pairwise_sq_distances_row_into(&refs, i, &mut row),
-                    _ => reference::pairwise_sq_distances_row_into(&refs, i, &mut row),
-                }
+                let mut row = vec![f64::NAN; n];
+                upper_row(&refs, i, &mut row);
                 for j in 0..n {
-                    prop_assert_eq!(
-                        row[j].to_bits(),
-                        full[i * n + j].to_bits(),
-                        "{} row {} col {}", imp, i, j
-                    );
+                    if j > i {
+                        prop_assert_eq!(
+                            row[j].to_bits(),
+                            full[i * n + j].to_bits(),
+                            "{} row {} col {}", imp, i, j
+                        );
+                    } else {
+                        prop_assert!(row[j].is_nan(), "{} row {} col {} was written", imp, i, j);
+                    }
                 }
             }
         }
