@@ -7,7 +7,10 @@
 //! must beat the reference by ≥2× at 256×256×256 and the Krum pairwise
 //! squared-distance matrix by ≥1.5× at 20 clients × 10k parameters; the
 //! SIMD tier must beat blocked by ≥2× on at least one of matmul, axpy or
-//! krum_pairwise on an AVX2 host. The quant group measures the f16/int8
+//! krum_pairwise on an AVX2 host, and on an AVX2 host its register-tiled
+//! matmuls must beat blocked at each of the MLP's batch-16 training shapes
+//! (`dense_mlp_b16`: forward, weight gradient, input gradient) without
+//! slowing the 256³ `simd` row. The quant group measures the f16/int8
 //! client-update codec round-trip bandwidth.
 
 use collapois_fl::quant::Quantization;
@@ -50,6 +53,69 @@ fn bench_matmul(c: &mut Criterion) {
             black_box(&out);
         });
     });
+    group.finish();
+}
+
+fn bench_dense_mlp(c: &mut Criterion) {
+    // The dense MLP's (144 → 48 → 10) largest training matmuls at batch 16:
+    // the first layer's forward `x · Wᵀ`, its weight gradient `gᵀ · x`, and
+    // the output layer's input gradient `g · W`.
+    let (batch, input, hidden, classes) = (16, 144, 48, 10);
+    let mut rng = StdRng::seed_from_u64(6);
+    let x = randvec(&mut rng, batch * input);
+    let w1 = randvec(&mut rng, hidden * input);
+    let g1 = randvec(&mut rng, batch * hidden);
+    let g2 = randvec(&mut rng, batch * classes);
+    let w2 = randvec(&mut rng, classes * hidden);
+    let mut h = vec![0.0f32; batch * hidden];
+    let mut dw = vec![0.0f32; hidden * input];
+    let mut dx = vec![0.0f32; batch * hidden];
+
+    type Matmul = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+    let tiers: [(&str, Matmul, Matmul, Matmul); 2] = [
+        (
+            "simd",
+            simd::matmul_transb,
+            simd::matmul_transa_acc,
+            simd::matmul,
+        ),
+        (
+            "blocked",
+            blocked::matmul_transb,
+            blocked::matmul_transa_acc,
+            blocked::matmul,
+        ),
+    ];
+    let mut group = c.benchmark_group("dense_mlp_b16");
+    for (tier, transb, transa_acc, matmul) in tiers {
+        group.bench_function(&format!("forward_16x144x48/{tier}"), |bch| {
+            bch.iter(|| {
+                transb(black_box(&x), black_box(&w1), &mut h, batch, input, hidden);
+                black_box(&h);
+            });
+        });
+        group.bench_function(&format!("weight_grad_48x144/{tier}"), |bch| {
+            bch.iter(|| {
+                // A fresh accumulation per call, as after `zero_grad`.
+                dw.fill(0.0);
+                transa_acc(black_box(&g1), black_box(&x), &mut dw, batch, hidden, input);
+                black_box(&dw);
+            });
+        });
+        group.bench_function(&format!("input_grad_16x10x48/{tier}"), |bch| {
+            bch.iter(|| {
+                matmul(
+                    black_box(&g2),
+                    black_box(&w2),
+                    &mut dx,
+                    batch,
+                    classes,
+                    hidden,
+                );
+                black_box(&dx);
+            });
+        });
+    }
     group.finish();
 }
 
@@ -159,6 +225,7 @@ fn bench_trimmed_mean(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
+    bench_dense_mlp,
     bench_krum_pairwise,
     bench_axpy,
     bench_quant_roundtrip,

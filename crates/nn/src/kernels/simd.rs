@@ -9,22 +9,32 @@
 //! because the SIMD formulation mirrors the blocked kernels' operation
 //! order exactly instead of inventing its own:
 //!
-//! * Element-wise ops (`axpy`, the fused 4-step axpy microkernel, `scale`,
-//!   the `acc_*` accumulators, the softmax divides): each vector lane is an
-//!   independent per-element chain, so an 8-lane `f32` (or 4-lane `f64`)
-//!   step performs exactly the scalar per-element sequence. No FMA is used
-//!   anywhere — the blocked kernels round after every multiply, and a fused
-//!   multiply-add would change that rounding.
+//! * Element-wise ops (`axpy`, `scale`, the `acc_*` accumulators, the
+//!   softmax divides): each vector lane is an independent per-element
+//!   chain, so an 8-lane `f32` (or 4-lane `f64`) step performs exactly the
+//!   scalar per-element sequence. No FMA is used anywhere — the blocked
+//!   kernels round after every multiply, and a fused multiply-add would
+//!   change that rounding.
 //! * `dot` / `sq_l2_norm` / `sq_l2_distance`: the blocked kernels already
 //!   run four independent `f64` accumulator chains over `chunks_exact(4)`.
 //!   The four lanes of one `__m256d` accumulator *are* those four chains —
 //!   lane `i` sees exactly the elements chain `i` saw, in the same order —
 //!   and the final horizontal combine uses the same fixed
 //!   `((s0 + s1) + (s2 + s3)) + tail` tree.
-//! * Matmul family: the same GotoBLAS-style `KC × NC` tiling as the blocked
-//!   tier, with the 4-deep fused axpy microkernel vectorized 8 lanes at a
-//!   time (per output element the `k` dimension is still visited in the
-//!   identical ascending order).
+//! * Matmul family: one register-tiled microkernel. A 4 × 16 tile of `C`
+//!   lives in eight `__m256` accumulators for the whole reduction; each `k`
+//!   step loads two vectors of the `B` row, broadcasts one `A` value per
+//!   tile row, and does a separate multiply and add per accumulator.
+//!   `matmul` and `matmul_transa_acc` read `B` in place when its row length
+//!   is a multiple of 8, and otherwise from a zero-padded copy;
+//!   `matmul_transb` transposes its `[n, k]` weight once per call into a
+//!   zero-padded `k × round_up(n, 8)` panel with 8×8 AVX transposes.
+//!   Edge tiles run on a stack copy, and padded lanes are never stored.
+//!   Bitwise equality holds per output element: it keeps one `f32`
+//!   accumulator that starts at `+0.0` (or at the existing `C` value for
+//!   `matmul_transa_acc`) and adds the separately rounded products in
+//!   ascending `k` — the blocked and reference tiers' sequence, whatever
+//!   the tiling.
 //! * `softmax_rows` / `softmax_xent`: the max fold, `exp` and the running
 //!   `f32` sum stay scalar (vectorizing the sum would reassociate it; `exp`
 //!   must be the libm call the other tiers use); only the per-element
@@ -64,8 +74,9 @@ pub fn supported() -> bool {
     }
 }
 
-/// `C = A · B` (`A: [m, k]`, `B: [k, n]`, `C: [m, n]`), cache-blocked with
-/// row-panel packing of `B` and an 8-lane microkernel. Bitwise identical to
+/// `C = A · B` (`A: [m, k]`, `B: [k, n]`, `C: [m, n]`) through the
+/// register-tiled microkernel, reading `B` in place when `n` is a multiple
+/// of 8 and from a zero-padded copy otherwise. Bitwise identical to
 /// [`super::blocked::matmul`].
 ///
 /// # Panics
@@ -78,22 +89,21 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
         assert_eq!(b.len(), k * n, "matmul: B length");
         assert_eq!(c.len(), m * n, "matmul: C length");
         c.fill(0.0);
-        // SAFETY: AVX2 availability checked by `supported()` above.
-        unsafe {
-            x86::gemm_tiled(a, c, m, k, n, |pack, kc, kcb, jc, ncb| {
-                for t in 0..kcb {
-                    let src = &b[(kc + t) * n + jc..(kc + t) * n + jc + ncb];
-                    pack[t * ncb..(t + 1) * ncb].copy_from_slice(src);
-                }
-            });
-        }
+        x86::with_padded_rows(b, k, n, |b, ldb| {
+            // SAFETY: AVX2 availability checked by `supported()` above;
+            // `A[r, t] = a[r * k + t]` over the asserted `m × k` shape, and
+            // `with_padded_rows` hands over `k` rows of stride `ldb`.
+            unsafe { x86::gemm(a, k, 1, b, ldb, c, m, k, n) }
+        });
         return;
     }
     blocked::matmul(a, b, c, m, k, n)
 }
 
-/// `C = A · Bᵀ` with `bt: [n, k]` row-major, transposed-`B` packing.
-/// Bitwise identical to [`super::blocked::matmul_transb`].
+/// `C = A · Bᵀ` with `bt: [n, k]` row-major: `bt` is transposed once per
+/// call into a zero-padded `k × round_up(n, 8)` panel (8×8 AVX transposes),
+/// then multiplied like [`matmul`]. Bitwise identical to
+/// [`super::blocked::matmul_transb`].
 ///
 /// # Panics
 ///
@@ -105,24 +115,26 @@ pub fn matmul_transb(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, k: usize, n
         assert_eq!(bt.len(), n * k, "matmul_transb: Bt length");
         assert_eq!(c.len(), m * n, "matmul_transb: C length");
         c.fill(0.0);
-        // SAFETY: AVX2 availability checked by `supported()` above.
-        unsafe {
-            x86::gemm_tiled(a, c, m, k, n, |pack, kc, kcb, jc, ncb| {
-                for j in 0..ncb {
-                    let src = &bt[(jc + j) * k + kc..(jc + j) * k + kc + kcb];
-                    for (t, &v) in src.iter().enumerate() {
-                        pack[t * ncb + j] = v;
-                    }
-                }
-            });
-        }
+        let ldb = n.next_multiple_of(8);
+        x86::with_panel(k * ldb, |panel| {
+            // SAFETY: AVX2 availability checked by `supported()` above;
+            // `bt` is the asserted `n × k` and `panel` is `k × ldb` with
+            // `ldb >= n`, which `pack_transposed` asserts again; then `A`
+            // is the asserted `m × k` and the panel holds `k` rows of
+            // stride `ldb`.
+            unsafe {
+                x86::pack_transposed(bt, n, k, panel, ldb);
+                x86::gemm(a, k, 1, panel, ldb, c, m, k, n);
+            }
+        });
         return;
     }
     blocked::matmul_transb(a, bt, c, m, k, n)
 }
 
-/// `C += Aᵀ · B` (`A: [m, p]`, `B: [m, q]`, `C: [p, q]`), column-blocked
-/// rank-1 updates with the 8-lane microkernel. Bitwise identical to
+/// `C += Aᵀ · B` (`A: [m, p]`, `B: [m, q]`, `C: [p, q]`): each register
+/// tile of `C` is loaded once, accumulates all `m` batch rows, and is
+/// stored once. Bitwise identical to
 /// [`super::blocked::matmul_transa_acc`].
 ///
 /// # Panics
@@ -134,8 +146,12 @@ pub fn matmul_transa_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, p: usize
         assert_eq!(a.len(), m * p, "matmul_transa_acc: A length");
         assert_eq!(b.len(), m * q, "matmul_transa_acc: B length");
         assert_eq!(c.len(), p * q, "matmul_transa_acc: C length");
-        // SAFETY: AVX2 availability checked by `supported()` above.
-        unsafe { x86::matmul_transa_acc(a, b, c, m, p, q) };
+        x86::with_padded_rows(b, m, q, |b, ldb| {
+            // SAFETY: AVX2 availability checked by `supported()` above;
+            // `Aᵀ[i, t] = a[t * p + i]` over the asserted `m × p` shape, and
+            // `with_padded_rows` hands over `m` rows of stride `ldb`.
+            unsafe { x86::gemm(a, 1, p, b, ldb, c, p, m, q) }
+        });
         return;
     }
     blocked::matmul_transa_acc(a, b, c, m, p, q)
@@ -419,61 +435,162 @@ pub fn softmax_xent(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_add_ps, _mm256_cvtps_pd, _mm256_div_ps, _mm256_loadu_pd,
-        _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_storeu_ps, _mm_loadu_ps, _mm_mul_ps,
-        _mm_set1_ps,
+        __m256, _mm256_add_pd, _mm256_add_ps, _mm256_broadcast_ss, _mm256_cvtps_pd, _mm256_div_ps,
+        _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_permute2f128_ps,
+        _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_shuffle_ps,
+        _mm256_storeu_pd, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_loadu_ps,
+        _mm_mul_ps, _mm_set1_ps,
     };
     use std::cell::RefCell;
 
-    /// Depth (`k`) tile of the packed `B` panel (matches the blocked tier).
-    const KC: usize = 128;
-    /// Column (`n`) tile of the packed `B` panel (matches the blocked tier).
-    const NC: usize = 256;
+    /// Rows of the register tile of `C`.
+    const MR: usize = 4;
+    /// Columns of the register tile of `C`: two 8-lane vectors, so a full
+    /// tile is `MR × 2 = 8` `__m256` accumulators.
+    const NR: usize = 16;
 
     thread_local! {
-        /// Scratch buffer for packed `B` tiles (at most `KC * NC` floats) —
-        /// separate from the blocked tier's so mixed-tier processes never
-        /// fight over one buffer.
-        static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        /// The zero-padded `B` panel of the calls that cannot read `B` in
+        /// place (`k × round_up(n, 8)` floats; 27 KiB at the MLP's
+        /// 144 → 48 layer). Separate from the blocked tier's buffer so
+        /// mixed-tier processes never fight over one.
+        static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Fused 4-step axpy, 8 lanes at a time: per element
-    /// `y = (((y + a0·x0) + a1·x1) + a2·x2) + a3·x3` with separate
-    /// multiplies and adds (no FMA) — the exact left-associated order of
-    /// the blocked microkernel.
+    /// Runs `f` on this thread's panel, grown to at least `len` floats
+    /// (it never shrinks, so steady-state calls do not allocate).
+    pub fn with_panel<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+        PANEL.with(|p| {
+            let mut panel = p.borrow_mut();
+            if panel.len() < len {
+                panel.resize(len, 0.0);
+            }
+            f(&mut panel[..len])
+        })
+    }
+
+    /// Runs `f(b, ldb)` with `b: [rows, n]` laid out as the microkernel
+    /// reads it, `rows` rows of stride `ldb = round_up(n, 8)`: `b` itself
+    /// when `n` is a multiple of 8, otherwise a copy in the panel with
+    /// columns `n..ldb` zeroed.
+    pub fn with_padded_rows<R>(
+        b: &[f32],
+        rows: usize,
+        n: usize,
+        f: impl FnOnce(&[f32], usize) -> R,
+    ) -> R {
+        assert_eq!(b.len(), rows * n, "padded rows: B length");
+        if n.is_multiple_of(8) {
+            return f(b, n);
+        }
+        let ldb = n.next_multiple_of(8);
+        with_panel(rows * ldb, |panel| {
+            for (dst, src) in panel.chunks_exact_mut(ldb).zip(b.chunks_exact(n)) {
+                dst[..n].copy_from_slice(src);
+                dst[n..].fill(0.0);
+            }
+            f(panel, ldb)
+        })
+    }
+
+    /// Transposes `bt: [n, k]` into `panel: [k, ldb]` and zeroes columns
+    /// `n..ldb`. Whole 8×8 blocks go through [`transpose8x8`], the `k % 8`
+    /// tail and the last `n % 8` rows of `bt` element by element.
     ///
     /// # Safety
     ///
-    /// Requires AVX2. Slices must share a length (callers guarantee it).
+    /// Requires AVX2.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bt.len() == n * k`, `panel.len() == k * ldb` and
+    /// `ldb >= n`.
     #[target_feature(enable = "avx2")]
-    unsafe fn axpy4(y: &mut [f32], al: [f32; 4], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) {
-        let n = y.len();
-        let va0 = _mm256_set1_ps(al[0]);
-        let va1 = _mm256_set1_ps(al[1]);
-        let va2 = _mm256_set1_ps(al[2]);
-        let va3 = _mm256_set1_ps(al[3]);
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= len for every slice.
-            unsafe {
-                let mut vy = _mm256_loadu_ps(y.as_ptr().add(i));
-                vy = _mm256_add_ps(vy, _mm256_mul_ps(va0, _mm256_loadu_ps(x0.as_ptr().add(i))));
-                vy = _mm256_add_ps(vy, _mm256_mul_ps(va1, _mm256_loadu_ps(x1.as_ptr().add(i))));
-                vy = _mm256_add_ps(vy, _mm256_mul_ps(va2, _mm256_loadu_ps(x2.as_ptr().add(i))));
-                vy = _mm256_add_ps(vy, _mm256_mul_ps(va3, _mm256_loadu_ps(x3.as_ptr().add(i))));
-                _mm256_storeu_ps(y.as_mut_ptr().add(i), vy);
+    pub unsafe fn pack_transposed(bt: &[f32], n: usize, k: usize, panel: &mut [f32], ldb: usize) {
+        assert_eq!(bt.len(), n * k, "pack_transposed: Bt length");
+        assert_eq!(panel.len(), k * ldb, "pack_transposed: panel length");
+        assert!(ldb >= n, "pack_transposed: panel narrower than B");
+        let (n8, k8) = (n - n % 8, k - k % 8);
+        for j in (0..n8).step_by(8) {
+            for t in (0..k8).step_by(8) {
+                // SAFETY: AVX2 (caller contract). Source rows `j..j + 8 <= n`
+                // of `bt` at columns `t..t + 8 <= k`, and destination rows
+                // `t..t + 8 <= k` of `panel` at columns `j..j + 8 <= ldb`,
+                // are in bounds by the asserted lengths.
+                unsafe {
+                    transpose8x8(
+                        bt.as_ptr().add(j * k + t),
+                        k,
+                        panel.as_mut_ptr().add(t * ldb + j),
+                        ldb,
+                    );
+                }
             }
-            i += 8;
+            for t in k8..k {
+                for jj in j..j + 8 {
+                    panel[t * ldb + jj] = bt[jj * k + t];
+                }
+            }
         }
-        while i < n {
-            let mut s = y[i];
-            s += al[0] * x0[i];
-            s += al[1] * x1[i];
-            s += al[2] * x2[i];
-            s += al[3] * x3[i];
-            y[i] = s;
-            i += 1;
+        for (t, row) in panel.chunks_exact_mut(ldb).enumerate() {
+            for (jj, v) in row.iter_mut().enumerate().skip(n8) {
+                *v = if jj < n { bt[jj * k + t] } else { 0.0 };
+            }
+        }
+    }
+
+    /// Copies the 8×8 block at `src` (row stride `lds`) transposed to `dst`
+    /// (row stride `ldd`): unpack pairs, shuffle quads, swap 128-bit halves.
+    /// Pure data movement, so every value keeps its bits.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; the eight 8-float rows at `src + r * lds` and
+    /// `dst + r * ldd` must be in bounds.
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8x8(src: *const f32, lds: usize, dst: *mut f32, ldd: usize) {
+        // SAFETY: the caller guarantees the eight source rows.
+        let r: [__m256; 8] = unsafe {
+            [
+                _mm256_loadu_ps(src),
+                _mm256_loadu_ps(src.add(lds)),
+                _mm256_loadu_ps(src.add(2 * lds)),
+                _mm256_loadu_ps(src.add(3 * lds)),
+                _mm256_loadu_ps(src.add(4 * lds)),
+                _mm256_loadu_ps(src.add(5 * lds)),
+                _mm256_loadu_ps(src.add(6 * lds)),
+                _mm256_loadu_ps(src.add(7 * lds)),
+            ]
+        };
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        let cols = [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ];
+        for (i, col) in cols.into_iter().enumerate() {
+            // SAFETY: the caller guarantees the eight destination rows.
+            unsafe { _mm256_storeu_ps(dst.add(i * ldd), col) };
         }
     }
 
@@ -805,113 +922,183 @@ mod x86 {
         }
     }
 
-    /// Shared tiled gemm core, identical loop structure to the blocked
-    /// tier's (`C += A · P`, `P` delivered tile-by-tile by `pack_tile`),
-    /// with the 8-lane microkernels in the inner loop.
+    /// `C += Â · B` over an `m × n` row-major `C`, where `Â[r, t] =
+    /// a[r * a_row + t * a_step]` (`a_row = k, a_step = 1` for `A` itself,
+    /// `a_row = 1, a_step = p` for `Aᵀ`) and `B` is `k` rows of stride
+    /// `ldb >= round_up(n, 8)`, zero-padded past column `n`.
+    ///
+    /// `C` is swept in `MR × NR` register tiles, column stripe by column
+    /// stripe, so a `k × NR` stripe of `B` stays in L1 across the row tiles.
+    /// Every output element keeps one `f32` accumulator: it is loaded from
+    /// `C` (zeroed by the `C = …` callers), adds the separately rounded
+    /// products `Â[r, t] · B[t, j]` for `t` ascending with no FMA, and is
+    /// stored once — the operation sequence of the blocked and reference
+    /// tiers. Padded lanes are computed but never stored.
     ///
     /// # Safety
     ///
-    /// Requires AVX2. `C` must be zeroed by the caller; slice shapes are the
-    /// caller's responsibility (the public wrappers assert them).
+    /// Requires AVX2.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `c.len() == m * n`, every `Â[r, t]` (`r < m`, `t < k`)
+    /// is in `a`, `ldb >= round_up(n, 8)` and `b` holds `k` such rows.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_tiled<F>(
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn gemm(
         a: &[f32],
+        a_row: usize,
+        a_step: usize,
+        b: &[f32],
+        ldb: usize,
         c: &mut [f32],
         m: usize,
         k: usize,
         n: usize,
-        mut pack_tile: F,
-    ) where
-        F: FnMut(&mut [f32], usize, usize, usize, usize),
-    {
-        PACK.with(|p| {
-            let mut pack = p.borrow_mut();
-            pack.resize(KC * NC, 0.0);
-            for jc in (0..n).step_by(NC) {
-                let ncb = NC.min(n - jc);
-                for kc in (0..k).step_by(KC) {
-                    let kcb = KC.min(k - kc);
-                    pack_tile(&mut pack, kc, kcb, jc, ncb);
-                    for i in 0..m {
-                        let arow = &a[i * k + kc..i * k + kc + kcb];
-                        let crow = &mut c[i * n + jc..i * n + jc + ncb];
-                        let mut t = 0;
-                        while t + 4 <= kcb {
-                            let rows = &pack[t * ncb..(t + 4) * ncb];
-                            let (x0, rest) = rows.split_at(ncb);
-                            let (x1, rest) = rest.split_at(ncb);
-                            let (x2, x3) = rest.split_at(ncb);
-                            // SAFETY: AVX2 (caller contract); equal lengths
-                            // by construction.
-                            unsafe {
-                                axpy4(
-                                    crow,
-                                    [arow[t], arow[t + 1], arow[t + 2], arow[t + 3]],
-                                    x0,
-                                    x1,
-                                    x2,
-                                    x3,
-                                );
-                            }
-                            t += 4;
-                        }
-                        while t < kcb {
-                            // SAFETY: as above.
-                            unsafe { axpy(crow, arow[t], &pack[t * ncb..(t + 1) * ncb]) };
-                            t += 1;
-                        }
+    ) {
+        assert_eq!(c.len(), m * n, "gemm: C length");
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        assert!(
+            (m - 1) * a_row + (k - 1) * a_step < a.len(),
+            "gemm: A length"
+        );
+        let n_pad = n.next_multiple_of(8);
+        assert!(ldb >= n_pad, "gemm: B row stride");
+        assert!((k - 1) * ldb + n_pad <= b.len(), "gemm: B length");
+        for j in (0..n).step_by(NR) {
+            let w = NR.min(n - j);
+            for i in (0..m).step_by(MR) {
+                let h = MR.min(m - i);
+                let t = Tile {
+                    a: a[i * a_row..].as_ptr(),
+                    a_row,
+                    a_step,
+                    b: b[j..].as_ptr(),
+                    ldb,
+                    k,
+                };
+                let c = &mut c[i * n + j..];
+                // SAFETY: AVX2 (caller contract). Rows `i..i + h <= m` of
+                // `Â` are in `a` by the `A length` assert. The tile reads
+                // `B` columns `j..j + 8 * w.div_ceil(8) <= n_pad`, inside
+                // `k` rows of stride `ldb` by the `B` asserts. `run`
+                // asserts its own `C` rows.
+                unsafe {
+                    match h {
+                        4 => t.run::<4>(c, n, w),
+                        3 => t.run::<3>(c, n, w),
+                        2 => t.run::<2>(c, n, w),
+                        _ => t.run::<1>(c, n, w),
                     }
                 }
             }
-        });
+        }
     }
 
-    /// `C += Aᵀ · B`, column-blocked rank-1 updates — the blocked tier's
-    /// loop with the 8-lane microkernels.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; slice shapes are asserted by the public wrapper.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_transa_acc(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        p: usize,
-        q: usize,
-    ) {
-        for qc in (0..q).step_by(NC) {
-            let qcb = NC.min(q - qc);
-            let mut t = 0;
-            while t + 4 <= m {
-                let b0 = &b[t * q + qc..t * q + qc + qcb];
-                let b1 = &b[(t + 1) * q + qc..(t + 1) * q + qc + qcb];
-                let b2 = &b[(t + 2) * q + qc..(t + 2) * q + qc + qcb];
-                let b3 = &b[(t + 3) * q + qc..(t + 3) * q + qc + qcb];
-                for i in 0..p {
-                    let al = [
-                        a[t * p + i],
-                        a[(t + 1) * p + i],
-                        a[(t + 2) * p + i],
-                        a[(t + 3) * p + i],
-                    ];
-                    // SAFETY: AVX2 (caller contract); equal lengths by
-                    // construction.
-                    unsafe {
-                        axpy4(&mut c[i * q + qc..i * q + qc + qcb], al, b0, b1, b2, b3);
+    /// The operands of one register tile: `Â` from its first row, `B` from
+    /// its first column, and the depth `k` (strides as in [`gemm`]).
+    struct Tile {
+        a: *const f32,
+        a_row: usize,
+        a_step: usize,
+        b: *const f32,
+        ldb: usize,
+        k: usize,
+    }
+
+    impl Tile {
+        /// Accumulates an `R × w` block of `C` (row stride `ldc`, `w <= NR`).
+        /// Full-width blocks run in place; a narrower one runs on a copy in
+        /// a stack tile, of which only the `w` valid columns are copied
+        /// back.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX2; `R` rows of `Â` and `k` rows of `B` at
+        /// `8 * w.div_ceil(8)` columns must be in bounds.
+        ///
+        /// # Panics
+        ///
+        /// Panics unless `c` holds `R` rows of `w <= NR` columns at stride
+        /// `ldc`.
+        #[target_feature(enable = "avx2")]
+        unsafe fn run<const R: usize>(&self, c: &mut [f32], ldc: usize, w: usize) {
+            assert!(w <= NR && (R - 1) * ldc + w <= c.len(), "gemm: C tile");
+            let vecs = w.div_ceil(8);
+            if w == 8 * vecs {
+                let c = c.as_mut_ptr();
+                // SAFETY: AVX2 and the `Â` / `B` bounds (caller contract);
+                // the `C tile` assert puts `R` rows of `w = 8 * vecs`
+                // columns at stride `ldc` inside `c`.
+                unsafe {
+                    if vecs == 2 {
+                        self.accumulate::<R, 2>(c, ldc);
+                    } else {
+                        self.accumulate::<R, 1>(c, ldc);
                     }
                 }
-                t += 4;
+                return;
             }
-            while t < m {
-                let brow = &b[t * q + qc..t * q + qc + qcb];
-                for i in 0..p {
-                    let av = a[t * p + i];
-                    // SAFETY: as above.
-                    unsafe { axpy(&mut c[i * q + qc..i * q + qc + qcb], av, brow) };
+            let mut buf = [[0.0f32; NR]; R];
+            for (r, row) in buf.iter_mut().enumerate() {
+                row[..w].copy_from_slice(&c[r * ldc..r * ldc + w]);
+            }
+            let p = buf.as_mut_ptr().cast::<f32>();
+            // SAFETY: AVX2 and the `Â` / `B` bounds (caller contract); `buf`
+            // is `R` rows of `NR >= 8 * vecs` floats at stride `NR`.
+            unsafe {
+                if vecs == 2 {
+                    self.accumulate::<R, 2>(p, NR);
+                } else {
+                    self.accumulate::<R, 1>(p, NR);
                 }
-                t += 1;
+            }
+            for (r, row) in buf.iter().enumerate() {
+                c[r * ldc..r * ldc + w].copy_from_slice(&row[..w]);
+            }
+        }
+
+        /// The microkernel: `R × V` accumulators loaded from `c`, `k` rank-1
+        /// steps (`V` loads of the `B` row, one broadcast per `Â` row, then
+        /// a separate multiply and add per accumulator), one store.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX2; `R` rows of `Â`, `k` rows of `8 * V` floats of
+        /// `B`, and `R` rows of `8 * V` floats at `c` (stride `ldc`) must be
+        /// in bounds.
+        #[target_feature(enable = "avx2")]
+        unsafe fn accumulate<const R: usize, const V: usize>(&self, c: *mut f32, ldc: usize) {
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    // SAFETY: `R` rows of `8 * V` floats at `c` (caller).
+                    *x = unsafe { _mm256_loadu_ps(c.add(r * ldc + 8 * v)) };
+                }
+            }
+            let mut bv = [_mm256_setzero_ps(); V];
+            for t in 0..self.k {
+                for (v, x) in bv.iter_mut().enumerate() {
+                    // SAFETY: row `t < k` of `B`, `8 * V` floats (caller).
+                    *x = unsafe { _mm256_loadu_ps(self.b.add(t * self.ldb + 8 * v)) };
+                }
+                for (r, row) in acc.iter_mut().enumerate() {
+                    // SAFETY: `Â[r, t]` with `r < R`, `t < k` (caller).
+                    let ar = unsafe {
+                        _mm256_broadcast_ss(&*self.a.add(r * self.a_row + t * self.a_step))
+                    };
+                    for (x, &bx) in row.iter_mut().zip(&bv) {
+                        *x = _mm256_add_ps(*x, _mm256_mul_ps(ar, bx));
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, &x) in row.iter().enumerate() {
+                    // SAFETY: as for the loads above.
+                    unsafe { _mm256_storeu_ps(c.add(r * ldc + 8 * v), x) };
+                }
             }
         }
     }

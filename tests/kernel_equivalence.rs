@@ -20,7 +20,11 @@
 //!   per-element floating-point reduction order (a single `f32`
 //!   accumulator sweeping `k` in ascending order per output element;
 //!   ascending sorted-order sums for the order statistics), so any
-//!   difference at all is a bug.
+//!   difference at all is a bug. The matmul family is compared with
+//!   `to_bits()` on inputs seeded with exact `±0.0` (ReLU outputs and
+//!   masked gradients are exact zeros on the real path): `f32` equality
+//!   treats `-0.0 == +0.0`, which would let a kernel that seeds its
+//!   accumulator with the first product instead of `+0.0` slip through.
 //! * **1e-12 relative** — `dot`, `sq_l2_norm`, `sq_l2_distance`,
 //!   `pairwise_sq_distances`: the blocked versions split the `f64` sum
 //!   into 4 independent chains combined by a fixed tree, which is
@@ -43,6 +47,33 @@ fn fill(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
 }
 
+/// Like [`fill`] for a `rows × cols` operand, with about a quarter of the
+/// entries exact `+0.0` or `-0.0` and one whole row `-0.0`.
+fn fill_with_zeros(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+    let mut v: Vec<f32> = (0..rows * cols)
+        .map(|_| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect();
+    let r = rng.gen_range(0..rows);
+    v[r * cols..(r + 1) * cols].fill(-0.0);
+    v
+}
+
+/// Bit-for-bit equality of two `f32` slices (`-0.0` differs from `+0.0`).
+fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{what}: element {i}: {g:?} vs {w:?}"
+        );
+    }
+}
+
 fn assert_rel_close(a: f64, b: f64, what: &str) {
     let denom = a.abs().max(b.abs()).max(1.0);
     assert!(
@@ -58,7 +89,7 @@ fn assert_rel_close(a: f64, b: f64, what: &str) {
 /// cannot depend on which tier a host selects.
 #[test]
 fn simd_tier_bitwise_at_tile_boundaries_and_dispatch_agrees() {
-    use collapois::nn::kernels::{self, active_tier, KernelTier};
+    use collapois::nn::kernels::{active_tier, KernelTier};
 
     // The env override is read once per process: when CI pins it, the
     // decision must match; unset, detection must have picked *something*.
@@ -73,36 +104,141 @@ fn simd_tier_bitwise_at_tile_boundaries_and_dispatch_agrees() {
 
     let mut rng = StdRng::seed_from_u64(11);
     for &(m, k, n) in &[(1, 1, 1), (3, 127, 255), (3, 129, 257), (8, 300, 513)] {
-        let a = fill(&mut rng, m * k);
-        let b = fill(&mut rng, k * n);
-        let mut c_simd = vec![0.0f32; m * n];
-        let mut c_blk = vec![0.0f32; m * n];
-        let mut c_disp = vec![0.0f32; m * n];
-        simd::matmul(&a, &b, &mut c_simd, m, k, n);
-        blocked::matmul(&a, &b, &mut c_blk, m, k, n);
-        kernels::matmul(&a, &b, &mut c_disp, m, k, n);
-        assert_eq!(c_simd, c_blk, "simd matmul {m}x{k}x{n}");
-        if !kernels::USING_REFERENCE {
-            // Either tier must produce the identical C.
-            assert_eq!(c_disp, c_blk, "dispatched matmul {m}x{k}x{n}");
+        matmul_family_matches_blocked(&mut rng, m, k, n);
+    }
+}
+
+/// A matmul implementation: `matmul` / `matmul_transb` /
+/// `matmul_transa_acc` share this signature.
+type Matmul = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// Every implementation of the matmul family besides blocked: the simd
+/// module, the public dispatchers (whatever tier the process picked) and
+/// the reference oracle, as `(name, matmul, matmul_transb,
+/// matmul_transa_acc)`.
+fn matmul_family_tiers() -> [(&'static str, Matmul, Matmul, Matmul); 3] {
+    use collapois::nn::kernels;
+    [
+        (
+            "simd",
+            simd::matmul,
+            simd::matmul_transb,
+            simd::matmul_transa_acc,
+        ),
+        (
+            "dispatched",
+            kernels::matmul,
+            kernels::matmul_transb,
+            kernels::matmul_transa_acc,
+        ),
+        (
+            "reference",
+            reference::matmul,
+            reference::matmul_transb,
+            reference::matmul_transa_acc,
+        ),
+    ]
+}
+
+/// Runs the matmul family at `m × k × n` on zero-seeded inputs through
+/// every [`matmul_family_tiers`] entry and requires the blocked tier's bits
+/// from each (`matmul_transa_acc` at `p = k`, `q = n`, from a zero-seeded
+/// accumulator).
+fn matmul_family_matches_blocked(rng: &mut StdRng, m: usize, k: usize, n: usize) {
+    let a = fill_with_zeros(rng, m, k);
+    let b = fill_with_zeros(rng, k, n);
+    let bt = fill_with_zeros(rng, n, k);
+    let (p, q) = (k, n);
+    let a2 = fill_with_zeros(rng, m, p);
+    let b2 = fill_with_zeros(rng, m, q);
+    let init = fill_with_zeros(rng, p, q);
+
+    let mut want = vec![0.0f32; m * n];
+    let mut got = vec![0.0f32; m * n];
+    for (tier, matmul, matmul_transb, matmul_transa_acc) in matmul_family_tiers() {
+        // Garbage in `C` must not leak into the overwriting kernels.
+        blocked::matmul(&a, &b, &mut want, m, k, n);
+        got.fill(f32::NAN);
+        matmul(&a, &b, &mut got, m, k, n);
+        assert_bits_eq(&got, &want, &format!("{tier} matmul {m}x{k}x{n}"));
+
+        blocked::matmul_transb(&a, &bt, &mut want, m, k, n);
+        got.fill(f32::NAN);
+        matmul_transb(&a, &bt, &mut got, m, k, n);
+        assert_bits_eq(&got, &want, &format!("{tier} matmul_transb {m}x{k}x{n}"));
+
+        let mut acc_want = init.clone();
+        let mut acc_got = init.clone();
+        blocked::matmul_transa_acc(&a2, &b2, &mut acc_want, m, p, q);
+        matmul_transa_acc(&a2, &b2, &mut acc_got, m, p, q);
+        assert_bits_eq(
+            &acc_got,
+            &acc_want,
+            &format!("{tier} matmul_transa_acc {m}x{p}x{q}"),
+        );
+    }
+}
+
+/// The MLP's production shapes (144 → 48 → 10) at batch 16 and 8, through
+/// every tier against blocked: the forwards 16×144→48 and 16×48→10
+/// (`matmul_transb`), the weight gradients 48×144 and 10×48
+/// (`matmul_transa_acc` at `p = k`, `q = n`), and the input gradient
+/// 16×10→48 (`matmul`).
+#[test]
+fn matmul_family_bitwise_at_mlp_shapes() {
+    let mut rng = StdRng::seed_from_u64(13);
+    for batch in [16, 8] {
+        for &(k, n) in &[(144, 48), (48, 10), (48, 144), (10, 48)] {
+            matmul_family_matches_blocked(&mut rng, batch, k, n);
         }
+    }
+}
 
-        let bt = fill(&mut rng, n * k);
-        c_simd.fill(0.0);
-        c_blk.fill(0.0);
-        simd::matmul_transb(&a, &bt, &mut c_simd, m, k, n);
-        blocked::matmul_transb(&a, &bt, &mut c_blk, m, k, n);
-        assert_eq!(c_simd, c_blk, "simd matmul_transb {m}x{k}x{n}");
-
-        let (p, q) = (k, n);
-        let a2 = fill(&mut rng, m * p);
-        let b2 = fill(&mut rng, m * q);
-        let init = fill(&mut rng, p * q);
-        let mut acc_simd = init.clone();
-        let mut acc_blk = init;
-        simd::matmul_transa_acc(&a2, &b2, &mut acc_simd, m, p, q);
-        blocked::matmul_transa_acc(&a2, &b2, &mut acc_blk, m, p, q);
-        assert_eq!(acc_simd, acc_blk, "simd matmul_transa_acc {m}x{p}x{q}");
+/// A row of `-0.0` against positive weights makes every product of its
+/// reductions `-0.0`. The sum starts at `+0.0`, so it must stay `+0.0` in
+/// every tier; a kernel that seeds its accumulator with the first product
+/// would give `-0.0`.
+#[test]
+fn all_negative_zero_reductions_sum_to_positive_zero() {
+    let (m, k, n) = (16, 144, 48);
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut a = fill(&mut rng, m * k);
+    a[5 * k..6 * k].fill(-0.0);
+    // `[k, n]` as `B`, `[n, k]` as `Bᵀ`.
+    let pos: Vec<f32> = fill(&mut rng, k * n)
+        .iter()
+        .map(|v| v.abs() + 0.5)
+        .collect();
+    // Row 5 of `Aᵀ` for `matmul_transa_acc` is column 5 of `at`.
+    let mut at = fill(&mut rng, m * k);
+    for row in at.chunks_exact_mut(k) {
+        row[5] = -0.0;
+    }
+    let positive_zero_row = |c: &[f32]| {
+        c[5 * n..6 * n]
+            .iter()
+            .all(|v| v.to_bits() == 0.0f32.to_bits())
+    };
+    let mut c = vec![0.0f32; m * n];
+    let mut acc = vec![0.0f32; k * n];
+    let blocked_tier: (&str, Matmul, Matmul, Matmul) = (
+        "blocked",
+        blocked::matmul,
+        blocked::matmul_transb,
+        blocked::matmul_transa_acc,
+    );
+    for (tier, matmul, matmul_transb, matmul_transa_acc) in
+        matmul_family_tiers().into_iter().chain([blocked_tier])
+    {
+        c.fill(f32::NAN);
+        matmul(&a, &pos, &mut c, m, k, n);
+        assert!(positive_zero_row(&c), "{tier} matmul");
+        c.fill(f32::NAN);
+        matmul_transb(&a, &pos, &mut c, m, k, n);
+        assert!(positive_zero_row(&c), "{tier} matmul_transb");
+        acc.fill(0.0);
+        matmul_transa_acc(&at, &pos[..m * n], &mut acc, m, k, n);
+        assert!(positive_zero_row(&acc), "{tier} matmul_transa_acc");
     }
 }
 
@@ -119,32 +255,36 @@ fn matmul_family_bitwise_at_tile_boundaries() {
         (2, 256, 300),
         (8, 300, 513),
     ] {
-        let a = fill(&mut rng, m * k);
-        let b = fill(&mut rng, k * n);
+        let a = fill_with_zeros(&mut rng, m, k);
+        let b = fill_with_zeros(&mut rng, k, n);
         let mut c_blk = vec![0.0f32; m * n];
         let mut c_ref = vec![0.0f32; m * n];
         blocked::matmul(&a, &b, &mut c_blk, m, k, n);
         reference::matmul(&a, &b, &mut c_ref, m, k, n);
-        assert_eq!(c_blk, c_ref, "matmul {m}x{k}x{n}");
+        assert_bits_eq(&c_blk, &c_ref, &format!("matmul {m}x{k}x{n}"));
 
         // Bᵀ stored [n, k].
-        let bt = fill(&mut rng, n * k);
+        let bt = fill_with_zeros(&mut rng, n, k);
         c_blk.fill(0.0);
         c_ref.fill(0.0);
         blocked::matmul_transb(&a, &bt, &mut c_blk, m, k, n);
         reference::matmul_transb(&a, &bt, &mut c_ref, m, k, n);
-        assert_eq!(c_blk, c_ref, "matmul_transb {m}x{k}x{n}");
+        assert_bits_eq(&c_blk, &c_ref, &format!("matmul_transb {m}x{k}x{n}"));
 
         // C += Aᵀ·B with A: [m, p], B: [m, q] — reuse k as p, n as q.
         let (p, q) = (k, n);
-        let a2 = fill(&mut rng, m * p);
-        let b2 = fill(&mut rng, m * q);
-        let init = fill(&mut rng, p * q);
+        let a2 = fill_with_zeros(&mut rng, m, p);
+        let b2 = fill_with_zeros(&mut rng, m, q);
+        let init = fill_with_zeros(&mut rng, p, q);
         let mut acc_blk = init.clone();
         let mut acc_ref = init;
         blocked::matmul_transa_acc(&a2, &b2, &mut acc_blk, m, p, q);
         reference::matmul_transa_acc(&a2, &b2, &mut acc_ref, m, p, q);
-        assert_eq!(acc_blk, acc_ref, "matmul_transa_acc {m}x{p}x{q}");
+        assert_bits_eq(
+            &acc_blk,
+            &acc_ref,
+            &format!("matmul_transa_acc {m}x{p}x{q}"),
+        );
     }
 }
 
@@ -156,26 +296,26 @@ proptest! {
     #[test]
     fn matmul_bitwise(seed in 0u64..10_000, m in 1usize..12, k in 1usize..48, n in 1usize..48) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, m * k);
-        let b = fill(&mut rng, k * n);
+        let a = fill_with_zeros(&mut rng, m, k);
+        let b = fill_with_zeros(&mut rng, k, n);
         let mut c_blk = vec![0.0f32; m * n];
         let mut c_ref = vec![0.0f32; m * n];
         blocked::matmul(&a, &b, &mut c_blk, m, k, n);
         reference::matmul(&a, &b, &mut c_ref, m, k, n);
-        prop_assert_eq!(c_blk, c_ref);
+        assert_bits_eq(&c_blk, &c_ref, "matmul");
     }
 
     /// Same for the transposed-B (dense forward) variant.
     #[test]
     fn matmul_transb_bitwise(seed in 0u64..10_000, m in 1usize..12, k in 1usize..48, n in 1usize..48) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, m * k);
-        let bt = fill(&mut rng, n * k);
+        let a = fill_with_zeros(&mut rng, m, k);
+        let bt = fill_with_zeros(&mut rng, n, k);
         let mut c_blk = vec![0.0f32; m * n];
         let mut c_ref = vec![0.0f32; m * n];
         blocked::matmul_transb(&a, &bt, &mut c_blk, m, k, n);
         reference::matmul_transb(&a, &bt, &mut c_ref, m, k, n);
-        prop_assert_eq!(c_blk, c_ref);
+        assert_bits_eq(&c_blk, &c_ref, "matmul_transb");
     }
 
     /// Same for the accumulating Aᵀ·B (weight-gradient) variant, including
@@ -183,14 +323,14 @@ proptest! {
     #[test]
     fn matmul_transa_acc_bitwise(seed in 0u64..10_000, m in 1usize..12, p in 1usize..32, q in 1usize..32) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, m * p);
-        let b = fill(&mut rng, m * q);
-        let init = fill(&mut rng, p * q);
+        let a = fill_with_zeros(&mut rng, m, p);
+        let b = fill_with_zeros(&mut rng, m, q);
+        let init = fill_with_zeros(&mut rng, p, q);
         let mut c_blk = init.clone();
         let mut c_ref = init;
         blocked::matmul_transa_acc(&a, &b, &mut c_blk, m, p, q);
         reference::matmul_transa_acc(&a, &b, &mut c_ref, m, p, q);
-        prop_assert_eq!(c_blk, c_ref);
+        assert_bits_eq(&c_blk, &c_ref, "matmul_transa_acc");
     }
 
     /// Element-wise ops are trivially order-preserving: exact equality.
@@ -313,36 +453,15 @@ proptest! {
         }
     }
 
-    /// The SIMD tier is bitwise identical to the blocked tier on the whole
-    /// matmul family (8-lane microkernels preserve the per-element `k`
-    /// order; no FMA).
+    /// The SIMD tier (and the dispatchers and the reference oracle) are
+    /// bitwise identical to the blocked tier on the whole matmul family:
+    /// one accumulator per output element, `k` ascending, no FMA. `m` up
+    /// to 19 covers two and more full 4-row register tiles with every row
+    /// remainder; `n` up to 47 every 8-lane residue of the 16-column tile.
     #[test]
-    fn simd_matmul_family_bitwise_vs_blocked(seed in 0u64..10_000, m in 1usize..12, k in 1usize..48, n in 1usize..48) {
+    fn simd_matmul_family_bitwise_vs_blocked(seed in 0u64..10_000, m in 1usize..20, k in 1usize..48, n in 1usize..48) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = fill(&mut rng, m * k);
-        let b = fill(&mut rng, k * n);
-        let mut c_simd = vec![0.0f32; m * n];
-        let mut c_blk = vec![0.0f32; m * n];
-        simd::matmul(&a, &b, &mut c_simd, m, k, n);
-        blocked::matmul(&a, &b, &mut c_blk, m, k, n);
-        prop_assert_eq!(c_simd, c_blk);
-
-        let bt = fill(&mut rng, n * k);
-        let mut c_simd = vec![0.0f32; m * n];
-        let mut c_blk = vec![0.0f32; m * n];
-        simd::matmul_transb(&a, &bt, &mut c_simd, m, k, n);
-        blocked::matmul_transb(&a, &bt, &mut c_blk, m, k, n);
-        prop_assert_eq!(c_simd, c_blk);
-
-        let (p, q) = (k, n);
-        let a2 = fill(&mut rng, m * p);
-        let b2 = fill(&mut rng, m * q);
-        let init = fill(&mut rng, p * q);
-        let mut acc_simd = init.clone();
-        let mut acc_blk = init;
-        simd::matmul_transa_acc(&a2, &b2, &mut acc_simd, m, p, q);
-        blocked::matmul_transa_acc(&a2, &b2, &mut acc_blk, m, p, q);
-        prop_assert_eq!(acc_simd, acc_blk);
+        matmul_family_matches_blocked(&mut rng, m, k, n);
     }
 
     /// SIMD element-wise ops: each lane is an independent per-element
