@@ -53,7 +53,7 @@ fn bench_aggregators(c: &mut Criterion) {
         ("flare", Box::new(Flare::new(4.0))),
     ];
     for (name, agg) in &mut cases {
-        group.bench_function(*name, |b| {
+        group.bench_function(name, |b| {
             let mut rng = StdRng::seed_from_u64(7);
             b.iter(|| black_box(agg.aggregate(black_box(&updates), dim, &mut rng)));
         });

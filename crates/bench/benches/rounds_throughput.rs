@@ -28,24 +28,27 @@
 //!     [--rounds N] [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! `--check` compares the 64-client workers=1 rounds/sec against a
-//! previously committed `BENCH_rounds.json` and exits non-zero on a >20%
-//! regression; on hosts with at least 4 cores it additionally enforces a
-//! workers=4 scaling-efficiency floor on the fresh measurement — the CI
-//! guard-rails once a baseline exists. Skip messages always state the
-//! host's parallelism so a skipped check is attributable to the machine it
-//! ran on.
+//! `--check` compares the `clients64` workers=1 rounds/sec against the
+//! same row of a previously committed `BENCH_rounds.json`, looked up by
+//! scenario name through the runtime's JSON codec, and exits non-zero on
+//! a >20% regression; on hosts with at least 4 cores it additionally
+//! enforces a workers=4 scaling-efficiency floor on the fresh measurement —
+//! the CI guard-rails once a baseline exists. Skip messages always state
+//! the host's parallelism so a skipped check is attributable to the
+//! machine it ran on.
 //!
 //! Baselines are host-shaped: the emitted file records `host_parallelism`,
 //! and a run on a single-core host refuses to overwrite a baseline
 //! measured on a multi-core host (its scaling rows would silently degrade
 //! to noise). Pass `--force` to overwrite anyway.
 
+use collapois_bench::baseline_rounds_per_sec;
 use collapois_core::scenario::{AttackKind, DefenseKind, RunOptions, Scenario, ScenarioConfig};
 use collapois_nn::kernels;
 use collapois_runtime::fault::FaultPlan;
+use collapois_runtime::json::{self, Value};
 use collapois_runtime::trace::{read_trace, TraceEvent};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 #[cfg(feature = "bench-alloc")]
 mod counting_alloc {
@@ -88,6 +91,9 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Minimum acceptable workers=4 scaling efficiency, enforced by `--check`
 /// on hosts that actually have 4 cores.
 const EFFICIENCY_FLOOR_W4: f64 = 0.5;
+
+/// The scenario whose workers=1 rounds/sec `--check` compares.
+const CHECKED_SCENARIO: &str = "clients64";
 
 /// One benchmark scenario: `clients` clients, 5% compromised, CollaPois
 /// attack, plain FedAvg — the steady-state configuration the paper's
@@ -243,34 +249,11 @@ fn emit_json(rounds: usize, scenarios: &[ScenarioResult], out: &PathBuf) {
     println!("wrote {}", out.display());
 }
 
-/// Extracts the first `"rounds_per_sec": <f64>` on a `"workers": 1` line
-/// from a previously emitted `BENCH_rounds.json` — the first scenario's
-/// sequential throughput (hand-rolled: the workspace has no JSON
-/// dependency; works on both the flat legacy layout and the per-scenario
-/// layout).
-fn baseline_rounds_per_sec(path: &PathBuf) -> Option<f64> {
+/// Parses a previously emitted `BENCH_rounds.json`; `None` when there is
+/// no file to read.
+fn read_baseline(path: &Path) -> Option<Value> {
     let text = std::fs::read_to_string(path).ok()?;
-    for line in text.lines() {
-        if line.contains("\"workers\": 1,") {
-            let key = "\"rounds_per_sec\": ";
-            let start = line.find(key)? + key.len();
-            let rest = &line[start..];
-            let end = rest.find(',').unwrap_or(rest.len());
-            return rest[..end].trim().parse().ok();
-        }
-    }
-    None
-}
-
-/// The `host_parallelism` a previously emitted `BENCH_rounds.json` was
-/// measured under (absent in the legacy layout, which predates the field).
-fn baseline_host_parallelism(path: &PathBuf) -> Option<usize> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"host_parallelism\": ";
-    let start = text.find(key)? + key.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Some(json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
 }
 
 fn main() {
@@ -306,7 +289,10 @@ fn main() {
     // A single-core run must not clobber a baseline measured with real
     // parallelism: its scaling rows would replace signal with noise.
     if !force {
-        if let Some(prev_cores) = baseline_host_parallelism(&out) {
+        // The legacy layout predates `host_parallelism`: no guard then.
+        let prev_cores =
+            read_baseline(&out).and_then(|b| b.get_int::<usize>("host_parallelism").ok());
+        if let Some(prev_cores) = prev_cores {
             let cores = host_parallelism();
             if prev_cores > 1 && cores == 1 {
                 eprintln!(
@@ -326,8 +312,6 @@ fn main() {
     ));
 
     let mut scenarios = Vec::new();
-    // The clean 64-client scenario must stay first: `--check` reads the
-    // first workers=1 row of the committed baseline.
     let (c64, cfg64) = bench_cfg("clients64", 64, rounds);
     let (c256, cfg256) = bench_cfg("clients256", 256, rounds);
     let (c64f, cfg64f) = bench_cfg("clients64-faulted", 64, rounds);
@@ -396,12 +380,25 @@ fn main() {
     emit_json(rounds, &scenarios, &out);
 
     if let Some(baseline_path) = check {
-        match baseline_rounds_per_sec(&baseline_path) {
-            Some(base) => {
-                let now = scenarios[0].results[0].rounds_per_sec;
+        match read_baseline(&baseline_path) {
+            Some(doc) => {
+                let base =
+                    baseline_rounds_per_sec(&doc, CHECKED_SCENARIO, 1).unwrap_or_else(|| {
+                        panic!(
+                            "{} has no {CHECKED_SCENARIO} workers=1 row",
+                            baseline_path.display()
+                        )
+                    });
+                let now = scenarios
+                    .iter()
+                    .find(|sc| sc.name == CHECKED_SCENARIO)
+                    .and_then(|sc| sc.results.iter().find(|r| r.workers == 1))
+                    .expect("the checked scenario runs at workers=1")
+                    .rounds_per_sec;
                 let floor = 0.8 * base;
                 println!(
-                    "baseline check: workers=1 {now:.2} rounds/sec vs committed {base:.2} (floor {floor:.2})"
+                    "baseline check: {CHECKED_SCENARIO} workers=1 {now:.2} rounds/sec vs \
+                     committed {base:.2} (floor {floor:.2})"
                 );
                 assert!(
                     now >= floor,

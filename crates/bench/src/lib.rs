@@ -12,6 +12,7 @@
 pub mod figures;
 
 use collapois_core::scenario::{RunOptions, Scenario, ScenarioConfig, ScenarioReport};
+use collapois_runtime::json::Value;
 
 /// Experiment scale, selected with the `COLLAPOIS_SCALE` environment
 /// variable (`quick` default; `full` for larger N / more rounds).
@@ -67,6 +68,22 @@ pub fn run_options_from_env() -> RunOptions {
 /// Runs a scenario under the environment-derived execution options.
 pub fn run_scenario(cfg: ScenarioConfig) -> ScenarioReport {
     Scenario::new(cfg).run_with(&run_options_from_env())
+}
+
+/// The `rounds_per_sec` of the (`scenario`, `workers`) row of a parsed
+/// `BENCH_rounds.json`, looked up by name: the number the
+/// `rounds_throughput --check` guard compares against. `None` when the
+/// document has no such row.
+pub fn baseline_rounds_per_sec(doc: &Value, scenario: &str, workers: u64) -> Option<f64> {
+    let scenarios = doc.get_array("scenarios").ok()?;
+    let sc = scenarios
+        .iter()
+        .find(|s| s.get_str("name") == Ok(scenario))?;
+    let rows = sc.get_array("results").ok()?;
+    let row = rows
+        .iter()
+        .find(|r| r.get_int::<u64>("workers") == Ok(workers))?;
+    row.get_f64("rounds_per_sec").ok()
 }
 
 /// Simple aligned text-table printer for the figure outputs.
@@ -219,6 +236,33 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(0.5), "50.00%");
         assert_eq!(num(std::f64::consts::PI, 2), "3.14");
+    }
+
+    #[test]
+    fn committed_baselines_parse_structurally() {
+        let read = |name: &str| {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            collapois_runtime::json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+        };
+        let rounds = read("BENCH_rounds.json");
+        assert_eq!(rounds.get_int::<u64>("host_parallelism"), Ok(1));
+        assert_eq!(
+            baseline_rounds_per_sec(&rounds, "clients64", 1),
+            Some(491.947)
+        );
+        assert_eq!(
+            baseline_rounds_per_sec(&rounds, "clients256", 1),
+            Some(119.125)
+        );
+        assert_eq!(baseline_rounds_per_sec(&rounds, "clients64", 3), None);
+        assert_eq!(baseline_rounds_per_sec(&rounds, "no-such", 1), None);
+        let sim = read("BENCH_sim.json");
+        assert_eq!(sim.get_int::<u64>("host_parallelism"), Ok(1));
+        let results = sim.get_array("results").unwrap();
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].get_int::<u64>("workers"), Ok(1));
+        assert!(results[0].get_f64("virtual_clients_per_sec").unwrap() > 0.0);
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! *strings*: a raw u64 above 2^53 would silently lose precision through
 //! any float-based JSON reader.
 //!
-//! The writer is hand-rolled (same policy as the runtime's trace codec —
-//! the workspace carries no serde) and deliberately canonical: a report
-//! line is byte-reproducible for a deterministic run, which is what lets
-//! the grid runner resume by verbatim-prefix comparison and lets CI pin
-//! golden fixtures.
+//! Rows are written and read by the runtime's JSON codec
+//! ([`collapois_runtime::json`]), the same one the run traces use. The
+//! form is canonical: a report line is byte-reproducible for a
+//! deterministic run, which is what lets the grid runner resume by
+//! verbatim-prefix comparison and lets CI pin golden fixtures.
 
 use crate::schema::GridCell;
-use crate::toml::fmt_float;
 use collapois_core::scenario::ScenarioReport;
-use std::fmt::Write as _;
+use collapois_runtime::json::Obj;
 
 /// One cell's result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,159 +113,50 @@ impl CellReport {
     /// Serializes to the canonical single-line JSON form.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + 48 * self.client_metrics.len());
-        s.push('{');
-        let _ = write!(s, "\"cell\":\"{}\",", escape(&self.cell));
-        let _ = write!(s, "\"index\":{},", self.index);
-        let _ = write!(s, "\"schema_version\":{},", self.schema_version);
-        let _ = write!(s, "\"config_hash\":\"{:#018x}\",", self.config_hash);
-        let _ = write!(s, "\"dataset\":\"{}\",", escape(&self.dataset));
-        let _ = write!(s, "\"attack\":\"{}\",", escape(&self.attack));
-        let _ = write!(s, "\"defense\":\"{}\",", escape(&self.defense));
-        let _ = write!(s, "\"algo\":\"{}\",", escape(&self.algo));
-        let _ = write!(s, "\"alpha\":{},", fmt_float(self.alpha));
-        let _ = write!(s, "\"clients\":{},", self.clients);
-        let _ = write!(s, "\"compromised\":{},", self.compromised);
-        let _ = write!(s, "\"rounds\":{},", self.rounds);
-        let _ = write!(s, "\"sim\":{},", self.sim);
-        let _ = write!(s, "\"benign_ac\":{},", fmt_float(self.benign_ac));
-        let _ = write!(s, "\"attack_sr\":{},", fmt_float(self.attack_sr));
-        let _ = write!(
-            s,
-            "\"top25_benign_ac\":{},",
-            fmt_float(self.top25_benign_ac)
-        );
-        let _ = write!(
-            s,
-            "\"top25_attack_sr\":{},",
-            fmt_float(self.top25_attack_sr)
-        );
-        s.push_str("\"client_metrics\":[");
-        for (i, (id, ac, sr)) in self.client_metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"id\":{id},\"benign_ac\":{},\"attack_sr\":{}}}",
-                fmt_float(*ac),
-                fmt_float(*sr)
-            );
-        }
-        s.push_str("],");
-        let _ = write!(s, "\"dropped_clients\":{},", self.dropped_clients);
-        let _ = write!(s, "\"shed_stragglers\":{},", self.shed_stragglers);
-        let _ = write!(s, "\"rejected_updates\":{},", self.rejected_updates);
-        let _ = write!(s, "\"checkpoint_failures\":{},", self.checkpoint_failures);
-        let _ = write!(s, "\"event_hash\":\"{:#018x}\",", self.event_hash);
-        let _ = write!(s, "\"event_count\":{}", self.event_count);
-        s.push('}');
+        Obj::new(&mut s)
+            .str("cell", &self.cell)
+            .int("index", self.index)
+            .int("schema_version", self.schema_version)
+            .str("config_hash", &format!("{:#018x}", self.config_hash))
+            .str("dataset", &self.dataset)
+            .str("attack", &self.attack)
+            .str("defense", &self.defense)
+            .str("algo", &self.algo)
+            .num("alpha", self.alpha)
+            .int("clients", self.clients)
+            .int("compromised", self.compromised)
+            .int("rounds", self.rounds)
+            .bool("sim", self.sim)
+            .num("benign_ac", self.benign_ac)
+            .num("attack_sr", self.attack_sr)
+            .num("top25_benign_ac", self.top25_benign_ac)
+            .num("top25_attack_sr", self.top25_attack_sr)
+            .arr(
+                "client_metrics",
+                &self.client_metrics,
+                |out, (id, ac, sr)| {
+                    Obj::new(out)
+                        .int("id", *id)
+                        .num("benign_ac", *ac)
+                        .num("attack_sr", *sr)
+                        .finish()
+                },
+            )
+            .int("dropped_clients", self.dropped_clients)
+            .int("shed_stragglers", self.shed_stragglers)
+            .int("rejected_updates", self.rejected_updates)
+            .int("checkpoint_failures", self.checkpoint_failures)
+            .str("event_hash", &format!("{:#018x}", self.event_hash))
+            .int("event_count", self.event_count)
+            .finish();
         s
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts the string value of a top-level `"key":"…"` field from a
-/// canonical report line (writer-format-specific; enough for resume
-/// identity checks and tests — not a general JSON parser).
-pub fn extract_str_field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts a top-level unquoted field (number/boolean) as raw text.
-pub fn extract_raw_field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if rest.starts_with('"') || rest.starts_with('[') || rest.starts_with('{') {
-        return None;
-    }
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].to_string())
-}
-
-/// Lists the top-level keys of a report line in order (for the
-/// comparability contract: every cell row exposes the identical key set).
-pub fn top_level_keys(line: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let bytes = line.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut current = String::new();
-    let mut capturing = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if in_str {
-            if escaped {
-                escaped = false;
-                if capturing {
-                    current.push(c);
-                }
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            } else if capturing {
-                current.push(c);
-            }
-            i += 1;
-            continue;
-        }
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            '"' => {
-                in_str = true;
-                // A string at depth 1 right after `{` or `,` is a key.
-                capturing = depth == 1;
-                if capturing {
-                    current.clear();
-                }
-            }
-            ':' if depth == 1 && !current.is_empty() => {
-                keys.push(std::mem::take(&mut current));
-            }
-            ',' => current.clear(),
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collapois_runtime::json;
 
     fn sample() -> CellReport {
         CellReport {
@@ -297,55 +187,88 @@ mod tests {
         }
     }
 
+    /// The canonical bytes of [`sample`]: resume and the golden fixtures
+    /// depend on rows never changing form.
+    const SAMPLE_ROW: &str = concat!(
+        r#"{"cell":"attack=collapois+defense=krum+variant=plain","index":3,"#,
+        r#""schema_version":1,"config_hash":"0xfff0123456789abc","dataset":"image","#,
+        r#""attack":"collapois","defense":"krum","algo":"fedavg","alpha":1.0,"#,
+        r#""clients":12,"compromised":4,"rounds":4,"sim":false,"benign_ac":0.75,"#,
+        r#""attack_sr":0.5,"top25_benign_ac":0.7,"top25_attack_sr":0.9,"#,
+        r#""client_metrics":[{"id":0,"benign_ac":0.8,"attack_sr":0.4},"#,
+        r#"{"id":5,"benign_ac":0.7,"attack_sr":0.6}],"dropped_clients":2,"#,
+        r#""shed_stragglers":1,"rejected_updates":0,"checkpoint_failures":0,"#,
+        r#""event_hash":"0xcbf29ce484222325","event_count":99}"#,
+    );
+
+    fn keys(row: &json::Value) -> Vec<&str> {
+        row.as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
     #[test]
     fn hashes_serialize_as_full_precision_hex() {
         let line = sample().to_json();
-        assert!(line.contains("\"config_hash\":\"0xfff0123456789abc\""));
-        assert!(line.contains("\"event_hash\":\"0xcbf29ce484222325\""));
-        assert_eq!(
-            extract_str_field(&line, "config_hash").unwrap(),
-            "0xfff0123456789abc"
-        );
+        assert_eq!(line, SAMPLE_ROW);
+        let row = json::parse(&line).unwrap();
+        assert_eq!(row.get_str("config_hash").unwrap(), "0xfff0123456789abc");
+        assert_eq!(row.get_str("event_hash").unwrap(), "0xcbf29ce484222325");
     }
 
     #[test]
     fn field_extraction_reads_the_writer_format() {
-        let line = sample().to_json();
+        let row = json::parse(&sample().to_json()).unwrap();
         assert_eq!(
-            extract_str_field(&line, "cell").unwrap(),
+            row.get_str("cell").unwrap(),
             "attack=collapois+defense=krum+variant=plain"
         );
-        assert_eq!(extract_raw_field(&line, "index").unwrap(), "3");
-        assert_eq!(extract_raw_field(&line, "sim").unwrap(), "false");
-        assert_eq!(extract_raw_field(&line, "benign_ac").unwrap(), "0.75");
-        assert_eq!(extract_raw_field(&line, "event_count").unwrap(), "99");
-        assert_eq!(extract_str_field(&line, "no_such_key"), None);
+        assert_eq!(row.get_int::<usize>("index"), Ok(3));
+        assert_eq!(row.get_bool("sim"), Ok(false));
+        assert_eq!(row.get_f64("benign_ac"), Ok(0.75));
+        assert_eq!(row.get_int::<u64>("event_count"), Ok(99));
+        let metrics = row.get_array("client_metrics").unwrap();
+        assert_eq!(metrics[1].get_int::<usize>("id"), Ok(5));
+        assert_eq!(metrics[1].get_f64("attack_sr"), Ok(0.6));
+        assert!(row.get_str("no_such_key").is_err());
+    }
+
+    #[test]
+    fn non_finite_metrics_serialize_as_null() {
+        let mut r = sample();
+        r.benign_ac = f64::NAN;
+        r.client_metrics[0].2 = f64::INFINITY;
+        let line = r.to_json();
+        assert!(line.contains(r#""benign_ac":null,"#), "{line}");
+        assert!(line.contains(r#""attack_sr":null}"#), "{line}");
+        assert!(json::parse(&line).is_ok(), "the row stays valid JSON");
     }
 
     #[test]
     fn key_set_is_fixed_and_ordered() {
-        let a = sample().to_json();
+        let a = json::parse(&sample().to_json()).unwrap();
         let mut other = sample();
         other.defense = "none".to_string();
         other.client_metrics.clear();
         other.sim = true;
-        let b = other.to_json();
-        let keys_a = top_level_keys(&a);
-        let keys_b = top_level_keys(&b);
-        assert_eq!(keys_a, keys_b, "rows must stay schema-identical");
-        assert_eq!(keys_a.first().map(String::as_str), Some("cell"));
-        assert_eq!(keys_a.last().map(String::as_str), Some("event_count"));
-        assert!(keys_a.contains(&"client_metrics".to_string()));
-        assert!(keys_a.contains(&"dropped_clients".to_string()));
+        let b = json::parse(&other.to_json()).unwrap();
+        let keys_a = keys(&a);
+        assert_eq!(keys_a, keys(&b), "rows must stay schema-identical");
+        assert_eq!(keys_a.first(), Some(&"cell"));
+        assert_eq!(keys_a.last(), Some(&"event_count"));
+        assert!(keys_a.contains(&"client_metrics"));
+        assert!(keys_a.contains(&"dropped_clients"));
         // Nested object keys must NOT leak into the top level.
-        assert!(!keys_a.contains(&"id".to_string()));
+        assert!(!keys_a.contains(&"id"));
     }
 
     #[test]
     fn escapes_strings() {
         let mut r = sample();
         r.cell = "we\"ird\\cell".to_string();
-        let line = r.to_json();
-        assert_eq!(extract_str_field(&line, "cell").unwrap(), "we\"ird\\cell");
+        let row = json::parse(&r.to_json()).unwrap();
+        assert_eq!(row.get_str("cell").unwrap(), "we\"ird\\cell");
     }
 }

@@ -11,9 +11,10 @@
 //! concatenation of a killed-and-resumed run is byte-identical to an
 //! uninterrupted one — a property the conformance tests assert directly.
 
-use crate::report::{extract_str_field, CellReport};
+use crate::report::CellReport;
 use crate::schema::{GridCell, GridSpec};
-use collapois_core::scenario::{RunOptions, Scenario};
+use collapois_core::scenario::{RunOptions, Scenario, ScenarioReport};
+use collapois_runtime::json::{self, Obj};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -74,12 +75,10 @@ fn valid_prefix(existing: &str, cells: &[GridCell]) -> (usize, usize) {
         let Some(nl) = rest.find('\n') else {
             break; // torn or absent line: truncate here
         };
-        let line = &rest[..nl];
-        let id_ok = extract_str_field(line, "cell").is_some_and(|id| id == cell.id);
-        let hash_ok = extract_str_field(line, "config_hash")
-            .is_some_and(|h| h == format!("{:#018x}", cell.config_hash));
-        if !(id_ok && hash_ok) {
-            break; // stale/foreign row: rerun from this cell on
+        let row = json::parse(&rest[..nl]).unwrap_or(json::Value::Null);
+        let hash = format!("{:#018x}", cell.config_hash);
+        if row.get_str("cell") != Ok(&cell.id) || row.get_str("config_hash") != Ok(&hash) {
+            break; // malformed, stale or foreign row: rerun from this cell on
         }
         offset += nl + 1;
         kept += 1;
@@ -99,34 +98,29 @@ pub fn profile_sidecar_path(out_path: &Path) -> PathBuf {
 }
 
 /// One sidecar line: the timing-dependent counters for an executed cell.
-fn profile_row(cell: &GridCell, report: &collapois_core::scenario::ScenarioReport) -> String {
+fn profile_row(cell: &GridCell, report: &ScenarioReport) -> String {
     let p = &report.profile;
-    let mut row = format!(
-        concat!(
-            "{{\"cell\":\"{}\",\"train_ms\":{:.3},\"commit_ms\":{:.3},",
-            "\"aggregate_ms\":{:.3},\"eval_ms\":{:.3},\"dispatch_ms\":{:.3},",
-            "\"barrier_ms\":{:.3},\"steals\":{},\"stolen_items\":{}"
-        ),
-        cell.id,
-        p.train_ms,
-        p.commit_ms,
-        p.aggregate_ms,
-        p.eval_ms,
-        p.dispatch_ms,
-        p.barrier_ms,
-        p.steals,
-        p.stolen_items,
-    );
-    if let Some(s) = &report.shard_stats {
-        row.push_str(&format!(
-            concat!(
-                ",\"shard_resident_bytes\":{},\"shard_budget_bytes\":{},",
-                "\"shard_hits\":{},\"shard_misses\":{},\"shard_evictions\":{}"
-            ),
-            s.resident_bytes, s.budget_bytes, s.hits, s.misses, s.evictions,
-        ));
+    let mut row = String::new();
+    let o = Obj::new(&mut row)
+        .str("cell", &cell.id)
+        .num("train_ms", p.train_ms)
+        .num("commit_ms", p.commit_ms)
+        .num("aggregate_ms", p.aggregate_ms)
+        .num("eval_ms", p.eval_ms)
+        .num("dispatch_ms", p.dispatch_ms)
+        .num("barrier_ms", p.barrier_ms)
+        .int("steals", p.steals)
+        .int("stolen_items", p.stolen_items);
+    match &report.shard_stats {
+        Some(s) => o
+            .int("shard_resident_bytes", s.resident_bytes)
+            .int("shard_budget_bytes", s.budget_bytes)
+            .int("shard_hits", s.hits)
+            .int("shard_misses", s.misses)
+            .int("shard_evictions", s.evictions),
+        None => o,
     }
-    row.push('}');
+    .finish();
     row
 }
 
@@ -294,9 +288,10 @@ defense = ["none", "median"]
         let text = std::fs::read_to_string(&side).unwrap();
         assert_eq!(text.lines().count(), 2);
         for (line, cell) in text.lines().zip(spec.cells().unwrap()) {
-            assert_eq!(extract_str_field(line, "cell").unwrap(), cell.id);
-            assert!(line.contains("\"dispatch_ms\":"));
-            assert!(line.contains("\"steals\":"));
+            let row = json::parse(line).unwrap();
+            assert_eq!(row.get_str("cell").unwrap(), cell.id);
+            assert!(row.get_f64("dispatch_ms").is_ok());
+            assert!(row.get_int::<u64>("steals").is_ok());
         }
         // A resume that skips everything leaves an empty sidecar: the
         // file reflects only what this invocation measured.

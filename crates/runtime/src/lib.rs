@@ -12,6 +12,9 @@
 //!   kill-and-resume semantics.
 //! - [`trace`]: structured JSONL run traces (one event per line) that both
 //!   humans and downstream tooling consume.
+//! - [`json`]: the workspace's one JSON codec, an ordered-key object writer
+//!   and a parser that keeps integers exact, shared by traces, grid reports
+//!   and bench baselines.
 //! - [`fault`]: deterministic fault injection (dropout, stragglers, update
 //!   corruption, checkpoint-write failures) whose schedules derive from the
 //!   same seed machinery and are therefore worker-count-invariant.
@@ -23,6 +26,7 @@
 
 pub mod checkpoint;
 pub mod fault;
+pub mod json;
 pub mod pool;
 pub mod seed;
 pub mod sim;

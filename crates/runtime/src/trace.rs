@@ -6,16 +6,16 @@
 //! figures are rebuilt from these events, so what lands on disk and what
 //! the in-process consumers see are the same data by construction.
 //!
-//! Serialization is hand-rolled (this workspace is dependency-free): a
-//! fixed schema per variant tagged by an `"event"` field, a minimal string
-//! escaper, and a small recursive-descent JSON reader for the inverse
-//! direction (`trace` CLI inspection, resume tooling, tests).
+//! Serialization goes through [`crate::json`]: a fixed schema per variant,
+//! tagged by an `"event"` field and written member by member, read back by
+//! the same codec's parser (`trace` CLI inspection, resume tooling, tests).
+//! Integer fields (`run_seed`, `config_hash`, …) round-trip exactly.
 //!
 //! Wall-clock fields (`elapsed_ms`) are the only nondeterministic content;
 //! [`TraceEvent::normalized`] zeroes them so two traces can be compared
 //! bit-for-bit in determinism tests.
 
-use std::fmt::Write as _;
+use crate::json::{self, err, Obj, Value};
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -209,8 +209,7 @@ impl TraceEvent {
     /// Serializes to a single JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
-        s.push('{');
-        push_str_field(&mut s, "event", self.kind());
+        let o = Obj::new(&mut s).str("event", self.kind());
         match self {
             Self::RunStarted {
                 run_seed,
@@ -221,26 +220,26 @@ impl TraceEvent {
                 aggregator,
                 resumed_from,
             } => {
-                push_u64_field(&mut s, "run_seed", *run_seed);
-                push_u64_field(&mut s, "config_hash", *config_hash);
-                push_usize_field(&mut s, "num_clients", *num_clients);
-                push_usize_field(&mut s, "rounds", *rounds);
-                push_usize_field(&mut s, "workers", *workers);
-                push_str_field(&mut s, "aggregator", aggregator);
+                let o = o
+                    .int("run_seed", *run_seed)
+                    .int("config_hash", *config_hash)
+                    .int("num_clients", *num_clients)
+                    .int("rounds", *rounds)
+                    .int("workers", *workers)
+                    .str("aggregator", aggregator);
                 match resumed_from {
-                    Some(r) => push_u64_field(&mut s, "resumed_from", u64::from(*r)),
-                    None => push_null_field(&mut s, "resumed_from"),
+                    Some(r) => o.int("resumed_from", *r),
+                    None => o.null("resumed_from"),
                 }
             }
             Self::RoundStarted {
                 round,
                 sampled,
                 compromised,
-            } => {
-                push_usize_field(&mut s, "round", *round);
-                push_usize_array_field(&mut s, "sampled", sampled);
-                push_usize_array_field(&mut s, "compromised", compromised);
-            }
+            } => o
+                .int("round", *round)
+                .ints("sampled", sampled)
+                .ints("compromised", compromised),
             Self::RoundCompleted {
                 round,
                 aggregator,
@@ -249,193 +248,179 @@ impl TraceEvent {
                 malicious_norms,
                 agg_delta_norm,
                 elapsed_ms,
-            } => {
-                push_usize_field(&mut s, "round", *round);
-                push_str_field(&mut s, "aggregator", aggregator);
-                push_usize_field(&mut s, "num_malicious", *num_malicious);
-                push_f64_array_field(&mut s, "benign_norms", benign_norms);
-                push_f64_array_field(&mut s, "malicious_norms", malicious_norms);
-                push_num_field(&mut s, "agg_delta_norm", *agg_delta_norm);
-                push_num_field(&mut s, "elapsed_ms", *elapsed_ms);
-            }
+            } => o
+                .int("round", *round)
+                .str("aggregator", aggregator)
+                .int("num_malicious", *num_malicious)
+                .nums("benign_norms", benign_norms)
+                .nums("malicious_norms", malicious_norms)
+                .num("agg_delta_norm", *agg_delta_norm)
+                .num("elapsed_ms", *elapsed_ms),
             Self::ShiftAlert {
                 round,
                 observed,
                 baseline_median,
                 z_score,
-            } => {
-                push_usize_field(&mut s, "round", *round);
-                push_num_field(&mut s, "observed", *observed);
-                push_num_field(&mut s, "baseline_median", *baseline_median);
-                push_num_field(&mut s, "z_score", *z_score);
-            }
-            Self::CheckpointSaved { round, path } => {
-                push_usize_field(&mut s, "round", *round);
-                push_str_field(&mut s, "path", path);
-            }
+            } => o
+                .int("round", *round)
+                .num("observed", *observed)
+                .num("baseline_median", *baseline_median)
+                .num("z_score", *z_score),
+            Self::CheckpointSaved { round, path } => o.int("round", *round).str("path", path),
             Self::ClientDropped {
                 round,
                 client,
                 cause,
                 delay_ms,
-            } => {
-                push_usize_field(&mut s, "round", *round);
-                push_usize_field(&mut s, "client", *client);
-                push_str_field(&mut s, "cause", cause);
-                push_num_field(&mut s, "delay_ms", *delay_ms);
-            }
+            } => o
+                .int("round", *round)
+                .int("client", *client)
+                .str("cause", cause)
+                .num("delay_ms", *delay_ms),
             Self::UpdateRejected {
                 round,
                 client,
                 reason,
-            } => {
-                push_usize_field(&mut s, "round", *round);
-                push_usize_field(&mut s, "client", *client);
-                push_str_field(&mut s, "reason", reason);
-            }
+            } => o
+                .int("round", *round)
+                .int("client", *client)
+                .str("reason", reason),
             Self::CheckpointWriteFailed {
                 round,
                 attempt,
                 error,
                 gave_up,
-            } => {
-                push_usize_field(&mut s, "round", *round);
-                push_usize_field(&mut s, "attempt", *attempt);
-                push_str_field(&mut s, "error", error);
-                push_bool_field(&mut s, "gave_up", *gave_up);
-            }
+            } => o
+                .int("round", *round)
+                .int("attempt", *attempt)
+                .str("error", error)
+                .bool("gave_up", *gave_up),
             Self::RunCompleted {
                 rounds_executed,
                 elapsed_ms,
-            } => {
-                push_usize_field(&mut s, "rounds_executed", *rounds_executed);
-                push_num_field(&mut s, "elapsed_ms", *elapsed_ms);
-            }
+            } => o
+                .int("rounds_executed", *rounds_executed)
+                .num("elapsed_ms", *elapsed_ms),
             Self::ClientArrived {
                 vtime_us,
                 client,
                 version,
-            } => {
-                push_u64_field(&mut s, "vtime_us", *vtime_us);
-                push_usize_field(&mut s, "client", *client);
-                push_u64_field(&mut s, "version", *version);
-            }
+            } => o
+                .int("vtime_us", *vtime_us)
+                .int("client", *client)
+                .int("version", *version),
             Self::ClientUnavailable {
                 vtime_us,
                 client,
                 reason,
-            } => {
-                push_u64_field(&mut s, "vtime_us", *vtime_us);
-                push_usize_field(&mut s, "client", *client);
-                push_str_field(&mut s, "reason", reason);
-            }
+            } => o
+                .int("vtime_us", *vtime_us)
+                .int("client", *client)
+                .str("reason", reason),
             Self::BufferFlushed {
                 vtime_us,
                 flush,
                 size,
                 mean_staleness,
                 cause,
-            } => {
-                push_u64_field(&mut s, "vtime_us", *vtime_us);
-                push_u64_field(&mut s, "flush", *flush);
-                push_usize_field(&mut s, "size", *size);
-                push_num_field(&mut s, "mean_staleness", *mean_staleness);
-                push_str_field(&mut s, "cause", cause);
-            }
+            } => o
+                .int("vtime_us", *vtime_us)
+                .int("flush", *flush)
+                .int("size", *size)
+                .num("mean_staleness", *mean_staleness)
+                .str("cause", cause),
         }
-        s.pop(); // trailing comma
-        s.push('}');
+        .finish();
         s
     }
 
     /// Parses one JSON trace line.
     pub fn from_json(line: &str) -> Result<Self, TraceError> {
-        let value = parse_json(line)?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| err("line is not an object"))?;
-        let kind = get_str(obj, "event")?;
-        match kind {
-            "run_started" => Ok(Self::RunStarted {
-                run_seed: get_u64(obj, "run_seed")?,
-                config_hash: get_u64(obj, "config_hash")?,
-                num_clients: get_usize(obj, "num_clients")?,
-                rounds: get_usize(obj, "rounds")?,
-                workers: get_usize(obj, "workers")?,
-                aggregator: get_str(obj, "aggregator")?.to_string(),
-                resumed_from: match lookup(obj, "resumed_from")? {
+        let obj = json::parse(line)?;
+        if obj.as_object().is_none() {
+            return Err(err("line is not an object"));
+        }
+        Ok(match obj.get_str("event")? {
+            "run_started" => Self::RunStarted {
+                run_seed: obj.get_int("run_seed")?,
+                config_hash: obj.get_int("config_hash")?,
+                num_clients: obj.get_int("num_clients")?,
+                rounds: obj.get_int("rounds")?,
+                workers: obj.get_int("workers")?,
+                aggregator: obj.get_str("aggregator")?.to_string(),
+                resumed_from: match obj.get("resumed_from")? {
                     Value::Null => None,
                     v => Some(
                         v.as_u64()
-                            .ok_or_else(|| err("resumed_from must be an integer or null"))?
-                            as u32,
+                            .and_then(|r| u32::try_from(r).ok())
+                            .ok_or_else(|| err("resumed_from must be an integer or null"))?,
                     ),
                 },
-            }),
-            "round_started" => Ok(Self::RoundStarted {
-                round: get_usize(obj, "round")?,
-                sampled: get_usize_array(obj, "sampled")?,
-                compromised: get_usize_array(obj, "compromised")?,
-            }),
-            "round_completed" => Ok(Self::RoundCompleted {
-                round: get_usize(obj, "round")?,
-                aggregator: get_str(obj, "aggregator")?.to_string(),
-                num_malicious: get_usize(obj, "num_malicious")?,
-                benign_norms: get_f64_array(obj, "benign_norms")?,
-                malicious_norms: get_f64_array(obj, "malicious_norms")?,
-                agg_delta_norm: get_f64(obj, "agg_delta_norm")?,
-                elapsed_ms: get_f64(obj, "elapsed_ms")?,
-            }),
-            "shift_alert" => Ok(Self::ShiftAlert {
-                round: get_usize(obj, "round")?,
-                observed: get_f64(obj, "observed")?,
-                baseline_median: get_f64(obj, "baseline_median")?,
-                z_score: get_f64(obj, "z_score")?,
-            }),
-            "checkpoint_saved" => Ok(Self::CheckpointSaved {
-                round: get_usize(obj, "round")?,
-                path: get_str(obj, "path")?.to_string(),
-            }),
-            "client_dropped" => Ok(Self::ClientDropped {
-                round: get_usize(obj, "round")?,
-                client: get_usize(obj, "client")?,
-                cause: get_str(obj, "cause")?.to_string(),
-                delay_ms: get_f64(obj, "delay_ms")?,
-            }),
-            "update_rejected" => Ok(Self::UpdateRejected {
-                round: get_usize(obj, "round")?,
-                client: get_usize(obj, "client")?,
-                reason: get_str(obj, "reason")?.to_string(),
-            }),
-            "checkpoint_write_failed" => Ok(Self::CheckpointWriteFailed {
-                round: get_usize(obj, "round")?,
-                attempt: get_usize(obj, "attempt")?,
-                error: get_str(obj, "error")?.to_string(),
-                gave_up: get_bool(obj, "gave_up")?,
-            }),
-            "run_completed" => Ok(Self::RunCompleted {
-                rounds_executed: get_usize(obj, "rounds_executed")?,
-                elapsed_ms: get_f64(obj, "elapsed_ms")?,
-            }),
-            "client_arrived" => Ok(Self::ClientArrived {
-                vtime_us: get_u64(obj, "vtime_us")?,
-                client: get_usize(obj, "client")?,
-                version: get_u64(obj, "version")?,
-            }),
-            "client_unavailable" => Ok(Self::ClientUnavailable {
-                vtime_us: get_u64(obj, "vtime_us")?,
-                client: get_usize(obj, "client")?,
-                reason: get_str(obj, "reason")?.to_string(),
-            }),
-            "buffer_flushed" => Ok(Self::BufferFlushed {
-                vtime_us: get_u64(obj, "vtime_us")?,
-                flush: get_u64(obj, "flush")?,
-                size: get_usize(obj, "size")?,
-                mean_staleness: get_f64(obj, "mean_staleness")?,
-                cause: get_str(obj, "cause")?.to_string(),
-            }),
-            other => Err(err(&format!("unknown event kind {other:?}"))),
-        }
+            },
+            "round_started" => Self::RoundStarted {
+                round: obj.get_int("round")?,
+                sampled: obj.get_ints("sampled")?,
+                compromised: obj.get_ints("compromised")?,
+            },
+            "round_completed" => Self::RoundCompleted {
+                round: obj.get_int("round")?,
+                aggregator: obj.get_str("aggregator")?.to_string(),
+                num_malicious: obj.get_int("num_malicious")?,
+                benign_norms: obj.get_f64s("benign_norms")?,
+                malicious_norms: obj.get_f64s("malicious_norms")?,
+                agg_delta_norm: obj.get_f64("agg_delta_norm")?,
+                elapsed_ms: obj.get_f64("elapsed_ms")?,
+            },
+            "shift_alert" => Self::ShiftAlert {
+                round: obj.get_int("round")?,
+                observed: obj.get_f64("observed")?,
+                baseline_median: obj.get_f64("baseline_median")?,
+                z_score: obj.get_f64("z_score")?,
+            },
+            "checkpoint_saved" => Self::CheckpointSaved {
+                round: obj.get_int("round")?,
+                path: obj.get_str("path")?.to_string(),
+            },
+            "client_dropped" => Self::ClientDropped {
+                round: obj.get_int("round")?,
+                client: obj.get_int("client")?,
+                cause: obj.get_str("cause")?.to_string(),
+                delay_ms: obj.get_f64("delay_ms")?,
+            },
+            "update_rejected" => Self::UpdateRejected {
+                round: obj.get_int("round")?,
+                client: obj.get_int("client")?,
+                reason: obj.get_str("reason")?.to_string(),
+            },
+            "checkpoint_write_failed" => Self::CheckpointWriteFailed {
+                round: obj.get_int("round")?,
+                attempt: obj.get_int("attempt")?,
+                error: obj.get_str("error")?.to_string(),
+                gave_up: obj.get_bool("gave_up")?,
+            },
+            "run_completed" => Self::RunCompleted {
+                rounds_executed: obj.get_int("rounds_executed")?,
+                elapsed_ms: obj.get_f64("elapsed_ms")?,
+            },
+            "client_arrived" => Self::ClientArrived {
+                vtime_us: obj.get_int("vtime_us")?,
+                client: obj.get_int("client")?,
+                version: obj.get_int("version")?,
+            },
+            "client_unavailable" => Self::ClientUnavailable {
+                vtime_us: obj.get_int("vtime_us")?,
+                client: obj.get_int("client")?,
+                reason: obj.get_str("reason")?.to_string(),
+            },
+            "buffer_flushed" => Self::BufferFlushed {
+                vtime_us: obj.get_int("vtime_us")?,
+                flush: obj.get_int("flush")?,
+                size: obj.get_int("size")?,
+                mean_staleness: obj.get_f64("mean_staleness")?,
+                cause: obj.get_str("cause")?.to_string(),
+            },
+            other => return Err(err(format!("unknown event kind {other:?}"))),
+        })
     }
 }
 
@@ -585,427 +570,20 @@ impl Drop for TraceLog {
 /// Blank lines are skipped; any malformed line aborts with its line number.
 pub fn read_trace(path: &Path) -> Result<Vec<TraceEvent>, TraceError> {
     let text = fs::read_to_string(path)
-        .map_err(|e| err(&format!("cannot read {}: {e}", path.display())))?;
+        .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let event =
-            TraceEvent::from_json(line).map_err(|e| err(&format!("line {}: {e}", i + 1)))?;
+        let event = TraceEvent::from_json(line).map_err(|e| err(format!("line {}: {e}", i + 1)))?;
         events.push(event);
     }
     Ok(events)
 }
 
-/// A malformed trace line or file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    message: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-fn err(message: &str) -> TraceError {
-    TraceError {
-        message: message.to_string(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON writing
-// ---------------------------------------------------------------------------
-
-/// Escapes a string per RFC 8259 (quotes, backslash, control characters).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float so it round-trips and stays valid JSON (no NaN/inf —
-/// those serialize as null and read back as an error, which is the right
-/// loudness for a poisoned norm).
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        // `{}` prints integral floats without a dot; keep them
-        // distinguishable as numbers that round-trip through f64.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_str_field(s: &mut String, key: &str, value: &str) {
-    let _ = write!(s, "\"{key}\":\"{}\",", escape_json(value));
-}
-
-fn push_u64_field(s: &mut String, key: &str, value: u64) {
-    let _ = write!(s, "\"{key}\":{value},");
-}
-
-fn push_usize_field(s: &mut String, key: &str, value: usize) {
-    let _ = write!(s, "\"{key}\":{value},");
-}
-
-fn push_null_field(s: &mut String, key: &str) {
-    let _ = write!(s, "\"{key}\":null,");
-}
-
-fn push_bool_field(s: &mut String, key: &str, value: bool) {
-    let _ = write!(s, "\"{key}\":{value},");
-}
-
-fn push_num_field(s: &mut String, key: &str, value: f64) {
-    let _ = write!(s, "\"{key}\":{},", fmt_num(value));
-}
-
-fn push_usize_array_field(s: &mut String, key: &str, values: &[usize]) {
-    let _ = write!(s, "\"{key}\":[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{v}");
-    }
-    s.push_str("],");
-}
-
-fn push_f64_array_field(s: &mut String, key: &str, values: &[f64]) {
-    let _ = write!(s, "\"{key}\":[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&fmt_num(*v));
-    }
-    s.push_str("],");
-}
-
-// ---------------------------------------------------------------------------
-// JSON reading (minimal recursive descent over the trace schema)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Self::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Self::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Self::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Self::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-fn lookup<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, TraceError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| err(&format!("missing field {key:?}")))
-}
-
-fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, TraceError> {
-    lookup(obj, key)?
-        .as_str()
-        .ok_or_else(|| err(&format!("field {key:?} must be a string")))
-}
-
-fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, TraceError> {
-    lookup(obj, key)?
-        .as_u64()
-        .ok_or_else(|| err(&format!("field {key:?} must be a non-negative integer")))
-}
-
-fn get_usize(obj: &[(String, Value)], key: &str) -> Result<usize, TraceError> {
-    Ok(get_u64(obj, key)? as usize)
-}
-
-fn get_f64(obj: &[(String, Value)], key: &str) -> Result<f64, TraceError> {
-    lookup(obj, key)?
-        .as_f64()
-        .ok_or_else(|| err(&format!("field {key:?} must be a number")))
-}
-
-fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, TraceError> {
-    match lookup(obj, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(err(&format!("field {key:?} must be a boolean"))),
-    }
-}
-
-fn get_usize_array(obj: &[(String, Value)], key: &str) -> Result<Vec<usize>, TraceError> {
-    match lookup(obj, key)? {
-        Value::Arr(items) => items
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| err(&format!("field {key:?} must contain only integers")))
-            })
-            .collect(),
-        _ => Err(err(&format!("field {key:?} must be an array"))),
-    }
-}
-
-fn get_f64_array(obj: &[(String, Value)], key: &str) -> Result<Vec<f64>, TraceError> {
-    match lookup(obj, key)? {
-        Value::Arr(items) => items
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| err(&format!("field {key:?} must contain only numbers")))
-            })
-            .collect(),
-        _ => Err(err(&format!("field {key:?} must be an array"))),
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_json(text: &str) -> Result<Value, TraceError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(err("trailing characters after JSON value"));
-    }
-    Ok(value)
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Result<u8, TraceError> {
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| err("unexpected end of input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), TraceError> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(err(&format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, value: Value) -> Result<Value, TraceError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(err(&format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, TraceError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.eat_literal("true", Value::Bool(true)),
-            b'f' => self.eat_literal("false", Value::Bool(false)),
-            b'n' => self.eat_literal("null", Value::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            c => Err(err(&format!("unexpected character {:?}", c as char))),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, TraceError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                c => return Err(err(&format!("expected ',' or '}}', got {:?}", c as char))),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, TraceError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                c => return Err(err(&format!("expected ',' or ']', got {:?}", c as char))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, TraceError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast-forward over the unescaped run.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| err("invalid utf-8 in string"))?,
-            );
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| err("invalid \\u escape"))?;
-                            // Trace strings never contain surrogate pairs;
-                            // reject them rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        c => return Err(err(&format!("invalid escape \\{:?}", c as char))),
-                    }
-                    self.pos += 1;
-                }
-                _ => unreachable!("scan stops only at quote or backslash"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, TraceError> {
-        let start = self.pos;
-        if self.peek()? == b'-' {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| err(&format!("invalid number {text:?}")))
-    }
-}
+/// A malformed trace line or an unreadable trace file.
+pub type TraceError = json::Error;
 
 #[cfg(test)]
 mod tests {
@@ -1031,8 +609,8 @@ mod tests {
     fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::RunStarted {
-                run_seed: 42,
-                config_hash: 0xABCD,
+                run_seed: u64::MAX,
+                config_hash: 0xc221_6479_740c_b604,
                 num_clients: 16,
                 rounds: 5,
                 workers: 4,

@@ -15,9 +15,9 @@
 //! from the failure message into the fixture file, and call the change
 //! out in the PR description.
 
-use collapois_grid::report::{extract_raw_field, extract_str_field, top_level_keys};
 use collapois_grid::runner::{run_grid, CellStatus, GridRunOptions};
 use collapois_grid::schema::GridSpec;
+use collapois_runtime::json::{self, Value};
 use std::path::PathBuf;
 
 fn repo_file(rel: &str) -> String {
@@ -59,17 +59,26 @@ fn run_at_workers_1_and_2(spec: &GridSpec, name: &str) -> String {
     w1
 }
 
+/// The report's rows, parsed.
+fn rows(report: &str) -> Vec<Value> {
+    report
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad row {line}: {e}")))
+        .collect()
+}
+
 /// One `cell event_hash event_count` line per report row (the fixture
 /// format).
 fn digests(report: &str) -> String {
-    report
-        .lines()
-        .map(|line| {
+    rows(report)
+        .iter()
+        .map(|row| {
             format!(
                 "{} {} {}\n",
-                extract_str_field(line, "cell").expect("cell field"),
-                extract_str_field(line, "event_hash").expect("event_hash field"),
-                extract_raw_field(line, "event_count").expect("event_count field"),
+                row.get_str("cell").expect("cell field"),
+                row.get_str("event_hash").expect("event_hash field"),
+                row.get_int::<u64>("event_count")
+                    .expect("event_count field"),
             )
         })
         .collect()
@@ -257,20 +266,24 @@ defense = ["none", "krum"]
     )
     .unwrap();
     let text = run_to(&spec, "comparability.jsonl", &GridRunOptions::default());
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
-    let keys0 = top_level_keys(lines[0]);
-    let keys1 = top_level_keys(lines[1]);
+    let rows = rows(&text);
+    assert_eq!(rows.len(), 2);
+    let keys = |row: &Value| -> Vec<String> {
+        let members = row.as_object().expect("a row is an object");
+        members.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let keys0 = keys(&rows[0]);
     assert_eq!(
-        keys0, keys1,
+        keys0,
+        keys(&rows[1]),
         "cells differing only in aggregator must emit identical report schemas"
     );
     assert!(!keys0.is_empty());
-    assert_eq!(extract_str_field(lines[0], "defense").unwrap(), "none");
-    assert_eq!(extract_str_field(lines[1], "defense").unwrap(), "krum");
+    assert_eq!(rows[0].get_str("defense").unwrap(), "none");
+    assert_eq!(rows[1].get_str("defense").unwrap(), "krum");
     // Hash fields survive as full-precision hex strings.
-    for line in &lines {
-        let h = extract_str_field(line, "event_hash").unwrap();
+    for row in &rows {
+        let h = row.get_str("event_hash").unwrap();
         assert!(h.starts_with("0x") && h.len() == 18, "{h}");
         u64::from_str_radix(&h[2..], 16).unwrap();
     }
