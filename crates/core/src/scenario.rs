@@ -656,7 +656,8 @@ pub struct ScenarioReport {
     pub compromised: Vec<usize>,
     /// Population metrics at each evaluation point.
     pub rounds: Vec<RoundMetrics>,
-    /// Final per-client metrics (benign clients only).
+    /// Per-client metrics of the final evaluation point (benign clients
+    /// only).
     pub clients: Vec<ClientMetrics>,
     /// Fig. 12-style cluster analysis (empty when no attack ran).
     pub clusters: Vec<ClusterReport>,
@@ -931,35 +932,36 @@ impl Scenario {
 
         // 6. Round loop with periodic evaluation (starting past any
         // checkpointed rounds when resuming), or the buffered-async
-        // simulator with one final evaluation point.
+        // simulator with one final evaluation point. Either way the last
+        // evaluation point is at the final state, and `clients` keeps its
+        // per-client metrics.
+        let evaluate = |server: &mut FlServer, points: &mut Vec<RoundMetrics>| {
+            let metrics =
+                server.evaluate_clients(&spec, backdoor, cfg.trojan.target_class, &compromised);
+            let pop = population(&metrics);
+            points.push(RoundMetrics {
+                round: server.rounds_done(),
+                benign_accuracy: pop.benign_ac,
+                attack_success_rate: pop.attack_sr,
+            });
+            metrics
+        };
         let start_round = server.rounds_done();
         let mut records = Vec::with_capacity(cfg.rounds.saturating_sub(start_round));
         let mut round_metrics = Vec::new();
+        let mut clients = Vec::new();
         if let Some(knobs) = &opts.sim {
             let plan = knobs.to_plan(cfg.num_clients);
             let adv = adversary.as_deref_mut();
             server.run_sim(&plan, cfg.rounds, adv);
             records = round_records_from_events(server.trace_events());
-            let metrics = self.evaluate(&mut server, backdoor, &compromised);
-            let pop = population(&metrics);
-            round_metrics.push(RoundMetrics {
-                round: server.rounds_done(),
-                benign_accuracy: pop.benign_ac,
-                attack_success_rate: pop.attack_sr,
-            });
+            clients = evaluate(&mut server, &mut round_metrics);
         } else {
             for t in start_round..cfg.rounds {
                 let adv = adversary.as_deref_mut();
                 records.push(server.run_round(adv));
-                let at_eval = (t + 1) % cfg.eval_every == 0 || t + 1 == cfg.rounds;
-                if at_eval {
-                    let metrics = self.evaluate(&mut server, backdoor, &compromised);
-                    let pop = population(&metrics);
-                    round_metrics.push(RoundMetrics {
-                        round: t + 1,
-                        benign_accuracy: pop.benign_ac,
-                        attack_success_rate: pop.attack_sr,
-                    });
+                if (t + 1) % cfg.eval_every == 0 || t + 1 == cfg.rounds {
+                    clients = evaluate(&mut server, &mut round_metrics);
                 }
             }
         }
@@ -970,17 +972,11 @@ impl Scenario {
         // still report one evaluation point so downstream consumers see
         // final metrics.
         if round_metrics.is_empty() {
-            let metrics = self.evaluate(&mut server, backdoor, &compromised);
-            let pop = population(&metrics);
-            round_metrics.push(RoundMetrics {
-                round: server.rounds_done(),
-                benign_accuracy: pop.benign_ac,
-                attack_success_rate: pop.attack_sr,
-            });
+            clients = evaluate(&mut server, &mut round_metrics);
         }
 
-        // 7. Final client-level metrics and cluster analysis.
-        let clients = self.evaluate(&mut server, backdoor, &compromised);
+        // 7. Cluster analysis over the final evaluation point's client-level
+        // metrics; the label counts it reads were memoized by that pass.
         let clusters = if compromised.is_empty() {
             Vec::new()
         } else {
@@ -1003,16 +999,6 @@ impl Scenario {
             event_count,
             shard_stats,
         }
-    }
-
-    fn evaluate(
-        &self,
-        server: &mut FlServer,
-        backdoor: &dyn BackdoorEval,
-        compromised: &[usize],
-    ) -> Vec<ClientMetrics> {
-        let spec = self.cfg.model_spec();
-        server.evaluate_clients(&spec, backdoor, self.cfg.trojan.target_class, compromised)
     }
 
     fn build_personalization(&self) -> Box<dyn Personalization> {
@@ -1175,14 +1161,18 @@ pub fn semantic_source_class(target_class: usize, num_classes: usize) -> usize {
     (target_class + 1) % num_classes
 }
 
-/// The attacker's auxiliary data at this simulation scale: the compromised
-/// clients' full local data (the paper pools validation splits of thousands
-/// of clients; with tens of clients the validation splits alone are too
-/// small to train X — documented in DESIGN.md §1).
+/// The attacker's auxiliary data `D_a` at this simulation scale: the
+/// compromised clients' full local data, each client's train, test and val
+/// splits in that order (the paper pools validation splits of thousands of
+/// clients; with tens of clients the validation splits alone are too small
+/// to train X — documented in DESIGN.md §1).
 pub fn auxiliary_data(fed: &FederatedDataset, compromised: &[usize]) -> Dataset {
     let mut aux = Dataset::empty(fed.sample_shape(), fed.num_classes());
     for &c in compromised {
-        aux.extend_from(&fed.client(c).all());
+        let data = fed.client(c);
+        for split in [&data.train, &data.test, &data.val] {
+            aux.extend_from(split);
+        }
     }
     aux
 }
@@ -1203,6 +1193,25 @@ mod tests {
         cfg.defense = defense;
         cfg.algo = algo;
         cfg
+    }
+
+    #[test]
+    fn auxiliary_data_pools_full_local_data() {
+        let scenario = Scenario::new(tiny(
+            AttackKind::CollaPois,
+            DefenseKind::None,
+            FlAlgo::FedAvg,
+        ));
+        let mut rng = StdRng::seed_from_u64(scenario.cfg.seed);
+        let fed = FederatedDataset::build(
+            &mut rng,
+            &scenario.generate_dataset(),
+            scenario.cfg.num_clients,
+            scenario.cfg.alpha,
+        );
+        let aux = auxiliary_data(&fed, &[1, 4]);
+        assert_eq!(aux.len(), fed.client(1).len() + fed.client(4).len());
+        assert!(auxiliary_data(&fed, &[]).is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Federated dataset: per-client train/test/validation splits.
 //!
 //! The paper divides each client's samples into 70 % training, 15 % testing
-//! and 15 % validation; the combined validation sets of the compromised
-//! clients form the attacker's auxiliary data `D_a` used to train the
-//! Trojaned model X.
+//! and 15 % validation. The attacker's auxiliary data `D_a`, which trains
+//! the Trojaned model X, pools the compromised clients' local data (see
+//! `collapois_core::scenario::auxiliary_data`).
 //!
 //! Client data is served through one of two backings: *eager* (every
 //! client materialized up front — the original pooled-then-partitioned
@@ -25,8 +25,7 @@ pub struct ClientData {
     pub train: Dataset,
     /// Local testing split (15 %) — Benign AC / Attack SR are measured here.
     pub test: Dataset,
-    /// Local validation split (15 %) — pooled into `D_a` on compromised
-    /// clients.
+    /// Local validation split (15 %).
     pub val: Dataset,
 }
 
@@ -41,12 +40,15 @@ impl ClientData {
         self.len() == 0
     }
 
-    /// All local samples re-combined (used for label-distribution metrics).
-    pub fn all(&self) -> Dataset {
-        let mut out = self.train.clone();
-        out.extend_from(&self.test);
-        out.extend_from(&self.val);
-        out
+    /// Per-class sample counts over all three splits.
+    pub(crate) fn label_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.train.num_classes()];
+        for split in [&self.train, &self.test, &self.val] {
+            for &y in split.labels() {
+                counts[y] += 1;
+            }
+        }
+        counts
     }
 
     /// Heap bytes held by the three splits (what the resident-shard byte
@@ -221,22 +223,19 @@ impl FederatedDataset {
         }
     }
 
-    /// The attacker's auxiliary dataset `D_a = ∪_{c∈C} val_c` — the pooled
-    /// validation splits of the given (compromised) client ids.
+    /// Per-class label counts of client `id` over its train, test and val
+    /// splits (the input of the paper's Eq. 9). The lazy backing answers
+    /// from a memo its renders fill and eviction keeps, so it renders only
+    /// a client that was never rendered.
     ///
     /// # Panics
     ///
-    /// Panics if any id is out of bounds.
-    pub fn auxiliary(&self, compromised: &[usize]) -> Dataset {
-        let mut out = Dataset::empty(&self.sample_shape, self.num_classes);
-        for &c in compromised {
-            out.extend_from(&self.client(c).val);
-            // Compromised clients contribute everything they hold; the paper
-            // pools their validation sets for X but the attacker also trains
-            // DPois on their full local data. We keep D_a = validation only,
-            // matching the paper's configuration.
+    /// Panics if `id` is out of bounds.
+    pub fn label_counts(&self, id: usize) -> Vec<usize> {
+        match &self.backing {
+            Backing::Eager(clients) => clients[id].label_counts(),
+            Backing::Lazy(store) => store.label_counts(id).to_vec(),
         }
-        out
     }
 }
 
@@ -294,19 +293,18 @@ mod tests {
     }
 
     #[test]
-    fn auxiliary_pools_validation_sets() {
-        let f = fed(1.0, 10);
-        let aux = f.auxiliary(&[0, 3]);
-        assert_eq!(aux.len(), f.client(0).val.len() + f.client(3).val.len());
-        let empty = f.auxiliary(&[]);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn all_recombines_splits() {
+    fn label_counts_cover_every_split() {
         let f = fed(1.0, 4);
-        let c = f.client(2);
-        assert_eq!(c.all().len(), c.len());
+        for id in 0..4 {
+            let c = f.client(id);
+            let counts = f.label_counts(id);
+            assert_eq!(counts.len(), f.num_classes());
+            assert_eq!(counts.iter().sum::<usize>(), c.len());
+            let mut pooled = c.train.clone();
+            pooled.extend_from(&c.test);
+            pooled.extend_from(&c.val);
+            assert_eq!(counts, crate::labels::label_histogram(&pooled));
+        }
     }
 
     #[test]
@@ -319,7 +317,9 @@ mod tests {
         for id in [7, 0, 11, 3, 7, 0] {
             assert_eq!(lazy.client(id), eager.client(id));
         }
-        assert_eq!(lazy.auxiliary(&[2, 9]), eager.auxiliary(&[2, 9]));
+        for id in 0..12 {
+            assert_eq!(lazy.label_counts(id), eager.label_counts(id));
+        }
         assert!(lazy.shard_stats().is_some());
         assert!(eager.shard_stats().is_none());
     }

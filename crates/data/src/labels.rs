@@ -33,7 +33,12 @@ pub fn label_distribution(ds: &Dataset) -> Vec<f64> {
 /// `N_j = Σ_{q<=j} count_q` (raw counts, not normalized — the cosine is
 /// scale-invariant).
 pub fn cumulative_label_distribution(ds: &Dataset) -> Vec<f64> {
-    let counts = label_histogram(ds);
+    cumulative_counts(&label_histogram(ds))
+}
+
+/// The running sum of per-class counts in class order, as `f64` — the
+/// `P_CL` of Eq. 9 for a dataset whose [`label_histogram`] is `counts`.
+pub fn cumulative_counts(counts: &[usize]) -> Vec<f64> {
     let mut acc = 0.0;
     counts
         .iter()
@@ -84,6 +89,8 @@ mod tests {
     fn cumulative_is_monotone() {
         let ds = with_labels(&[0, 1, 1, 2], 3);
         assert_eq!(cumulative_label_distribution(&ds), vec![1.0, 3.0, 4.0]);
+        assert_eq!(cumulative_counts(&[1, 2, 1]), vec![1.0, 3.0, 4.0]);
+        assert!(cumulative_counts(&[]).is_empty());
     }
 
     #[test]

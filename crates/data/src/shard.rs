@@ -17,7 +17,9 @@
 //! sharded maps behind an LRU byte budget, so a cohort-sampling round
 //! touches only the sampled shards and a 5 000-client run fits a fixed
 //! bytes-per-client envelope. The cache-hit path is allocation-free (one
-//! map lock, one `HashMap` lookup, one `Arc` clone).
+//! map lock, one `HashMap` lookup, one `Arc` clone). A render also records
+//! the client's per-class label counts in a slot eviction never clears, so
+//! Eq. 9 reads them without the shard.
 
 use crate::federated::ClientData;
 use crate::sample::Dataset;
@@ -27,7 +29,7 @@ use collapois_stats::distribution::Dirichlet;
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Resident per-class generator state shared by every shard: the image
 /// prototypes or text cluster centers. Held once per run regardless of
@@ -193,11 +195,17 @@ const MAP_SHARDS: usize = 16;
 /// while the other maps stay serviceable. After an insert pushes residency
 /// over budget, the globally least-recently-touched shard is evicted —
 /// never the one just requested — until the budget holds again.
+///
+/// Each client's first render also fills its label-count memo (read by
+/// [`FederatedDataset::label_counts`](crate::federated::FederatedDataset::label_counts));
+/// eviction drops the shard but keeps the memo, which costs
+/// `num_clients × num_classes` counts outside the byte budget.
 pub struct ResidentShards {
     spec: ShardSpec,
     num_clients: usize,
     budget_bytes: usize,
     maps: Vec<Mutex<HashMap<usize, Entry>>>,
+    label_counts: Vec<OnceLock<Box<[usize]>>>,
     clock: AtomicU64,
     resident_bytes: AtomicUsize,
     hits: AtomicU64,
@@ -228,6 +236,7 @@ impl ResidentShards {
             maps: (0..MAP_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            label_counts: (0..num_clients).map(|_| OnceLock::new()).collect(),
             clock: AtomicU64::new(0),
             resident_bytes: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
@@ -267,6 +276,7 @@ impl ResidentShards {
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
             let data = Arc::new(self.spec.generate_client(id));
+            self.label_counts[id].get_or_init(|| data.label_counts().into_boxed_slice());
             let bytes = data.heap_bytes();
             self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
             map.insert(
@@ -281,6 +291,22 @@ impl ResidentShards {
         };
         self.evict_over_budget(id);
         data
+    }
+
+    /// Client `id`'s per-class label counts over its three splits, from
+    /// the memo its first render filled. Renders the shard only if it was
+    /// never rendered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= num_clients`.
+    pub(crate) fn label_counts(&self, id: usize) -> &[usize] {
+        if self.label_counts[id].get().is_none() {
+            self.get(id);
+        }
+        self.label_counts[id]
+            .get()
+            .expect("a render fills the memo")
     }
 
     /// Current counters.
@@ -421,6 +447,31 @@ mod tests {
         assert!(s.evictions >= 12, "expected evictions, got {}", s.evictions);
         // Regenerated-after-eviction shards are identical to fresh ones.
         assert_eq!(*store.get(0), spec.generate_client(0));
+    }
+
+    #[test]
+    fn label_counts_survive_eviction_without_a_render() {
+        let spec = image_spec(8);
+        let one_shard = Arc::new(spec.generate_client(0)).heap_bytes();
+        let store = ResidentShards::new(spec.clone(), 8, 2 * one_shard + 1);
+        // Never rendered: the memo renders it once.
+        assert_eq!(
+            store.label_counts(3),
+            spec.generate_client(3).label_counts()
+        );
+        assert_eq!(store.stats().misses, 1);
+        for id in 0..8 {
+            let _ = store.get(id);
+        }
+        let before = store.stats();
+        assert!(before.evictions > 0, "the budget must evict");
+        for id in 0..8 {
+            assert_eq!(
+                store.label_counts(id),
+                spec.generate_client(id).label_counts()
+            );
+        }
+        assert_eq!(store.stats(), before, "memo reads touch no shard");
     }
 
     #[test]

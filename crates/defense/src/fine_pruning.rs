@@ -253,9 +253,7 @@ mod tests {
         let mut model = spec.build(&mut rng);
         // Corrupt unit 0's incoming weights the way the fault layer can.
         let mut params = model.params();
-        for i in 0..16 {
-            params[i] = f32::NAN;
-        }
+        params[..16].fill(f32::NAN);
         model.set_params(&params);
         let outcome = fine_prune(&mut model, &spec, &clean, 0.25);
         assert_eq!(outcome.pruned_units.len(), 2, "still prunes the quota");

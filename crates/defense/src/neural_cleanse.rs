@@ -156,8 +156,7 @@ fn reverse_engineer(
     // Evaluate the optimized trigger.
     let eval_n = clean.len().min(64);
     let idx: Vec<usize> = (0..eval_n).collect();
-    let (x, _) = clean.batch_of(&idx);
-    let mut stamped = x.clone();
+    let (mut stamped, _) = clean.batch_of(&idx);
     for s in 0..eval_n {
         let row = stamped.sample_mut(s);
         for ((v, &m), &p) in row.iter_mut().zip(&mask).zip(&pattern) {

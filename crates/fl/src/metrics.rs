@@ -11,12 +11,13 @@
 //!   cosine to the attacker's auxiliary data.
 
 use collapois_data::federated::FederatedDataset;
-use collapois_data::labels::cumulative_label_cosine;
+use collapois_data::labels::{cumulative_counts, cumulative_label_distribution};
 use collapois_data::poison::BackdoorEval;
 use collapois_data::sample::Dataset;
 use collapois_nn::model::Sequential;
 use collapois_nn::zoo::ModelSpec;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
+use collapois_stats::geometry::cosine_similarity_f64;
 
 /// Per-client evaluation outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,7 +189,12 @@ pub struct ClusterReport {
 
 /// Splits clients into the paper's exclusive risk clusters (1 %, 25 %, 50 %,
 /// bottom-50 % — each excludes all preceding clusters) and computes each
-/// cluster's `CS_k` against the auxiliary dataset `aux` (Eq. 9).
+/// cluster's `CS_k` against the auxiliary dataset `aux` (Eq. 9). Clusters
+/// with no members are omitted.
+///
+/// Each member's cumulative label distribution comes from
+/// [`FederatedDataset::label_counts`], so a lazy cohort whose clients were
+/// all evaluated renders no shard here.
 pub fn cluster_analysis(
     fed: &FederatedDataset,
     metrics: &[ClientMetrics],
@@ -197,7 +203,8 @@ pub fn cluster_analysis(
     let mut sorted = metrics.to_vec();
     sorted.sort_by(|a, b| b.score().partial_cmp(&a.score()).expect("finite scores"));
     let n = sorted.len();
-    let cut = |p: f64| -> usize { ((n as f64) * p / 100.0).round().max(1.0) as usize };
+    let cut = |p: f64| -> usize { (((n as f64) * p / 100.0).round().max(1.0) as usize).min(n) };
+    let aux_cl = cumulative_label_distribution(aux);
     let bounds = [
         ("1%", 0, cut(1.0)),
         ("25%", cut(1.0), cut(25.0)),
@@ -208,12 +215,12 @@ pub fn cluster_analysis(
         .iter()
         .filter(|(_, lo, hi)| hi > lo)
         .map(|&(label, lo, hi)| {
-            let members = &sorted[lo..hi.min(n)];
+            let members = &sorted[lo..hi];
             let clients: Vec<usize> = members.iter().map(|m| m.client_id).collect();
             let mut cos_sum = 0.0;
             for m in members {
-                let local = fed.client(m.client_id).all();
-                cos_sum += cumulative_label_cosine(&local, aux);
+                let local = cumulative_counts(&fed.label_counts(m.client_id));
+                cos_sum += cosine_similarity_f64(&local, &aux_cl).unwrap_or(0.0);
             }
             let len = members.len() as f64;
             ClusterReport {
@@ -230,6 +237,8 @@ pub fn cluster_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collapois_data::labels::cumulative_label_cosine;
+    use collapois_data::shard::{ShardSource, ShardSpec};
     use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
     use collapois_data::trigger::PatchTrigger;
     use rand::rngs::StdRng;
@@ -280,20 +289,108 @@ mod tests {
     #[test]
     fn clusters_are_exclusive_and_cover() {
         let f = fed();
-        let aux = f.auxiliary(&[0]);
-        let reports = cluster_analysis(&f, &fake_metrics(), &aux);
-        let all: Vec<usize> = reports.iter().flat_map(|r| r.clients.clone()).collect();
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), all.len(), "clusters must be disjoint");
-        assert_eq!(all.len(), 8, "clusters must cover all clients");
-        for r in &reports {
+        let aux = f.client(0).val.clone();
+        // Every population size up to all 8 clients, including none (a run
+        // whose clients are all compromised).
+        for rows in 0..=8 {
+            let reports = cluster_analysis(&f, &fake_metrics()[..rows], &aux);
+            let mut covered: Vec<usize> = reports.iter().flat_map(|r| r.clients.clone()).collect();
+            covered.sort_unstable();
+            let expected: Vec<usize> = (0..rows).collect();
+            assert_eq!(
+                covered, expected,
+                "{rows} rows: disjoint clusters covering all"
+            );
+            for r in &reports {
+                assert!(!r.clients.is_empty(), "{rows} rows: empty {}", r.label);
+                assert!(
+                    (0.0..=1.0).contains(&r.label_cosine),
+                    "{rows} rows, {}: {}",
+                    r.label,
+                    r.label_cosine
+                );
+                assert!(r.attack_sr.is_finite() && r.benign_ac.is_finite());
+            }
+        }
+    }
+
+    /// The per-member Eq. 9 cosine from the pooled splits of client `id`.
+    fn pooled_cosine(fed: &FederatedDataset, id: usize, aux: &Dataset) -> f64 {
+        let c = fed.client(id);
+        let mut local = c.train.clone();
+        local.extend_from(&c.test);
+        local.extend_from(&c.val);
+        cumulative_label_cosine(&local, aux)
+    }
+
+    #[test]
+    fn eq9_from_label_counts_is_bit_identical_and_renders_nothing() {
+        const N: usize = 40;
+        for alpha in [0.1, 1.0] {
+            let spec = ShardSpec::new(
+                ShardSource::Image(SyntheticImage::new(SyntheticImageConfig {
+                    samples: 1,
+                    side: 8,
+                    classes: 4,
+                    ..Default::default()
+                })),
+                30,
+                alpha,
+                17,
+            );
+            let eager = FederatedDataset::eager_from_shards(&spec, N);
+            let one_shard = eager.client(0).heap_bytes();
+            let lazy = FederatedDataset::lazy(spec, N, 4 * one_shard);
+            // Clients 0 and 1 play the compromised pair pooling D_a; every
+            // other client is benign and gets a distinct score.
+            let mut aux = Dataset::empty(eager.sample_shape(), eager.num_classes());
+            for id in [0, 1] {
+                let c = eager.client(id);
+                for split in [&c.train, &c.test, &c.val] {
+                    aux.extend_from(split);
+                }
+            }
+            let metrics: Vec<ClientMetrics> = (2..N)
+                .map(|id| ClientMetrics {
+                    client_id: id,
+                    benign_ac: 0.5,
+                    attack_sr: ((id * 7) % 11) as f64 / 10.0,
+                })
+                .collect();
+            // Touch every client, as the evaluation pass before Eq. 9 does.
+            for id in 0..N {
+                let _ = lazy.client(id);
+            }
+            let touched = lazy.shard_stats().expect("lazy");
             assert!(
-                (0.0..=1.0).contains(&r.label_cosine),
-                "{}: {}",
-                r.label,
-                r.label_cosine
+                touched.evictions > 0,
+                "alpha {alpha}: the budget must evict"
+            );
+            for id in 0..N {
+                assert_eq!(lazy.label_counts(id), eager.label_counts(id), "client {id}");
+            }
+            for fed in [&eager, &lazy] {
+                let reports = cluster_analysis(fed, &metrics, &aux);
+                assert_eq!(reports.len(), 4);
+                for r in &reports {
+                    let reference = r
+                        .clients
+                        .iter()
+                        .map(|&id| pooled_cosine(&eager, id, &aux))
+                        .sum::<f64>()
+                        / r.clients.len() as f64;
+                    assert_eq!(
+                        r.label_cosine.to_bits(),
+                        reference.to_bits(),
+                        "alpha {alpha}, cluster {}",
+                        r.label
+                    );
+                }
+            }
+            assert_eq!(
+                lazy.shard_stats().expect("lazy").misses,
+                touched.misses,
+                "alpha {alpha}: Eq. 9 rendered a shard"
             );
         }
     }

@@ -114,6 +114,35 @@ fn run_killed_midway_resumes_to_identical_final_params() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn resuming_a_completed_run_reports_its_final_evaluation() {
+    // The newest checkpoint is at `cfg.rounds`, so the resume runs no
+    // rounds; it still reports one evaluation point at the final state,
+    // with the client-level results of the run that wrote the checkpoint.
+    let dir = temp_dir("resume-complete");
+    let mut cfg = tiny_cfg();
+    cfg.attack = AttackKind::CollaPois;
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 5,
+        ..RunOptions::default()
+    };
+    let first = Scenario::new(cfg.clone()).run_with(&opts);
+    let resumed = Scenario::new(cfg.clone()).run_with(&RunOptions {
+        resume: true,
+        ..opts
+    });
+
+    assert!(resumed.records.is_empty(), "no round ran");
+    assert_eq!(resumed.rounds.len(), 1);
+    assert_eq!(resumed.final_round().round, cfg.rounds);
+    assert!(!first.clusters.is_empty());
+    assert_eq!(resumed.clients, first.clients);
+    assert_eq!(resumed.clusters, first.clusters);
+    assert_eq!(resumed.final_global, first.final_global);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Builds a snapshot from flat random material.
 fn snapshot_from(
     run_seed: u64,
