@@ -49,6 +49,13 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// The CLI reports every error as its message.
+impl From<ArgError> for String {
+    fn from(e: ArgError) -> Self {
+        e.to_string()
+    }
+}
+
 impl Args {
     /// Parses `tokens` (without the program name). Non-flag tokens after
     /// the subcommand are collected as positionals; commands that take

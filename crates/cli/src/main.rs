@@ -2,38 +2,38 @@
 //! reproduction.
 //!
 //! ```text
-//! collapois run   [--dataset image|text] [--alpha A] [--frac F]
-//!                 [--attack collapois|dpois|mrepl|dba|label-flip|none]
-//!                 [--defense none|dp|norm-bound|krum|rlr|median|trimmed-mean|
-//!                            signsgd|flare|crfl|stat-filter|user-dp]
-//!                 [--algo fedavg|feddc|metafed|ditto|clustered]
-//!                 [--rounds T] [--clients N] [--seed S] [--topk K]
-//!                 [--workers W] [--trace FILE] [--checkpoint-dir DIR]
-//!                 [--checkpoint-every E] [--resume true] [--monitor true]
-//!                 [--sim true] [--sim-arrival-ms A] [--sim-train-ms T]
-//!                 [--sim-buffer K] [--sim-deadline-ms D] [--sim-decay P]
-//!                 [--sim-up-ms U] [--sim-down-ms D] [--sim-concurrency C]
-//! collapois sweep [--attack ...] [--defense ...] [--algo ...] — alpha sweep
+//! collapois run   [CELL FLAGS] [--topk K] [--repeats R] [--workers W]
+//!                 [--trace FILE] [--checkpoint-dir DIR] [--checkpoint-every E]
+//!                 [--resume true] [--monitor true] [--profile-rounds true]
+//! collapois sweep [CELL FLAGS] [--workers W] — alpha sweep
 //! collapois grid  SCENARIOS.toml [--out REPORT.jsonl] [--workers W]
 //!                 [--fresh true] [--limit N] [--list true] — scenario matrix
 //! collapois bound [--a 0.9] [--b 1.0] [--clients N] — Theorem 1 table
 //! collapois trace --file RUN.jsonl — inspect a structured run trace
 //! collapois help   (or -h / --help anywhere on the command line)
 //! ```
+//!
+//! Each cell flag sets one `grid::schema` key ([`CELL_FLAGS`]), so `run`
+//! and `sweep` accept what a scenario file accepts and fail its validation
+//! with `error:` before anything runs. `run` is a grid of one cell per
+//! `--repeats` seed (default one), `sweep` a grid with an `alpha` axis.
+//! Vocabularies: attack collapois|dpois|mrepl|dba|label-flip|semantic|none
+//! (or lflip, clean); defense none|dp|norm-bound|krum|rlr|median|trimmed-mean|
+//! signsgd|flare|crfl|stat-filter|user-dp|fine-prune (or fine_prune); algo
+//! fedavg|feddc|metafed|ditto|clustered|scaffold; dataset image|text; model
+//! mlp|cnn; quant f32|f16|int8; cohort auto|eager|lazy.
 
 mod args;
 
-use args::{ArgError, Args};
-use collapois_core::scenario::{
-    AttackKind, CohortMode, DatasetKind, DefenseKind, FlAlgo, Quantization, RunOptions, Scenario,
-    ScenarioConfig, ScenarioModel, SimKnobs,
-};
+use args::Args;
+use collapois_core::scenario::{DatasetKind, RunOptions, Scenario, ScenarioReport};
 use collapois_core::theory::theorem1_bound;
 use collapois_fl::server::round_records_from_events;
 use collapois_grid::runner::{run_grid, CellStatus, GridRunOptions};
-use collapois_grid::schema::GridSpec;
-use collapois_runtime::fault::FaultPlan;
+use collapois_grid::schema::{CellSpec, GridCell, GridSpec, SCHEMA_VERSION};
+use collapois_grid::toml::{self, TomlTable, TomlValue};
 use collapois_runtime::trace::{read_trace, TraceEvent};
+use collapois_stats::descriptive::{mean, std_dev};
 use std::path::{Path, PathBuf};
 
 fn main() {
@@ -55,11 +55,11 @@ fn run(argv: &[String]) -> Result<(), String> {
         print_help();
         return Ok(());
     }
-    let args = Args::parse(argv.iter().map(String::as_str)).map_err(|e| e.to_string())?;
+    let args = Args::parse(argv.iter().map(String::as_str))?;
     // `grid` takes the scenario file as a positional; every other command
     // takes none.
     if args.command.as_deref() != Some("grid") {
-        args.expect_no_positionals().map_err(|e| e.to_string())?;
+        args.expect_no_positionals()?;
     }
     match args.command.as_deref() {
         Some("run") => cmd_run(&args),
@@ -93,28 +93,17 @@ fn print_help() {
          \u{20}  --fresh true         ignore an existing report and rerun every cell\n\
          \u{20}  --limit N            execute at most N cells this invocation\n\
          \u{20}  --list true          print the expanded cells without running\n\n\
-         common options:\n\
-         \u{20}  --dataset image|text   --alpha A      --frac F       --seed S\n\
+         cell options (run and sweep; each sets one grid-schema key and is\n\
+         validated like a scenario file before anything runs):\n\
+         \u{20}  --dataset image|text   --alpha A (0.1)   --frac F (0.01)   --seed S\n\
          \u{20}  --attack collapois|dpois|mrepl|dba|label-flip|semantic|none\n\
          \u{20}  --defense none|dp|norm-bound|krum|rlr|median|trimmed-mean|signsgd|\n\
          \u{20}            flare|crfl|stat-filter|user-dp|fine-prune\n\
          \u{20}  --algo fedavg|feddc|metafed|ditto|clustered|scaffold\n\
-         \u{20}  --model mlp|cnn   --repeats R\n\
-         \u{20}  --rounds T   --clients N   --topk K\n\
-         \u{20}  --quant f32|f16|int8   client-update transport codec (deterministic\n\
-         \u{20}                         RNE encode/decode round-trip; default f32)\n\
-         \u{20}  --cohort auto|eager|lazy   client-shard materialization; auto goes\n\
-         \u{20}                             lazy at >= 1024 clients\n\
-         \u{20}  --shard-budget-mb MB   resident-shard LRU byte budget for lazy\n\
-         \u{20}                         cohorts (0 = default 256 MB)\n\n\
-         execution (bit-identical for any worker count):\n\
-         \u{20}  --workers W            fan benign training over W threads\n\
-         \u{20}  --trace FILE           write a JSONL run trace\n\
-         \u{20}  --checkpoint-dir DIR   write periodic snapshots into DIR\n\
-         \u{20}  --checkpoint-every E   snapshot cadence in rounds (default 5)\n\
-         \u{20}  --resume true          resume from the newest intact snapshot in DIR\n\
-         \u{20}  --monitor true         emit shift-detector alerts into the trace\n\
-         \u{20}  --profile-rounds true  print the per-phase round-loop breakdown\n\n\
+         \u{20}  --model mlp|cnn   --rounds T   --clients N\n\
+         \u{20}  --quant f32|f16|int8   client-update codec, a deterministic RNE round-trip\n\
+         \u{20}  --cohort auto|eager|lazy   shard materialization (auto: lazy at >= 1024)\n\
+         \u{20}  --shard-budget-mb MB   lazy-shard LRU byte budget (0 = 256 MB)\n\n\
          fault injection (deterministic per seed; faults land in the trace):\n\
          \u{20}  --fault-dropout P        per-client per-round dropout probability\n\
          \u{20}  --fault-straggler P      per-client straggler probability\n\
@@ -122,8 +111,9 @@ fn print_help() {
          \u{20}  --fault-deadline-ms D    round deadline shedding stragglers (0 = none)\n\
          \u{20}  --fault-corrupt P        per-client in-flight corruption probability\n\
          \u{20}  --fault-checkpoint P     per-attempt checkpoint-write failure probability\n\n\
-         buffered-async simulation (discrete-event, deterministic per seed;\n\
-         any --sim-* flag implies --sim true; --rounds sets the flush target):\n\
+         buffered-async simulation (discrete-event, deterministic per seed; any\n\
+         --sim-* flag implies --sim true; --rounds sets the flush target; only\n\
+         --defense none|fine-prune, and no active fault plan):\n\
          \u{20}  --sim true             run FedBuff on the virtual-time simulator\n\
          \u{20}  --sim-arrival-ms A     mean Poisson inter-arrival gap per client, ms\n\
          \u{20}  --sim-train-ms T       mean virtual training duration, ms\n\
@@ -132,26 +122,57 @@ fn print_help() {
          \u{20}  --sim-decay P          staleness weight exponent (1+s)^-P\n\
          \u{20}  --sim-up-ms U          mean available stretch for churn (0 = no churn)\n\
          \u{20}  --sim-down-ms D        mean offline stretch for churn\n\
-         \u{20}  --sim-concurrency C    max clients training at once"
+         \u{20}  --sim-concurrency C    max clients training at once\n\n\
+         execution (run only, except --workers; bit-identical for any W):\n\
+         \u{20}  --workers W            fan benign training over W threads\n\
+         \u{20}  --topk K               report the top-K% clients, 0 < K <= 100 (25)\n\
+         \u{20}  --repeats R            run seeds S, S+1000003, ...; print mean +/- std\n\
+         \u{20}  --trace FILE           write a JSONL run trace\n\
+         \u{20}  --checkpoint-dir DIR   write periodic snapshots into DIR\n\
+         \u{20}  --checkpoint-every E   snapshot cadence in rounds (default 5)\n\
+         \u{20}  --resume true          resume from the newest intact snapshot in DIR\n\
+         \u{20}  --monitor true         emit shift-detector alerts into the trace\n\
+         \u{20}  --profile-rounds true  print the per-phase round-loop breakdown"
     );
 }
 
-const RUN_KEYS: &[&str] = &[
-    "dataset",
-    "alpha",
-    "frac",
-    "attack",
-    "defense",
-    "algo",
-    "rounds",
-    "clients",
-    "seed",
-    "topk",
-    "model",
-    "repeats",
-    "quant",
-    "cohort",
-    "shard-budget-mb",
+/// `(flag, grid key)` for every `run`/`sweep` flag that sets a cell key.
+/// The given flags become the `[base]` of a grid that `grid::schema`
+/// validates and expands — the same code `collapois grid` runs.
+const CELL_FLAGS: &[(&str, &str)] = &[
+    ("dataset", "dataset"),
+    ("alpha", "alpha"),
+    ("frac", "compromised_frac"),
+    ("attack", "attack"),
+    ("defense", "defense"),
+    ("algo", "algo"),
+    ("model", "model"),
+    ("rounds", "rounds"),
+    ("clients", "clients"),
+    ("seed", "seed"),
+    ("quant", "quantization"),
+    ("cohort", "cohort"),
+    ("shard-budget-mb", "shard_budget_mb"),
+    ("fault-dropout", "fault.dropout"),
+    ("fault-straggler", "fault.straggler"),
+    ("fault-delay-ms", "fault.straggler_mean_ms"),
+    ("fault-deadline-ms", "fault.deadline_ms"),
+    ("fault-corrupt", "fault.corrupt"),
+    ("fault-checkpoint", "fault.checkpoint_fail"),
+    ("sim", "sim.enabled"),
+    ("sim-arrival-ms", "sim.arrival_mean_ms"),
+    ("sim-train-ms", "sim.train_mean_ms"),
+    ("sim-buffer", "sim.buffer_k"),
+    ("sim-deadline-ms", "sim.flush_deadline_ms"),
+    ("sim-decay", "sim.staleness_decay"),
+    ("sim-up-ms", "sim.churn_up_ms"),
+    ("sim-down-ms", "sim.churn_down_ms"),
+    ("sim-concurrency", "sim.max_concurrency"),
+];
+
+/// `run`'s flags that steer how its cells execute rather than what they
+/// are. `sweep` takes only `--workers`: its cells' files would collide.
+const EXEC_FLAGS: &[&str] = &[
     "workers",
     "trace",
     "checkpoint-dir",
@@ -159,195 +180,126 @@ const RUN_KEYS: &[&str] = &[
     "resume",
     "monitor",
     "profile-rounds",
-    "fault-dropout",
-    "fault-straggler",
-    "fault-delay-ms",
-    "fault-deadline-ms",
-    "fault-corrupt",
-    "fault-checkpoint",
-    "sim",
-    "sim-arrival-ms",
-    "sim-train-ms",
-    "sim-buffer",
-    "sim-deadline-ms",
-    "sim-decay",
-    "sim-up-ms",
-    "sim-down-ms",
-    "sim-concurrency",
+    "topk",
+    "repeats",
 ];
 
-/// The `--sim-*` knob keys: presence of any implies `--sim true`.
-const SIM_KNOB_KEYS: &[&str] = &[
-    "sim-arrival-ms",
-    "sim-train-ms",
-    "sim-buffer",
-    "sim-deadline-ms",
-    "sim-decay",
-    "sim-up-ms",
-    "sim-down-ms",
-    "sim-concurrency",
-];
-
-fn parse_attack(s: &str) -> Result<AttackKind, String> {
-    Ok(match s {
-        "collapois" => AttackKind::CollaPois,
-        "dpois" => AttackKind::DPois,
-        "mrepl" => AttackKind::MRepl,
-        "dba" => AttackKind::Dba,
-        "label-flip" | "lflip" => AttackKind::LabelFlip,
-        "semantic" => AttackKind::Semantic,
-        "none" | "clean" => AttackKind::None,
-        other => return Err(format!("unknown attack '{other}'")),
-    })
-}
-
-fn parse_defense(s: &str) -> Result<DefenseKind, String> {
-    let s = if s == "fine_prune" { "fine-prune" } else { s };
-    DefenseKind::all()
-        .iter()
-        .copied()
-        .find(|d| d.name() == s)
-        .ok_or_else(|| format!("unknown defense '{s}'"))
-}
-
-fn parse_algo(s: &str) -> Result<FlAlgo, String> {
-    Ok(match s {
-        "fedavg" => FlAlgo::FedAvg,
-        "feddc" => FlAlgo::FedDc,
-        "metafed" => FlAlgo::MetaFed,
-        "ditto" => FlAlgo::Ditto,
-        "clustered" => FlAlgo::Clustered,
-        "scaffold" => FlAlgo::Scaffold,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
-fn build_config(args: &Args) -> Result<ScenarioConfig, String> {
-    if let Some(k) = args.unknown_key(RUN_KEYS) {
+/// The grid the flags describe: `[base]` is the CLI defaults overlaid with
+/// every given cell flag, and `axis` is its one axis. A bad flag fails
+/// here, before anything runs, naming the grid key it sets.
+fn flag_cells(
+    args: &Args,
+    exec_flags: &[&str],
+    (axis, values): (&str, Vec<TomlValue>),
+) -> Result<Vec<GridCell>, String> {
+    let known: Vec<&str> = CELL_FLAGS.iter().map(|&(flag, _)| flag).collect();
+    if let Some(k) = args.unknown_key(&[&known, exec_flags].concat()) {
         return Err(format!("unknown option --{k}"));
     }
-    let err = |e: ArgError| e.to_string();
-    let alpha: f64 = args.get_or("alpha", 0.1).map_err(err)?;
-    let frac: f64 = args.get_or("frac", 0.01).map_err(err)?;
-    let dataset = match args.get("dataset").unwrap_or("image") {
-        "image" => DatasetKind::Image,
-        "text" => DatasetKind::Text,
-        other => return Err(format!("unknown dataset '{other}'")),
-    };
-    let mut cfg = match dataset {
-        DatasetKind::Image => ScenarioConfig::quick_image(alpha, frac),
-        DatasetKind::Text => ScenarioConfig::quick_text(alpha, frac),
-    };
-    cfg.attack = parse_attack(args.get("attack").unwrap_or("collapois"))?;
-    cfg.defense = parse_defense(args.get("defense").unwrap_or("none"))?;
-    cfg.algo = parse_algo(args.get("algo").unwrap_or("fedavg"))?;
-    cfg.rounds = args.get_or("rounds", cfg.rounds).map_err(err)?;
-    cfg.eval_every = (cfg.rounds / 4).max(1);
-    cfg.num_clients = args.get_or("clients", cfg.num_clients).map_err(err)?;
-    cfg.seed = args.get_or("seed", cfg.seed).map_err(err)?;
-    cfg.model_kind = match args.get("model").unwrap_or("mlp") {
-        "mlp" => ScenarioModel::Mlp,
-        "cnn" | "lenet" => ScenarioModel::Cnn,
-        other => return Err(format!("unknown model '{other}'")),
-    };
-    let quant = args.get("quant").unwrap_or("f32");
-    cfg.quantization =
-        Quantization::parse(quant).ok_or_else(|| format!("unknown quant '{quant}'"))?;
-    cfg.cohort = match args.get("cohort").unwrap_or("auto") {
-        "auto" => CohortMode::Auto,
-        "eager" => CohortMode::Eager,
-        "lazy" => CohortMode::Lazy,
-        other => return Err(format!("unknown cohort mode '{other}'")),
-    };
-    cfg.shard_budget_mb = args
-        .get_or("shard-budget-mb", cfg.shard_budget_mb)
-        .map_err(err)?;
-    Ok(cfg)
-}
-
-fn build_fault_plan(args: &Args) -> Result<FaultPlan, String> {
-    let err = |e: ArgError| e.to_string();
-    let none = FaultPlan::none();
-    let plan = FaultPlan {
-        dropout: args.get_or("fault-dropout", none.dropout).map_err(err)?,
-        straggler: args
-            .get_or("fault-straggler", none.straggler)
-            .map_err(err)?,
-        straggler_mean_ms: args
-            .get_or("fault-delay-ms", none.straggler_mean_ms)
-            .map_err(err)?,
-        deadline_ms: args
-            .get_or("fault-deadline-ms", none.deadline_ms)
-            .map_err(err)?,
-        corrupt: args.get_or("fault-corrupt", none.corrupt).map_err(err)?,
-        checkpoint_fail: args
-            .get_or("fault-checkpoint", none.checkpoint_fail)
-            .map_err(err)?,
-    };
-    plan.validate()?;
-    Ok(plan)
-}
-
-fn build_sim_knobs(args: &Args) -> Result<Option<SimKnobs>, String> {
-    let err = |e: ArgError| e.to_string();
-    let enabled = args.get_or("sim", false).map_err(err)?
-        || SIM_KNOB_KEYS.iter().any(|k| args.get(k).is_some());
-    if !enabled {
-        return Ok(None);
+    // A bare word such as `krum` is not a TOML value: it is the string.
+    let value = |t: &str| toml::parse_value(t).unwrap_or_else(|_| TomlValue::Str(t.into()));
+    let given = CELL_FLAGS
+        .iter()
+        .filter_map(|&(flag, key)| Some((key, value(args.get(flag)?))));
+    // The CLI's defaults where they differ from the schema's; any `--sim-*`
+    // knob implies `--sim true`.
+    let rounds: usize = args.get_or("rounds", CellSpec::default().config.rounds)?;
+    let sim_knob = CELL_FLAGS
+        .iter()
+        .any(|(f, _)| f.starts_with("sim-") && args.get(f).is_some());
+    let defaults = [
+        ("alpha", TomlValue::Float(0.1)),
+        ("compromised_frac", TomlValue::Float(0.01)),
+        ("eval_every", TomlValue::Int((rounds / 4).max(1) as i64)),
+        ("sim.enabled", TomlValue::Bool(sim_knob)),
+    ];
+    // Given flags first, so a default fills only the keys no flag set.
+    let mut base = TomlTable::new();
+    for (key, value) in given.chain(defaults) {
+        if base.get_path(key).is_none() {
+            base.insert_path(&key.split('.').collect::<Vec<_>>(), value)?;
+        }
     }
-    let d = SimKnobs::default();
-    Ok(Some(SimKnobs {
-        arrival_mean_ms: args
-            .get_or("sim-arrival-ms", d.arrival_mean_ms)
-            .map_err(err)?,
-        train_mean_ms: args.get_or("sim-train-ms", d.train_mean_ms).map_err(err)?,
-        buffer_k: args.get_or("sim-buffer", d.buffer_k).map_err(err)?,
-        flush_deadline_ms: args
-            .get_or("sim-deadline-ms", d.flush_deadline_ms)
-            .map_err(err)?,
-        staleness_decay: args.get_or("sim-decay", d.staleness_decay).map_err(err)?,
-        churn_up_ms: args.get_or("sim-up-ms", d.churn_up_ms).map_err(err)?,
-        churn_down_ms: args.get_or("sim-down-ms", d.churn_down_ms).map_err(err)?,
-        max_concurrency: args
-            .get_or("sim-concurrency", d.max_concurrency)
-            .map_err(err)?,
-    }))
+    let mut axes = TomlTable::new();
+    axes.insert(axis, TomlValue::Array(values))?;
+    let mut root = TomlTable::new();
+    root.insert("schema_version", TomlValue::Int(SCHEMA_VERSION))?;
+    root.insert("name", TomlValue::Str("cli".into()))?;
+    root.insert("base", TomlValue::Table(base))?;
+    root.insert("axes", TomlValue::Table(axes))?;
+    let spec = GridSpec::from_table(&root).map_err(|e| e.to_string())?;
+    spec.cells().map_err(|e| e.to_string())
 }
 
-fn build_run_options(args: &Args) -> Result<RunOptions, String> {
-    let err = |e: ArgError| e.to_string();
-    Ok(RunOptions {
-        workers: args.get_or("workers", 1).map_err(err)?,
-        trace_path: args.get("trace").map(PathBuf::from),
-        checkpoint_dir: args.get("checkpoint-dir").map(PathBuf::from),
-        checkpoint_every: args.get_or("checkpoint-every", 0).map_err(err)?,
-        resume: args.get_or("resume", false).map_err(err)?,
-        monitor: args.get_or("monitor", false).map_err(err)?,
-        profile_rounds: args.get_or("profile-rounds", false).map_err(err)?,
-        fault: build_fault_plan(args)?,
-        sim: build_sim_knobs(args)?,
+/// `run`'s cells: one per seed s, s + 1,000,003, … of `--repeats R` (the
+/// paper repeats every experiment and reports mean ± std). A seed past
+/// `i64::MAX` wraps negative and fails the schema's seed check.
+fn run_cells(args: &Args, repeats: usize) -> Result<Vec<GridCell>, String> {
+    let seed: u64 = args.get_or("seed", CellSpec::default().config.seed)?;
+    let seeds = (0..repeats as u64).map(|r| seed.wrapping_add(r * 1_000_003) as i64);
+    let seeds = seeds.map(TomlValue::Int).collect();
+    flag_cells(args, EXEC_FLAGS, ("seed", seeds))
+}
+
+/// `sweep`'s cells: one per Dirichlet α of the paper's sweep.
+fn sweep_cells(args: &Args) -> Result<Vec<GridCell>, String> {
+    let alphas = [0.01, 0.1, 1.0, 10.0, 100.0].map(TomlValue::Float);
+    flag_cells(args, &["workers"], ("alpha", alphas.to_vec()))
+}
+
+/// Runs one cell under `opts` with the cell's own fault plan and sim knobs,
+/// as `run_grid` does.
+fn run_cell(cell: &GridCell, opts: &RunOptions) -> ScenarioReport {
+    Scenario::new(cell.spec.config.clone()).run_with(&RunOptions {
+        fault: cell.spec.fault,
+        sim: cell.spec.sim_enabled.then_some(cell.spec.sim),
+        ..opts.clone()
     })
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let cfg = build_config(args)?;
-    let opts = build_run_options(args)?;
-    if opts.sim.is_some() {
-        cfg.defense.check_sim()?;
+    let topk: f64 = args.get_or("topk", 25.0)?;
+    if !(topk > 0.0 && topk <= 100.0) {
+        return Err(format!("option --topk: {topk} is outside (0, 100]"));
     }
-    let topk: f64 = args.get_or("topk", 25.0).map_err(|e| e.to_string())?;
-    let repeats: usize = args.get_or("repeats", 1).map_err(|e| e.to_string())?;
+    let repeats: usize = args.get_or("repeats", 1)?;
+    if repeats == 0 {
+        return Err("option --repeats: need at least one run".into());
+    }
+    let opts = RunOptions {
+        workers: args.get_or("workers", 1)?,
+        trace_path: args.get("trace").map(PathBuf::from),
+        checkpoint_dir: args.get("checkpoint-dir").map(PathBuf::from),
+        checkpoint_every: args.get_or("checkpoint-every", 0)?,
+        resume: args.get_or("resume", false)?,
+        monitor: args.get_or("monitor", false)?,
+        profile_rounds: args.get_or("profile-rounds", false)?,
+        ..RunOptions::default()
+    };
+    if repeats > 1 && (opts.trace_path.is_some() || opts.checkpoint_dir.is_some()) {
+        return Err("--repeats runs would overwrite their --trace/--checkpoint-dir files".into());
+    }
+    let cells = run_cells(args, repeats)?;
     if repeats > 1 {
-        let rep = Scenario::new(cfg).run_repeated(repeats);
+        let (acs, srs): (Vec<f64>, Vec<f64>) = cells
+            .iter()
+            .map(|cell| {
+                let report = run_cell(cell, &opts);
+                let last = report.final_round();
+                (last.benign_accuracy, last.attack_success_rate)
+            })
+            .unzip();
         println!(
             "{repeats} runs: benign AC {:.2}% +/- {:.2}, attack SR {:.2}% +/- {:.2}",
-            100.0 * rep.benign_ac_mean,
-            100.0 * rep.benign_ac_std,
-            100.0 * rep.attack_sr_mean,
-            100.0 * rep.attack_sr_std
+            100.0 * mean(&acs),
+            100.0 * std_dev(&acs),
+            100.0 * mean(&srs),
+            100.0 * std_dev(&srs)
         );
         return Ok(());
     }
+    let cell = &cells[0];
+    let cfg = &cell.spec.config;
     println!(
         "scenario: {} | attack={} defense={} algo={} alpha={} |C|={} of {} | {} rounds",
         match cfg.dataset {
@@ -362,7 +314,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         cfg.num_clients,
         cfg.rounds
     );
-    if let Some(knobs) = &opts.sim {
+    if cell.spec.sim_enabled {
+        let knobs = &cell.spec.sim;
         println!(
             "mode: buffered-async sim | arrival {} ms, train {} ms, K={}, deadline {}, \
              decay {}, concurrency {}",
@@ -378,7 +331,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             knobs.max_concurrency
         );
     }
-    let report = Scenario::new(cfg).run_with(&opts);
+    let report = run_cell(cell, &opts);
     if let Some(x) = &report.trojan {
         println!(
             "trojaned model X: clean acc {:.1}%, trigger success {:.1}%",
@@ -426,13 +379,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let base = build_config(args)?;
-    // The sweep honors --workers; per-run trace/checkpoint paths would
-    // overwrite each other across alphas, so only the thread knob applies.
+    let cells = sweep_cells(args)?;
     let opts = RunOptions {
-        workers: build_run_options(args)?.workers,
+        workers: args.get_or("workers", 1)?,
         ..RunOptions::default()
     };
+    let base = &cells[0].spec.config;
     println!(
         "alpha sweep: attack={} defense={} algo={}",
         base.attack.name(),
@@ -440,14 +392,12 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         base.algo.name()
     );
     println!("{:<8} {:>10} {:>10}", "alpha", "benign AC", "attack SR");
-    for alpha in [0.01, 0.1, 1.0, 10.0, 100.0] {
-        let mut cfg = base.clone();
-        cfg.alpha = alpha;
-        let report = Scenario::new(cfg).run_with(&opts);
+    for cell in &cells {
+        let report = run_cell(cell, &opts);
         let last = report.final_round();
         println!(
             "{:<8} {:>9.2}% {:>9.2}%",
-            alpha,
+            cell.spec.config.alpha,
             100.0 * last.benign_accuracy,
             100.0 * last.attack_success_rate
         );
@@ -461,12 +411,10 @@ fn cmd_grid(args: &Args) -> Result<(), String> {
     if let Some(k) = args.unknown_key(GRID_KEYS) {
         return Err(format!("unknown option --{k}"));
     }
-    args.expect_at_most_positionals(1)
-        .map_err(|e| e.to_string())?;
+    args.expect_at_most_positionals(1)?;
     let scenario_path = args
         .positional(0)
         .ok_or("grid requires a scenario file: collapois grid SCENARIOS.toml")?;
-    let err = |e: ArgError| e.to_string();
     let text = std::fs::read_to_string(scenario_path)
         .map_err(|e| format!("cannot read {scenario_path}: {e}"))?;
     let spec = GridSpec::parse(&text).map_err(|e| format!("{scenario_path}: {e}"))?;
@@ -485,7 +433,7 @@ fn cmd_grid(args: &Args) -> Result<(), String> {
         cells.len(),
         axes.join(" x ")
     );
-    if args.get_or("list", false).map_err(err)? {
+    if args.get_or("list", false)? {
         for cell in &cells {
             println!(
                 "{:>4}  {}  config=0x{:016x}",
@@ -500,9 +448,9 @@ fn cmd_grid(args: &Args) -> Result<(), String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| default_report_path(scenario_path));
     let opts = GridRunOptions {
-        workers: args.get_or("workers", 0).map_err(err)?,
-        fresh: args.get_or("fresh", false).map_err(err)?,
-        limit: args.get_or("limit", 0).map_err(err)?,
+        workers: args.get_or("workers", 0)?,
+        fresh: args.get_or("fresh", false)?,
+        limit: args.get_or("limit", 0)?,
     };
     let total = cells.len();
     let outcome = run_grid(&spec, &out, &opts, |cell, status| {
@@ -537,12 +485,14 @@ fn default_report_path(scenario_path: &str) -> PathBuf {
 }
 
 fn cmd_bound(args: &Args) -> Result<(), String> {
-    let err = |e: ArgError| e.to_string();
-    let a: f64 = args.get_or("a", 0.9).map_err(err)?;
-    let b: f64 = args.get_or("b", 1.0).map_err(err)?;
-    let n: usize = args.get_or("clients", 1000).map_err(err)?;
+    let a: f64 = args.get_or("a", 0.9)?;
+    let b: f64 = args.get_or("b", 1.0)?;
+    let n: usize = args.get_or("clients", 1000)?;
     if !(0.0 < a && a < b && b <= 1.0) {
         return Err("psi range must satisfy 0 < a < b <= 1".into());
+    }
+    if n == 0 {
+        return Err("option --clients: the bound needs at least one client".into());
     }
     println!("Theorem 1 lower bound |C| for N = {n}, psi ~ U[{a}, {b}]");
     println!("{:<8} 0.0      0.25     0.5      0.75     1.0", "mu\\sigma");
@@ -732,168 +682,140 @@ mod tests {
         }
     }
 
-    #[test]
-    fn config_builder_applies_options() {
-        let args = Args::parse([
-            "run",
-            "--dataset",
-            "text",
-            "--alpha",
-            "0.5",
-            "--frac",
-            "0.05",
-            "--attack",
-            "dpois",
-            "--defense",
-            "krum",
-            "--algo",
-            "feddc",
-            "--rounds",
-            "7",
-            "--clients",
-            "30",
-            "--seed",
-            "9",
-            "--quant",
-            "int8",
-        ])
-        .unwrap();
-        let cfg = build_config(&args).unwrap();
-        assert_eq!(cfg.dataset, DatasetKind::Text);
-        assert_eq!(cfg.alpha, 0.5);
-        assert_eq!(cfg.attack, AttackKind::DPois);
-        assert_eq!(cfg.defense, DefenseKind::Krum);
-        assert_eq!(cfg.algo, FlAlgo::FedDc);
-        assert_eq!(cfg.rounds, 7);
-        assert_eq!(cfg.num_clients, 30);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.quantization, Quantization::Int8);
+    fn argv(tokens: &str) -> Vec<String> {
+        tokens.split(' ').map(String::from).collect()
+    }
+
+    /// The one cell `run` resolves `tokens` to.
+    fn run_spec(tokens: &str) -> CellSpec {
+        let args = Args::parse(argv(tokens)).unwrap();
+        run_cells(&args, 1).unwrap().remove(0).spec
+    }
+
+    /// The one cell of a grid file whose `[base]` holds `assignments`.
+    fn grid_spec(assignments: &[(&str, String)]) -> CellSpec {
+        let mut doc = "schema_version = 1\nname = \"t\"\n[base]\n".to_string();
+        for (key, value) in assignments {
+            doc.push_str(&format!("{key} = {value}\n"));
+        }
+        GridSpec::parse(&doc)
+            .unwrap()
+            .cells()
+            .unwrap()
+            .remove(0)
+            .spec
     }
 
     #[test]
-    fn config_builder_applies_cohort_options() {
-        let args = Args::parse(["run", "--cohort", "lazy", "--shard-budget-mb", "64"]).unwrap();
-        let cfg = build_config(&args).unwrap();
-        assert_eq!(cfg.cohort, CohortMode::Lazy);
-        assert_eq!(cfg.shard_budget_mb, 64);
-        let cfg = build_config(&Args::parse(["run"]).unwrap()).unwrap();
-        assert_eq!(cfg.cohort, CohortMode::Auto);
-        let args = Args::parse(["run", "--cohort", "maybe"]).unwrap();
-        assert!(build_config(&args).unwrap_err().contains("maybe"));
-    }
-
-    #[test]
-    fn config_builder_rejects_bad_input() {
-        let args = Args::parse(["run", "--attack", "zeus"]).unwrap();
-        assert!(build_config(&args).is_err());
-        let args = Args::parse(["run", "--dataset", "audio"]).unwrap();
-        assert!(build_config(&args).is_err());
-        let args = Args::parse(["run", "--alfa", "1"]).unwrap();
-        assert!(build_config(&args).unwrap_err().contains("--alfa"));
-        let args = Args::parse(["run", "--quant", "int4"]).unwrap();
-        assert!(build_config(&args).unwrap_err().contains("int4"));
-    }
-
-    #[test]
-    fn run_options_parse() {
-        let args = Args::parse([
-            "run",
-            "--workers",
-            "4",
-            "--trace",
-            "/tmp/t.jsonl",
-            "--checkpoint-dir",
-            "/tmp/ck",
-            "--checkpoint-every",
-            "3",
-            "--resume",
-            "true",
-            "--monitor",
-            "true",
-        ])
-        .unwrap();
-        let opts = build_run_options(&args).unwrap();
-        assert_eq!(opts.workers, 4);
-        assert_eq!(opts.trace_path.as_deref(), Some(Path::new("/tmp/t.jsonl")));
-        assert_eq!(opts.checkpoint_dir.as_deref(), Some(Path::new("/tmp/ck")));
-        assert_eq!(opts.checkpoint_every, 3);
-        assert!(opts.resume);
-        assert!(opts.monitor);
-        // Defaults: sequential, nothing written.
-        let defaults = build_run_options(&Args::parse(["run"]).unwrap()).unwrap();
-        assert_eq!(
-            defaults,
-            RunOptions {
-                workers: 1,
-                ..RunOptions::default()
+    fn every_cell_flag_resolves_like_its_grid_key() {
+        for &(flag, key) in CELL_FLAGS {
+            // A valid value other than the default, as a TOML literal.
+            let literal = match key {
+                "dataset" => "\"text\"",
+                "alpha" => "0.5",
+                "compromised_frac" => "0.05",
+                "attack" => "\"dpois\"",
+                "defense" => "\"krum\"",
+                "algo" => "\"feddc\"",
+                "model" => "\"cnn\"",
+                "rounds" => "12",
+                "clients" => "30",
+                "seed" => "9",
+                "quantization" => "\"int8\"",
+                "cohort" => "\"lazy\"",
+                "shard_budget_mb" => "64",
+                "sim.enabled" => "true",
+                "sim.buffer_k" | "sim.max_concurrency" => "3",
+                // Every other key is a probability, a duration or a rate.
+                _ => "0.25",
+            };
+            let cli = run_spec(&format!("run --{flag} {}", literal.trim_matches('"')));
+            // The grid file spells out the CLI defaults, then `key = value`.
+            let rounds = if key == "rounds" { 12 } else { 40 };
+            let mut base = vec![
+                ("alpha", "0.1".to_string()),
+                ("compromised_frac", "0.01".to_string()),
+                ("eval_every", (rounds / 4).to_string()),
+            ];
+            if flag.starts_with("sim-") {
+                base.push(("sim.enabled", "true".to_string()));
             }
-        );
+            base.retain(|&(k, _)| k != key);
+            base.push((key, literal.to_string()));
+            assert_eq!(cli, grid_spec(&base), "--{flag} vs {key}");
+            assert_ne!(cli, run_spec("run"), "--{flag} has an effect");
+        }
     }
 
     #[test]
-    fn fault_flags_parse_and_validate() {
-        let args = Args::parse([
-            "run",
-            "--fault-dropout",
-            "0.2",
-            "--fault-straggler",
-            "0.1",
-            "--fault-delay-ms",
-            "40",
-            "--fault-deadline-ms",
-            "25",
-            "--fault-corrupt",
-            "0.05",
-            "--fault-checkpoint",
-            "0.5",
-        ])
-        .unwrap();
-        let opts = build_run_options(&args).unwrap();
-        assert_eq!(opts.fault.dropout, 0.2);
-        assert_eq!(opts.fault.straggler, 0.1);
-        assert_eq!(opts.fault.straggler_mean_ms, 40.0);
-        assert_eq!(opts.fault.deadline_ms, 25.0);
-        assert_eq!(opts.fault.corrupt, 0.05);
-        assert_eq!(opts.fault.checkpoint_fail, 0.5);
-        assert!(opts.fault.is_active());
-        // Default: no faults.
-        let defaults = build_run_options(&Args::parse(["run"]).unwrap()).unwrap();
-        assert!(!defaults.fault.is_active());
-        // Out-of-range probability is rejected before any run starts.
-        let bad = Args::parse(["run", "--fault-dropout", "1.5"]).unwrap();
-        assert!(build_run_options(&bad).is_err());
+    fn cli_defaults_differ_from_the_schema_only_where_documented() {
+        let cell = run_spec("run");
+        let mut expected = CellSpec::default();
+        expected.config.alpha = 0.1;
+        expected.config.compromised_frac = 0.01;
+        assert_eq!(cell, expected);
+        assert_eq!(cell.config.eval_every, 10, "40 rounds / 4");
+        assert!(!cell.sim_enabled);
+        assert_eq!(run_spec("run --rounds 12").config.eval_every, 3);
+        assert_eq!(run_spec("run --rounds 3").config.eval_every, 1);
+        // Any single `--sim-*` knob turns sim mode on.
+        for &(flag, _) in CELL_FLAGS.iter().filter(|(f, _)| f.starts_with("sim-")) {
+            assert!(run_spec(&format!("run --{flag} 4")).sim_enabled, "--{flag}");
+        }
     }
 
     #[test]
-    fn sim_flags_parse_and_imply_sim_mode() {
-        // Off by default.
-        let defaults = build_run_options(&Args::parse(["run"]).unwrap()).unwrap();
-        assert!(defaults.sim.is_none());
-        // --sim true alone enables the defaults.
-        let opts = build_run_options(&Args::parse(["run", "--sim", "true"]).unwrap()).unwrap();
-        assert_eq!(opts.sim, Some(SimKnobs::default()));
-        // Any knob implies sim mode and overrides its default.
-        let args = Args::parse([
-            "run",
-            "--sim-arrival-ms",
-            "25",
-            "--sim-buffer",
-            "32",
-            "--sim-deadline-ms",
-            "120",
-            "--sim-up-ms",
-            "400",
-            "--sim-down-ms",
-            "100",
-        ])
-        .unwrap();
-        let knobs = build_run_options(&args).unwrap().sim.expect("implied");
-        assert_eq!(knobs.arrival_mean_ms, 25.0);
-        assert_eq!(knobs.buffer_k, 32);
-        assert_eq!(knobs.flush_deadline_ms, 120.0);
-        assert_eq!(knobs.churn_up_ms, 400.0);
-        assert_eq!(knobs.churn_down_ms, 100.0);
-        assert_eq!(knobs.train_mean_ms, SimKnobs::default().train_mean_ms);
+    fn repeats_add_a_seed_axis_of_distinct_runs() {
+        let seeds =
+            |cells: &[GridCell]| cells.iter().map(|c| c.spec.config.seed).collect::<Vec<_>>();
+        let cells = run_cells(&Args::parse(argv("run")).unwrap(), 2).unwrap();
+        assert_eq!(seeds(&cells), [42, 1_000_045]);
+        let args = Args::parse(argv("run --rounds 2 --clients 8 --attack none --seed 5")).unwrap();
+        let cells = run_cells(&args, 3).unwrap();
+        assert_eq!(seeds(&cells), [5, 1_000_008, 2_000_011]);
+        let finals: Vec<Vec<f32>> = cells
+            .iter()
+            .map(|cell| run_cell(cell, &RunOptions::default()).final_global)
+            .collect();
+        assert_ne!(finals[0], finals[1]);
+        assert_ne!(finals[1], finals[2]);
+    }
+
+    #[test]
+    fn sweep_is_an_alpha_axis_over_every_cell_flag() {
+        let sweep = |tokens: &str| sweep_cells(&Args::parse(argv(tokens)).unwrap()).unwrap();
+        let cells = sweep("sweep --fault-dropout 0.2 --workers 2");
+        let alphas: Vec<f64> = cells.iter().map(|c| c.spec.config.alpha).collect();
+        assert_eq!(alphas, [0.01, 0.1, 1.0, 10.0, 100.0]);
+        assert!(cells.iter().all(|c| c.spec.fault.dropout == 0.2));
+        let cells = sweep("sweep --sim true --defense fine-prune");
+        assert!(cells.iter().all(|c| c.spec.sim_enabled));
+    }
+
+    #[test]
+    fn invalid_configs_fail_before_running_and_name_their_flag_or_key() {
+        for (tokens, needle) in [
+            ("run --defense fine-prune --model cnn", "model"),
+            ("run --clients 0", "clients"),
+            ("run --rounds 0", "rounds"),
+            ("sweep --rounds 0", "rounds"),
+            ("run --alpha 0", "alpha"),
+            ("run --clients 1", "clients"),
+            ("run --frac 2", "compromised_frac"),
+            ("run --sim true --fault-dropout 0.2", "fault"),
+            ("run --sim-decay -1", "sim.staleness_decay"),
+            ("run --model lenet", "model"),
+            ("run --seed 9223372036854775808", "seed"),
+            ("run --topk 0", "--topk"),
+            ("run --topk NaN", "--topk"),
+            ("run --repeats 0", "--repeats"),
+            ("run --repeats 2 --trace x", "--trace"),
+            ("sweep --sim true --defense krum", "sim"),
+            ("sweep --trace x", "--trace"),
+        ] {
+            let e = run(&argv(tokens)).unwrap_err();
+            assert!(e.contains(needle), "{tokens}: {e}");
+        }
     }
 
     #[test]
@@ -931,24 +853,8 @@ mod tests {
             "0.5".into(),
         ];
         assert!(run(&args).is_err());
-    }
-
-    #[test]
-    fn parse_helpers_cover_all_names() {
-        for d in DefenseKind::all() {
-            assert_eq!(parse_defense(d.name()).unwrap(), *d);
-        }
-        for (s, a) in [
-            ("collapois", AttackKind::CollaPois),
-            ("label-flip", AttackKind::LabelFlip),
-            ("lflip", AttackKind::LabelFlip),
-            ("none", AttackKind::None),
-        ] {
-            assert_eq!(parse_attack(s).unwrap(), a);
-        }
-        for s in ["fedavg", "feddc", "metafed", "ditto", "clustered"] {
-            assert!(parse_algo(s).is_ok());
-        }
+        let e = run(&argv("bound --clients 0")).unwrap_err();
+        assert!(e.contains("--clients"), "{e}");
     }
 
     #[test]

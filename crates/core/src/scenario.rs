@@ -705,22 +705,6 @@ impl ScenarioReport {
     }
 }
 
-/// Mean ± std of final metrics over repeated seeded runs (the paper runs
-/// each experiment 5 times and reports the small variance).
-#[derive(Debug, Clone)]
-pub struct RepeatedReport {
-    /// One full report per seed.
-    pub runs: Vec<ScenarioReport>,
-    /// Mean final Benign AC.
-    pub benign_ac_mean: f64,
-    /// Std of final Benign AC.
-    pub benign_ac_std: f64,
-    /// Mean final Attack SR.
-    pub attack_sr_mean: f64,
-    /// Std of final Attack SR.
-    pub attack_sr_std: f64,
-}
-
 /// One experiment cell, ready to run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -736,38 +720,6 @@ impl Scenario {
     /// The configuration.
     pub fn config(&self) -> &ScenarioConfig {
         &self.cfg
-    }
-
-    /// Runs the scenario `repeats` times with derived seeds and aggregates
-    /// the final population metrics (the paper's 5-repetition protocol).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats == 0`.
-    pub fn run_repeated(&self, repeats: usize) -> RepeatedReport {
-        assert!(repeats > 0, "need at least one repeat");
-        let runs: Vec<ScenarioReport> = (0..repeats)
-            .map(|r| {
-                let mut cfg = self.cfg.clone();
-                cfg.seed = self.cfg.seed.wrapping_add(1_000_003 * r as u64);
-                Scenario::new(cfg).run()
-            })
-            .collect();
-        let acs: Vec<f64> = runs
-            .iter()
-            .map(|r| r.final_round().benign_accuracy)
-            .collect();
-        let srs: Vec<f64> = runs
-            .iter()
-            .map(|r| r.final_round().attack_success_rate)
-            .collect();
-        RepeatedReport {
-            benign_ac_mean: collapois_stats::descriptive::mean(&acs),
-            benign_ac_std: collapois_stats::descriptive::std_dev(&acs),
-            attack_sr_mean: collapois_stats::descriptive::mean(&srs),
-            attack_sr_std: collapois_stats::descriptive::std_dev(&srs),
-            runs,
-        }
     }
 
     /// Generates the raw (un-partitioned) dataset for this configuration.
@@ -1351,18 +1303,6 @@ mod tests {
         let report = Scenario::new(cfg).run();
         assert!(report.final_global.iter().all(|v| v.is_finite()));
         assert_eq!(report.rounds.len(), 1);
-    }
-
-    #[test]
-    fn repeated_runs_aggregate_metrics() {
-        let cfg = tiny(AttackKind::CollaPois, DefenseKind::None, FlAlgo::FedAvg);
-        let rep = Scenario::new(cfg).run_repeated(3);
-        assert_eq!(rep.runs.len(), 3);
-        assert!((0.0..=1.0).contains(&rep.benign_ac_mean));
-        assert!((0.0..=1.0).contains(&rep.attack_sr_mean));
-        assert!(rep.benign_ac_std >= 0.0 && rep.attack_sr_std >= 0.0);
-        // Distinct seeds: the runs differ.
-        assert_ne!(rep.runs[0].final_global, rep.runs[1].final_global);
     }
 
     /// A 4-flush sim run of the tiny scenario under `defense`.

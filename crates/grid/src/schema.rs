@@ -626,7 +626,17 @@ impl GridSpec {
     /// Any [`SchemaError`]: TOML syntax, version mismatch, unknown keys,
     /// bad values, empty axes, or a cell that fails cross-field validation.
     pub fn parse(text: &str) -> Result<Self, SchemaError> {
-        let root = toml::parse(text)?;
+        Self::from_table(&toml::parse(text)?)
+    }
+
+    /// Validates a scenario document already in table form — what
+    /// [`parse`](Self::parse) reads from a file, or what a caller such as
+    /// the CLI assembles from its own flags.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse`](Self::parse), minus TOML syntax errors.
+    pub fn from_table(root: &TomlTable) -> Result<Self, SchemaError> {
         // Closed top-level vocabulary.
         for (k, _) in root.entries() {
             if !matches!(

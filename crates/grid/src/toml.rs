@@ -321,7 +321,14 @@ fn split_key(key: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
-fn parse_value(text: &str) -> Result<TomlValue, String> {
+/// Parses one value as it would appear right of a `key =`: a scalar or a
+/// single-line array of scalars.
+///
+/// # Errors
+///
+/// A message naming the text when it is not a value of the subset (a bare
+/// word such as `krum` is not: strings are quoted).
+pub fn parse_value(text: &str) -> Result<TomlValue, String> {
     let text = text.trim();
     if let Some(rest) = text.strip_prefix('[') {
         let inner = rest.strip_suffix(']').ok_or_else(|| {
