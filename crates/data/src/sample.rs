@@ -153,17 +153,33 @@ impl Dataset {
         self.labels.extend_from_slice(&other.labels);
     }
 
-    /// A new dataset containing the given sample indices (cloned).
+    /// A new dataset containing the given sample indices (cloned), in
+    /// buffers sized exactly for them, so [`Dataset::heap_bytes`] counts no
+    /// slack.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::empty(&self.sample_shape, self.num_classes);
-        for &i in indices {
-            out.push(self.features_of(i), self.labels[i]);
+        let (features, labels) = self.gather(indices);
+        Dataset {
+            features,
+            labels,
+            sample_shape: self.sample_shape.clone(),
+            num_classes: self.num_classes,
         }
-        out
+    }
+
+    /// The features and labels of `indices`, in order, in buffers reserved
+    /// for exactly `indices.len()` samples.
+    fn gather(&self, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
+        let mut features = Vec::with_capacity(indices.len() * self.feature_len());
+        let mut labels = Vec::with_capacity(indices.len());
+        for &i in indices {
+            features.extend_from_slice(self.features_of(i));
+            labels.push(self.labels[i]);
+        }
+        (features, labels)
     }
 
     /// Batches the whole dataset into a `[N, sample_shape...]` tensor plus
@@ -184,13 +200,7 @@ impl Dataset {
     ///
     /// Panics if any index is out of bounds.
     pub fn batch_of(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let per = self.feature_len();
-        let mut data = Vec::with_capacity(indices.len() * per);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            data.extend_from_slice(self.features_of(i));
-            labels.push(self.labels[i]);
-        }
+        let (data, labels) = self.gather(indices);
         let mut shape = Vec::with_capacity(self.sample_shape.len() + 1);
         shape.push(indices.len());
         shape.extend_from_slice(&self.sample_shape);
@@ -243,9 +253,10 @@ impl Dataset {
         }
     }
 
-    /// Heap bytes held by this dataset's feature and label buffers
+    /// Heap bytes held by this dataset's feature, label and shape buffers
     /// (capacity, not length — the number the resident-shard byte budget
-    /// accounts against).
+    /// accounts against). For a [`Dataset::subset`] or [`Dataset::split`]
+    /// output the two are equal.
     pub fn heap_bytes(&self) -> usize {
         self.features.capacity() * std::mem::size_of::<f32>()
             + self.labels.capacity() * std::mem::size_of::<usize>()

@@ -153,15 +153,19 @@ impl ShardSpec {
             cdf.push(acc);
         }
 
+        // Rendered in place into buffers sized for the whole shard; `split`
+        // then copies each split into buffers of exactly its size.
         let shape = self.source.sample_shape();
-        let mut ds = Dataset::empty(&shape, classes);
-        let mut buf = vec![0.0f32; shape.iter().product()];
-        for _ in 0..self.samples_per_client {
+        let per: usize = shape.iter().product();
+        let mut features = vec![0.0f32; self.samples_per_client * per];
+        let mut labels = Vec::with_capacity(self.samples_per_client);
+        for sample in features.chunks_exact_mut(per) {
             let u: f64 = rng.gen_range(0.0..1.0);
             let class = cdf.partition_point(|&c| c < u).min(classes - 1);
-            self.source.render(&mut rng, class, &mut buf);
-            ds.push(&buf, class);
+            self.source.render(&mut rng, class, sample);
+            labels.push(class);
         }
+        let ds = Dataset::from_parts(features, labels, &shape, classes);
         let (train, test, val) = ds.split(&mut rng, self.train_frac, self.test_frac);
         ClientData { train, test, val }
     }
@@ -188,6 +192,11 @@ const MAP_SHARDS: usize = 16;
 
 /// Lazily generated client shards, kept resident across rounds under an
 /// LRU byte budget.
+///
+/// The budget counts each shard's [`ClientData::heap_bytes`], which is
+/// buffer capacity. Every split is built at its exact size, so that equals
+/// the bytes of the samples, labels and shapes: a 30-sample 12×12 shard
+/// costs 17,592 B, and 64 MiB holds 3,814 of them.
 ///
 /// Lookups are served from `MAP_SHARDS` independently locked maps; a miss
 /// generates the shard under its map's lock (so concurrent requests for
@@ -375,28 +384,96 @@ mod tests {
     use super::*;
     use crate::synthetic::{SyntheticImageConfig, SyntheticTextConfig};
 
-    fn image_spec(seed: u64) -> ShardSpec {
-        let gen = SyntheticImage::new(SyntheticImageConfig {
+    fn image_gen(seed: u64, samples: usize) -> SyntheticImage {
+        SyntheticImage::new(SyntheticImageConfig {
             side: 8,
             classes: 4,
-            samples: 1, // unused by per-client rendering; must be positive
+            samples,
             noise: 0.05,
             max_shift: 1,
             seed,
-        });
-        ShardSpec::new(ShardSource::Image(gen), 24, 0.5, seed)
+        })
     }
 
-    fn text_spec(seed: u64) -> ShardSpec {
-        let gen = SyntheticText::new(SyntheticTextConfig {
+    fn text_gen(seed: u64, samples: usize) -> SyntheticText {
+        SyntheticText::new(SyntheticTextConfig {
             dim: 16,
             classes: 2,
             clusters_per_class: 3,
-            samples: 1,
+            samples,
             noise: 0.6,
             seed,
-        });
-        ShardSpec::new(ShardSource::Text(gen), 24, 0.5, seed)
+        })
+    }
+
+    // Per-client rendering ignores the generators' `samples` (which must
+    // be positive).
+    fn image_spec(seed: u64) -> ShardSpec {
+        ShardSpec::new(ShardSource::Image(image_gen(seed, 1)), 24, 0.5, seed)
+    }
+
+    fn text_spec(seed: u64) -> ShardSpec {
+        ShardSpec::new(ShardSource::Text(text_gen(seed, 1)), 24, 0.5, seed)
+    }
+
+    /// The bytes of a shard's samples, labels and shape vectors: what its
+    /// `heap_bytes` counts when no split carries capacity slack.
+    fn data_bytes(c: &ClientData) -> usize {
+        let sample = |ds: &Dataset| {
+            ds.feature_len() * std::mem::size_of::<f32>() + std::mem::size_of::<usize>()
+        };
+        [&c.train, &c.test, &c.val]
+            .iter()
+            .map(|ds| ds.len() * sample(ds) + std::mem::size_of_val(ds.sample_shape()))
+            .sum()
+    }
+
+    #[test]
+    fn shards_carry_no_capacity_slack() {
+        use crate::federated::FederatedDataset;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let cases = [
+            ("image", image_spec(2), image_gen(2, 150).generate()),
+            ("text", text_spec(2), text_gen(2, 150).generate()),
+        ];
+        for (name, spec, pooled) in cases {
+            let store = ResidentShards::new(spec.clone(), 6, 1 << 20);
+            let eager = FederatedDataset::eager_from_shards(&spec, 6);
+            let built = FederatedDataset::build(&mut StdRng::seed_from_u64(2), &pooled, 6, 0.5);
+            for id in 0..6 {
+                for (path, c) in [
+                    ("ResidentShards::get", store.get(id)),
+                    ("eager_from_shards", eager.client(id)),
+                    ("build", built.client(id)),
+                ] {
+                    assert_eq!(
+                        c.heap_bytes(),
+                        data_bytes(&c),
+                        "{name} client {id} via {path}: capacity slack"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_budget_of_k_shards_holds_k_shards_without_evicting() {
+        const K: usize = 5;
+        for spec in [image_spec(3), text_spec(3)] {
+            let budget = K * data_bytes(&spec.generate_client(0));
+            let store = ResidentShards::new(spec, 2 * K, budget);
+            for id in 0..K {
+                let _ = store.get(id);
+            }
+            let s = store.stats();
+            assert_eq!((s.misses, s.evictions), (K as u64, 0), "{s:?}");
+            assert_eq!(s.resident_bytes, budget);
+            // One shard more costs exactly one eviction.
+            let _ = store.get(K);
+            assert_eq!(store.stats().evictions, 1);
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   single **flat `Vec<f32>`**. Federated aggregation, Krum distances,
 //!   Theorem 2's ‖θ − X‖₂ and every other vector-level operation in the
 //!   paper act on this flat representation.
-//! * [`optim`] — plain/momentum SGD and a DP-SGD variant (gradient clipping
-//!   plus Gaussian noise).
+//! * [`optim`] — plain/momentum SGD with optional weight decay. (The DP
+//!   defense clips and noises at the server, in `collapois_fl`'s
+//!   `DpAggregator`.)
 //! * [`workspace`] — persistent scratch buffers for the allocation-free
 //!   training path ([`model::Sequential::train_batch_ws`]).
 //! * [`zoo`] — the paper's model family: a LeNet-style CNN (2 conv + 2 FC)

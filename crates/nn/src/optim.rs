@@ -1,10 +1,6 @@
 //! Gradient-descent optimizers over flat parameter vectors.
 
 use crate::kernels;
-use collapois_stats::distribution::standard_normal;
-use collapois_stats::geometry::clip_to_norm;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// An optimizer that updates a flat parameter vector in place given a flat
 /// gradient of the same length.
@@ -112,71 +108,9 @@ impl Optimizer for Sgd {
     }
 }
 
-/// DP-SGD: per-step gradient clipping to an l2 bound followed by Gaussian
-/// noise of scale `noise_multiplier * clip_bound / 1` — the client-side
-/// differentially private optimizer referenced by the paper's DP defense
-/// [Hong et al. 2020].
-#[derive(Debug)]
-pub struct DpSgd {
-    inner: Sgd,
-    clip_bound: f64,
-    noise_multiplier: f64,
-    rng: StdRng,
-    scratch: Vec<f32>,
-}
-
-impl DpSgd {
-    /// Creates a DP-SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`, `clip_bound <= 0` or `noise_multiplier < 0`.
-    pub fn new(lr: f64, clip_bound: f64, noise_multiplier: f64, seed: u64) -> Self {
-        assert!(clip_bound > 0.0, "clip bound must be positive");
-        assert!(
-            noise_multiplier >= 0.0,
-            "noise multiplier must be non-negative"
-        );
-        Self {
-            inner: Sgd::new(lr),
-            clip_bound,
-            noise_multiplier,
-            rng: StdRng::seed_from_u64(seed),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for DpSgd {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(grads);
-        clip_to_norm(&mut self.scratch, self.clip_bound);
-        if self.noise_multiplier > 0.0 {
-            let sigma = (self.noise_multiplier * self.clip_bound) as f32;
-            for g in &mut self.scratch {
-                *g += sigma * standard_normal(&mut self.rng) as f32;
-            }
-        }
-        // Split borrow: step on a temporary to avoid aliasing scratch.
-        let scratch = std::mem::take(&mut self.scratch);
-        self.inner.step(params, &scratch);
-        self.scratch = scratch;
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.inner.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.inner.set_learning_rate(lr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collapois_stats::geometry::l2_norm;
 
     #[test]
     fn sgd_basic_step() {
@@ -205,27 +139,6 @@ mod tests {
         let mut p = vec![1.0f32];
         opt.step(&mut p, &[0.0]);
         assert!(p[0] < 1.0);
-    }
-
-    #[test]
-    fn dp_sgd_clips_gradient() {
-        let mut opt = DpSgd::new(1.0, 1.0, 0.0, 0);
-        let mut p = vec![0.0f32, 0.0];
-        opt.step(&mut p, &[30.0, 40.0]); // norm 50, clipped to 1
-        assert!((l2_norm(&p) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn dp_sgd_adds_noise() {
-        let mut a = DpSgd::new(1.0, 1.0, 1.0, 1);
-        let mut b = DpSgd::new(1.0, 1.0, 1.0, 2);
-        let mut pa = vec![0.0f32; 8];
-        let mut pb = vec![0.0f32; 8];
-        let g = vec![0.0f32; 8];
-        a.step(&mut pa, &g);
-        b.step(&mut pb, &g);
-        assert_ne!(pa, pb, "different seeds must produce different noise");
-        assert!(pa.iter().any(|&x| x != 0.0));
     }
 
     #[test]

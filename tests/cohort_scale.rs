@@ -18,8 +18,8 @@
 //!    PR description.
 //! 3. **A 4096-client run is memory-bounded.** With a 64 MB shard budget
 //!    the resident set must stay under budget for the whole run while the
-//!    cohort (~25 KB/client, ~100 MB eager) plainly does not fit — the
-//!    bytes-per-client envelope that makes paper-scale populations
+//!    cohort (17,592 B per 30-sample shard, ~69 MiB eager) does not fit —
+//!    the bytes-per-client envelope that makes paper-scale populations
 //!    tractable. Release-only: the debug round loop is an order of
 //!    magnitude slower and CI runs this under the `cohort-scale` job.
 
