@@ -19,8 +19,10 @@ use collapois_fl::aggregate::{
 };
 use collapois_fl::server::Adversary;
 use collapois_fl::update::ClientUpdate;
+use collapois_nn::loss::Loss;
 use collapois_nn::optim::Sgd;
 use collapois_nn::tensor::Tensor;
+use collapois_nn::workspace::Workspace;
 use collapois_nn::zoo::ModelSpec;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -74,11 +76,15 @@ fn bench_nn_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn_train_batch");
     group.bench_function("mlp_144_48_6_b16", |b| {
         let mut opt = Sgd::new(0.05);
-        b.iter(|| black_box(mlp_model.train_batch(&x_mlp, &labels_mlp, &mut opt)));
+        let mut ws = Workspace::new();
+        let loss = Loss::CrossEntropy(&labels_mlp);
+        b.iter(|| black_box(mlp_model.train_batch_ws(&x_mlp, loss, &mut opt, &mut ws)));
     });
     group.bench_function("lenet28_b4", |b| {
         let mut opt = Sgd::new(0.05);
-        b.iter(|| black_box(lenet_model.train_batch(&x_img, &labels_img, &mut opt)));
+        let mut ws = Workspace::new();
+        let loss = Loss::CrossEntropy(&labels_img);
+        b.iter(|| black_box(lenet_model.train_batch_ws(&x_img, loss, &mut opt, &mut ws)));
     });
     group.finish();
 }
@@ -88,8 +94,8 @@ fn bench_attack_cost(c: &mut Criterion) {
     // vector operation; DPois must run K local training steps.
     let spec = ModelSpec::mlp(144, &[48], 6);
     let mut rng = StdRng::seed_from_u64(3);
-    let global = spec.build(&mut rng).params();
-    let trojan = spec.build(&mut rng).params();
+    let global = spec.build(&mut rng).params().to_vec();
+    let trojan = spec.build(&mut rng).params().to_vec();
     let data = SyntheticImage::new(SyntheticImageConfig {
         side: 12,
         classes: 6,

@@ -10,8 +10,8 @@ use super::{poisoned_local_delta, LocalTrainConfig};
 use collapois_data::poison::with_poisoned_fraction;
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::DbaTrigger;
+use collapois_fl::scratch::ClientScratch;
 use collapois_fl::server::Adversary;
-use collapois_nn::model::Sequential;
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ use rand::SeedableRng;
 pub struct DbaAttack {
     compromised: Vec<usize>,
     poisoned_data: Vec<Dataset>,
-    scratch: Sequential,
+    scratch: ClientScratch,
     cfg: LocalTrainConfig,
 }
 
@@ -62,7 +62,7 @@ impl DbaAttack {
                 with_poisoned_fraction(&mut rng, d, sub, target_class, poison_fraction)
             })
             .collect();
-        let scratch = spec.build(&mut rng);
+        let scratch = ClientScratch::new(spec.build(&mut rng));
         Self {
             compromised,
             poisoned_data,
@@ -118,7 +118,7 @@ mod tests {
         let spec = ModelSpec::mlp(144, &[8], 3);
         let adv = DbaAttack::new(
             vec![0, 1],
-            &[data.clone(), data.clone()],
+            &[data.clone(), data],
             &trigger,
             0,
             1.0,
@@ -158,7 +158,7 @@ mod tests {
         );
         let global = {
             let mut r = StdRng::seed_from_u64(3);
-            spec.build(&mut r).params()
+            spec.build(&mut r).params().to_vec()
         };
         let mut rng = StdRng::seed_from_u64(4);
         let delta = adv.craft_update(5, &global, 0, &mut rng);

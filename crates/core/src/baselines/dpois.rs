@@ -10,8 +10,8 @@ use super::{poisoned_local_delta, LocalTrainConfig};
 use collapois_data::poison::with_poisoned_fraction;
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::Trigger;
+use collapois_fl::scratch::ClientScratch;
 use collapois_fl::server::Adversary;
-use collapois_nn::model::Sequential;
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ use rand::SeedableRng;
 pub struct DPois {
     compromised: Vec<usize>,
     poisoned_data: Vec<Dataset>,
-    scratch: Sequential,
+    scratch: ClientScratch,
     cfg: LocalTrainConfig,
 }
 
@@ -62,7 +62,7 @@ impl DPois {
                 with_poisoned_fraction(&mut rng, d, trigger, target_class, poison_fraction)
             })
             .collect();
-        let scratch = spec.build(&mut rng);
+        let scratch = ClientScratch::new(spec.build(&mut rng));
         Self {
             compromised,
             poisoned_data,
@@ -135,7 +135,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let global = {
             let mut r = StdRng::seed_from_u64(2);
-            spec.build(&mut r).params()
+            spec.build(&mut r).params().to_vec()
         };
         let delta = adv.craft_update(3, &global, 0, &mut rng);
         assert_eq!(delta.len(), global.len());

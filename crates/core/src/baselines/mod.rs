@@ -13,7 +13,7 @@ pub use mrepl::MRepl;
 pub use semantic::SemanticAttack;
 
 use collapois_data::sample::Dataset;
-use collapois_nn::model::Sequential;
+use collapois_fl::scratch::ClientScratch;
 use collapois_nn::optim::Sgd;
 use rand::rngs::StdRng;
 
@@ -40,22 +40,23 @@ impl Default for LocalTrainConfig {
     }
 }
 
-/// Trains `model` from `global` on `data` and returns `θ_local − θ_global`.
+/// Trains `scratch.model` from `global` on `data` through the persistent
+/// workspace and returns `θ_local − θ_global`.
 pub(crate) fn poisoned_local_delta(
-    model: &mut Sequential,
+    scratch: &mut ClientScratch,
     global: &[f32],
     data: &Dataset,
     cfg: &LocalTrainConfig,
     rng: &mut StdRng,
 ) -> Vec<f32> {
     assert!(!data.is_empty(), "malicious client has no data");
-    model.set_params(global);
+    scratch.model.set_params(global);
     let mut opt = Sgd::new(cfg.lr);
     for _ in 0..cfg.steps {
-        let (x, y) = data.minibatch(rng, cfg.batch_size);
-        model.train_batch(&x, &y, &mut opt);
+        scratch.train_step(rng, data, cfg.batch_size, &mut opt);
     }
-    model
+    scratch
+        .model
         .params()
         .iter()
         .zip(global)

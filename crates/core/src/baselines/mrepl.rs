@@ -14,8 +14,8 @@ use super::{poisoned_local_delta, LocalTrainConfig};
 use collapois_data::poison::with_poisoned_fraction;
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::Trigger;
+use collapois_fl::scratch::ClientScratch;
 use collapois_fl::server::Adversary;
-use collapois_nn::model::Sequential;
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +25,7 @@ use rand::SeedableRng;
 pub struct MRepl {
     compromised: Vec<usize>,
     poisoned_data: Vec<Dataset>,
-    scratch: Sequential,
+    scratch: ClientScratch,
     cfg: LocalTrainConfig,
     boost: f64,
 }
@@ -68,7 +68,7 @@ impl MRepl {
                 with_poisoned_fraction(&mut rng, d, trigger, target_class, poison_fraction)
             })
             .collect();
-        let scratch = spec.build(&mut rng);
+        let scratch = ClientScratch::new(spec.build(&mut rng));
         Self {
             compromised,
             poisoned_data,
@@ -135,7 +135,7 @@ mod tests {
         let trigger = PatchTrigger::badnets(8);
         let global = {
             let mut r = StdRng::seed_from_u64(5);
-            spec.build(&mut r).params()
+            spec.build(&mut r).params().to_vec()
         };
         let make = |boost: f64| {
             MRepl::new(

@@ -12,8 +12,8 @@
 use super::{poisoned_local_delta, LocalTrainConfig};
 use collapois_data::sample::Dataset;
 use collapois_data::semantic::SemanticRegion;
+use collapois_fl::scratch::ClientScratch;
 use collapois_fl::server::Adversary;
-use collapois_nn::model::Sequential;
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ use rand::SeedableRng;
 pub struct SemanticAttack {
     compromised: Vec<usize>,
     poisoned_data: Vec<Dataset>,
-    scratch: Sequential,
+    scratch: ClientScratch,
     cfg: LocalTrainConfig,
 }
 
@@ -61,7 +61,7 @@ impl SemanticAttack {
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let scratch = spec.build(&mut rng);
+        let scratch = ClientScratch::new(spec.build(&mut rng));
         Self {
             compromised,
             poisoned_data,
@@ -136,7 +136,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let global = {
             let mut r = StdRng::seed_from_u64(2);
-            spec.build(&mut r).params()
+            spec.build(&mut r).params().to_vec()
         };
         let delta = adv.craft_update(3, &global, 0, &mut rng);
         assert_eq!(delta.len(), global.len());

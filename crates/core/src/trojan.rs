@@ -13,6 +13,7 @@
 use collapois_data::poison::poison_all;
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::Trigger;
+use collapois_fl::scratch::ClientScratch;
 use collapois_nn::optim::Sgd;
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
@@ -69,26 +70,24 @@ pub fn train_trojan(
 ) -> TrojanedModel {
     assert!(!aux.is_empty(), "auxiliary dataset is empty");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut model = spec.build(&mut rng);
+    let mut scratch = ClientScratch::new(spec.build(&mut rng));
     let poisoned = poison_all(aux, trigger, cfg.target_class);
     let mut train = aux.clone();
     train.extend_from(&poisoned);
 
     let mut opt = Sgd::new(cfg.lr).with_momentum(0.9);
     let steps_per_epoch = train.len().div_ceil(cfg.batch_size).max(1);
-    for _ in 0..cfg.epochs {
-        for _ in 0..steps_per_epoch {
-            let (x, y) = train.minibatch(&mut rng, cfg.batch_size);
-            model.train_batch(&x, &y, &mut opt);
-        }
+    for _ in 0..cfg.epochs * steps_per_epoch {
+        scratch.train_step(&mut rng, &train, cfg.batch_size, &mut opt);
     }
 
     let (cx, cy) = aux.as_batch();
+    let model = &mut scratch.model;
     let clean_accuracy = model.evaluate(&cx, &cy);
     let (px, py) = poisoned.as_batch();
     let trigger_success = model.evaluate(&px, &py);
     TrojanedModel {
-        params: model.params(),
+        params: model.params().to_vec(),
         clean_accuracy,
         trigger_success,
     }

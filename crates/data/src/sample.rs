@@ -207,20 +207,11 @@ impl Dataset {
         (Tensor::from_vec(data, &shape), labels)
     }
 
-    /// Random minibatch of up to `size` samples (without replacement).
-    pub fn minibatch<R: Rng + ?Sized>(&self, rng: &mut R, size: usize) -> (Tensor, Vec<usize>) {
-        let mut idx = Vec::new();
-        let mut x = Tensor::default();
-        let mut y = Vec::new();
-        self.minibatch_into(rng, size, &mut idx, &mut x, &mut y);
-        (x, y)
-    }
-
-    /// In-place [`Dataset::minibatch`]: fills the caller-owned index,
-    /// feature and label buffers, reusing their heap allocations across
-    /// calls. Draws from `rng` in exactly the same sequence as `minibatch`
-    /// (the full index range is shuffled, then truncated), so both variants
-    /// leave any shared RNG in an identical state.
+    /// Random minibatch of up to `size` samples (without replacement),
+    /// written into the caller-owned index, feature and label buffers so
+    /// their heap allocations are reused across calls. The full index range
+    /// is shuffled, then truncated; `idx` is left holding the drawn
+    /// indices.
     pub fn minibatch_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -343,28 +334,30 @@ mod tests {
     fn minibatch_without_replacement() {
         let ds = toy();
         let mut rng = StdRng::seed_from_u64(0);
-        let (x, y) = ds.minibatch(&mut rng, 5);
+        let (mut idx, mut x, mut y) = (Vec::new(), Tensor::default(), Vec::new());
+        ds.minibatch_into(&mut rng, 5, &mut idx, &mut x, &mut y);
         assert_eq!(x.batch(), 5);
         assert_eq!(y.len(), 5);
+        let mut distinct = idx.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 5);
         // Requesting more than available returns everything.
-        let (x, _) = ds.minibatch(&mut rng, 100);
+        ds.minibatch_into(&mut rng, 100, &mut idx, &mut x, &mut y);
         assert_eq!(x.batch(), 9);
     }
 
     #[test]
-    fn minibatch_into_matches_allocating_path() {
+    fn minibatch_into_reuses_buffers_and_matches_batch_of() {
         let ds = toy();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let mut idx = Vec::new();
-        let mut x = Tensor::default();
-        let mut y = Vec::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut idx, mut x, mut y) = (Vec::new(), Tensor::default(), Vec::new());
         // Varying sizes exercise buffer reuse (grow and shrink).
         for size in [5usize, 3, 9, 1] {
-            let (xa, ya) = ds.minibatch(&mut rng_a, size);
-            ds.minibatch_into(&mut rng_b, size, &mut idx, &mut x, &mut y);
-            assert_eq!(x, xa);
-            assert_eq!(y, ya);
+            ds.minibatch_into(&mut rng, size, &mut idx, &mut x, &mut y);
+            let (xb, yb) = ds.batch_of(&idx);
+            assert_eq!(x, xb);
+            assert_eq!(y, yb);
         }
     }
 

@@ -157,7 +157,9 @@ fn smooth_field<R: Rng + ?Sized>(rng: &mut R, side: usize, grid: usize) -> Vec<f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collapois_nn::loss::Loss;
     use collapois_nn::optim::Sgd;
+    use collapois_nn::workspace::Workspace;
     use collapois_nn::zoo::ModelSpec;
 
     #[test]
@@ -213,10 +215,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut model = ModelSpec::mlp(12 * 12, &[32], 4).build(&mut rng);
         let mut opt = Sgd::new(0.3);
+        let mut ws = Workspace::new();
         let (x, y) = ds.as_batch();
         let x = x.reshaped(&[200, 144]);
         for _ in 0..60 {
-            model.train_batch(&x, &y, &mut opt);
+            model.train_batch_ws(&x, Loss::CrossEntropy(&y), &mut opt, &mut ws);
         }
         assert!(
             model.evaluate(&x, &y) > 0.9,

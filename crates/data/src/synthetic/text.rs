@@ -125,7 +125,9 @@ impl SyntheticText {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collapois_nn::loss::Loss;
     use collapois_nn::optim::Sgd;
+    use collapois_nn::workspace::Workspace;
     use collapois_nn::zoo::ModelSpec;
 
     #[test]
@@ -165,9 +167,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut model = ModelSpec::mlp(32, &[16], 2).build(&mut rng);
         let mut opt = Sgd::new(0.2);
+        let mut ws = Workspace::new();
         let (x, y) = ds.as_batch();
         for _ in 0..80 {
-            model.train_batch(&x, &y, &mut opt);
+            model.train_batch_ws(&x, Loss::CrossEntropy(&y), &mut opt, &mut ws);
         }
         assert!(
             model.evaluate(&x, &y) > 0.95,

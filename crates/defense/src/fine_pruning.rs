@@ -55,7 +55,7 @@ pub fn fine_prune(
         "dataset does not match the model input"
     );
 
-    let mut params = model.params();
+    let params = model.params_mut();
     let w1_len = hidden * input;
     let b1_off = w1_len;
     let w2_off = b1_off + hidden;
@@ -111,18 +111,16 @@ pub fn fine_prune(
             params[w2_off + c * hidden + j] = 0.0;
         }
     }
-    model.set_params(&params);
     PruneOutcome {
         pruned_units,
         activations,
-        pruned_params: params,
+        pruned_params: model.params().to_vec(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collapois_nn::optim::Sgd;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -145,11 +143,7 @@ mod tests {
         let clean = clean_dataset(&mut rng);
         let spec = ModelSpec::mlp(16, &[32], 2);
         let mut model = spec.build(&mut rng);
-        let mut opt = Sgd::new(0.3);
-        for _ in 0..200 {
-            let (x, y) = clean.minibatch(&mut rng, 32);
-            model.train_batch(&x, &y, &mut opt);
-        }
+        crate::train_for_tests(&mut model, &clean, &mut rng, 200, 0.3);
         let (x, y) = clean.as_batch();
         let before = model.evaluate(&x, &y);
         let outcome = fine_prune(&mut model, &spec, &clean, 0.3);
@@ -235,7 +229,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let reference = spec.build(&mut rng);
         let mut a = reference.clone();
-        let mut b = reference.clone();
+        let mut b = reference;
         let out_sorted = fine_prune(&mut a, &spec, &sorted, 0.25);
         let out_interleaved = fine_prune(&mut b, &spec, &interleaved, 0.25);
         assert_eq!(
@@ -252,9 +246,7 @@ mod tests {
         let spec = ModelSpec::mlp(16, &[8], 2);
         let mut model = spec.build(&mut rng);
         // Corrupt unit 0's incoming weights the way the fault layer can.
-        let mut params = model.params();
-        params[..16].fill(f32::NAN);
-        model.set_params(&params);
+        model.params_mut()[..16].fill(f32::NAN);
         let outcome = fine_prune(&mut model, &spec, &clean, 0.25);
         assert_eq!(outcome.pruned_units.len(), 2, "still prunes the quota");
         assert!(

@@ -30,3 +30,23 @@ pub mod strip;
 pub use fine_pruning::{fine_prune, PruneOutcome};
 pub use neural_cleanse::{neural_cleanse, CleanseConfig, CleanseReport};
 pub use strip::{strip_score, StripConfig, StripReport};
+
+/// Trains `model` for `steps` minibatch-SGD steps of 32 samples on `data`:
+/// the backdoored and clean models the defense tests inspect.
+#[cfg(test)]
+pub(crate) fn train_for_tests(
+    model: &mut collapois_nn::Sequential,
+    data: &collapois_data::sample::Dataset,
+    rng: &mut rand::rngs::StdRng,
+    steps: usize,
+    lr: f64,
+) {
+    use collapois_nn::loss::Loss;
+    let mut opt = collapois_nn::Sgd::new(lr);
+    let mut ws = collapois_nn::Workspace::new();
+    let (mut idx, mut x, mut y) = (Vec::new(), collapois_nn::Tensor::default(), Vec::new());
+    for _ in 0..steps {
+        data.minibatch_into(rng, 32, &mut idx, &mut x, &mut y);
+        model.train_batch_ws(&x, Loss::CrossEntropy(&y), &mut opt, &mut ws);
+    }
+}

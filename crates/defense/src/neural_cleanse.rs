@@ -176,7 +176,6 @@ fn reverse_engineer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collapois_nn::optim::Sgd;
     use collapois_nn::zoo::ModelSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -202,11 +201,7 @@ mod tests {
         }
         let spec = ModelSpec::mlp(16, &[24], 3);
         let mut model = spec.build(&mut rng);
-        let mut opt = Sgd::new(0.3);
-        for _ in 0..400 {
-            let (x, y) = train.minibatch(&mut rng, 32);
-            model.train_batch(&x, &y, &mut opt);
-        }
+        crate::train_for_tests(&mut model, &train, &mut rng, 400, 0.3);
         (model, clean)
     }
 
@@ -247,11 +242,7 @@ mod tests {
         }
         let spec = ModelSpec::mlp(16, &[24], 3);
         let mut model = spec.build(&mut rng);
-        let mut opt = Sgd::new(0.3);
-        for _ in 0..300 {
-            let (x, y) = clean.minibatch(&mut rng, 32);
-            model.train_batch(&x, &y, &mut opt);
-        }
+        crate::train_for_tests(&mut model, &clean, &mut rng, 300, 0.3);
         let report = neural_cleanse(&mut model, &clean, &CleanseConfig::default());
         // Symmetric classes: no anomalously small mask.
         assert!(

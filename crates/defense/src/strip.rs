@@ -131,7 +131,6 @@ pub fn strip_screen<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collapois_nn::optim::Sgd;
     use collapois_nn::zoo::ModelSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -163,11 +162,7 @@ mod tests {
         train.extend_from(&poisoned);
         let spec = ModelSpec::mlp(16, &[16], 2);
         let mut model = spec.build(&mut rng);
-        let mut opt = Sgd::new(0.3);
-        for _ in 0..300 {
-            let (x, y) = train.minibatch(&mut rng, 32);
-            model.train_batch(&x, &y, &mut opt);
-        }
+        crate::train_for_tests(&mut model, &train, &mut rng, 300, 0.3);
         (model, clean, poisoned)
     }
 

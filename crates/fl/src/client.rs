@@ -3,178 +3,111 @@
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
-use collapois_nn::model::Sequential;
 use collapois_nn::optim::Sgd;
 use rand::Rng;
 
-/// Runs `K` local minibatch-SGD steps starting from `global` and returns the
-/// resulting flat delta `θ_local − θ_global`.
-///
-/// `model` is a scratch model of the configured architecture; its parameters
-/// are overwritten.
-///
-/// # Panics
-///
-/// Panics if `data` is empty.
-pub fn local_sgd_delta<R: Rng + ?Sized>(
-    rng: &mut R,
-    model: &mut Sequential,
-    global: &[f32],
-    data: &Dataset,
-    cfg: &FlConfig,
-) -> Vec<f32> {
-    local_sgd_delta_prox(rng, model, global, data, cfg, 0.0)
+/// An in-place update applied to the parameter arena after every local SGD
+/// step.
+#[derive(Debug, Clone, Copy)]
+pub enum Correction<'a> {
+    /// Plain local SGD.
+    None,
+    /// Proximal pull toward `anchor`, `θ ← θ − min(η·μ, 1)·(θ − anchor)`:
+    /// the gradient step of a `μ/2·‖θ − anchor‖²` term, clamped so that a
+    /// very large μ pins the iterate to the anchor instead of diverging
+    /// (FedDC-style drift control, Ditto's personal model). `μ = 0` is
+    /// plain local SGD.
+    Prox {
+        /// Proximal weight μ.
+        mu: f64,
+        /// The model the iterate is pulled toward.
+        anchor: &'a [f32],
+    },
+    /// SCAFFOLD's variance-reduction step `θ ← θ − η·(c − c_i)`
+    /// [Karimireddy et al., ICML 2020], with `c − c_i` (server minus client
+    /// control variate) precomputed. An all-zero correction is plain local
+    /// SGD.
+    Control(&'a [f32]),
 }
 
-/// Like [`local_sgd_delta`] but with a proximal term `μ/2·‖θ − θ_global‖²`
-/// added to the local objective (used by FedDC-style drift correction and
-/// Ditto). `prox_mu = 0` recovers plain local SGD.
-///
-/// Thin wrapper over [`local_sgd_delta_prox_into`] (one shared code path),
-/// paying one scratch-arena construction per call; the round engine calls
-/// the `_into` variant on a persistent arena instead.
+/// Reloads `scratch.model` from `start` and trains it for `cfg.local_steps`
+/// minibatches through the persistent workspace, applying `correction`
+/// after each step. The trained parameters stay in the model's arena
+/// (`scratch.model.params()`); no heap is touched after arena warm-up.
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty.
-pub fn local_sgd_delta_prox<R: Rng + ?Sized>(
+/// Panics if `data` is empty or a [`Correction::Control`] vector has the
+/// wrong dimension.
+pub fn local_sgd<R: Rng + ?Sized>(
     rng: &mut R,
-    model: &mut Sequential,
-    global: &[f32],
+    scratch: &mut ClientScratch,
+    start: &[f32],
     data: &Dataset,
     cfg: &FlConfig,
-    prox_mu: f64,
-) -> Vec<f32> {
-    let mut scratch = ClientScratch::for_model(model);
-    local_sgd_delta_prox_into(rng, &mut scratch, global, data, cfg, prox_mu);
-    // Preserve the historical contract: the caller's model ends up holding
-    // the trained local parameters.
-    model.set_params(&scratch.params);
-    std::mem::take(&mut scratch.delta)
+    correction: Correction<'_>,
+) {
+    assert!(!data.is_empty(), "client has no training data");
+    // Corrections that cannot move the iterate are skipped outright.
+    let correction = match correction {
+        Correction::Prox { mu, .. } if mu <= 0.0 => Correction::None,
+        Correction::Control(c) => {
+            assert_eq!(c.len(), start.len(), "correction dimension");
+            if c.iter().any(|&v| v != 0.0) {
+                correction
+            } else {
+                Correction::None
+            }
+        }
+        other => other,
+    };
+    scratch.model.set_params(start);
+    let mut opt = Sgd::new(cfg.client_lr);
+    for _ in 0..cfg.local_steps {
+        scratch.train_step(rng, data, cfg.batch_size, &mut opt);
+        let params = scratch.model.params_mut();
+        match correction {
+            Correction::None => {}
+            Correction::Prox { mu, anchor } => {
+                let lr_mu = (cfg.client_lr * mu).min(1.0) as f32;
+                for (p, &a) in params.iter_mut().zip(anchor) {
+                    *p -= lr_mu * (*p - a);
+                }
+            }
+            Correction::Control(c) => {
+                let lr = cfg.client_lr as f32;
+                for (p, &cv) in params.iter_mut().zip(c) {
+                    *p -= lr * cv;
+                }
+            }
+        }
+    }
 }
 
-/// In-place [`local_sgd_delta`]: trains on `scratch.model` and leaves the
-/// flat delta in `scratch.delta`, touching no heap after arena warm-up.
+/// [`local_sgd`] from `global`, leaving the delta `θ_local − θ_global` in
+/// `scratch.delta` (read straight off the parameter arena).
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty.
+/// As [`local_sgd`].
 pub fn local_sgd_delta_into<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut ClientScratch,
     global: &[f32],
     data: &Dataset,
     cfg: &FlConfig,
+    correction: Correction<'_>,
 ) {
-    local_sgd_delta_prox_into(rng, scratch, global, data, cfg, 0.0);
-}
-
-/// In-place [`local_sgd_delta_prox`]: the zero-allocation training inner
-/// loop. `scratch.model` is reloaded from `global`, trained for
-/// `cfg.local_steps` minibatches through the persistent workspace, and the
-/// delta `θ_local − θ_global` is written into `scratch.delta`
-/// (`scratch.params` is left holding the trained local parameters).
-///
-/// Performs the same floating-point operations in the same order as the
-/// allocating path, so results are bitwise identical.
-///
-/// # Panics
-///
-/// Panics if `data` is empty.
-pub fn local_sgd_delta_prox_into<R: Rng + ?Sized>(
-    rng: &mut R,
-    scratch: &mut ClientScratch,
-    global: &[f32],
-    data: &Dataset,
-    cfg: &FlConfig,
-    prox_mu: f64,
-) {
-    assert!(!data.is_empty(), "client has no training data");
-    scratch.model.load_params_into(global);
-    let mut opt = Sgd::new(cfg.client_lr);
-    for _ in 0..cfg.local_steps {
-        data.minibatch_into(
-            rng,
-            cfg.batch_size,
-            &mut scratch.idx,
-            &mut scratch.x,
-            &mut scratch.y,
-        );
+    local_sgd(rng, scratch, global, data, cfg, correction);
+    scratch.delta.clear();
+    scratch.delta.extend(
         scratch
             .model
-            .train_batch_ws(&scratch.x, &scratch.y, &mut opt, &mut scratch.ws);
-        if prox_mu > 0.0 {
-            // Gradient of the proximal term: μ(θ − θ_global), applied as an
-            // extra SGD step. The factor is clamped at 1 so that very large
-            // μ pins the iterate to θ_global instead of diverging.
-            scratch.model.store_params_into(&mut scratch.params);
-            let lr_mu = (cfg.client_lr * prox_mu).min(1.0) as f32;
-            for (p, &g) in scratch.params.iter_mut().zip(global) {
-                *p -= lr_mu * (*p - g);
-            }
-            scratch.model.load_params_into(&scratch.params);
-        }
-    }
-    scratch.model.store_params_into(&mut scratch.params);
-    scratch.delta.clear();
-    scratch
-        .delta
-        .extend(scratch.params.iter().zip(global).map(|(l, g)| l - g));
-}
-
-/// SCAFFOLD's corrected local SGD [Karimireddy et al., ICML 2020]: each
-/// minibatch step is followed by the variance-reduction correction
-/// `θ ← θ − η(c − c_i)` (server minus client control variate), so the local
-/// update drifts toward the *global* gradient direction instead of the
-/// client's non-IID one. `correction` is the precomputed `c − c_i` vector;
-/// an all-zero correction reproduces [`local_sgd_delta_into`] bitwise (the
-/// extra params round-trip is skipped, matching the prox path's `μ = 0`
-/// contract).
-///
-/// Leaves the delta `θ_local − θ_global` in `scratch.delta` and the trained
-/// parameters in `scratch.params`, like the other `_into` paths.
-///
-/// # Panics
-///
-/// Panics if `data` is empty or `correction` has the wrong dimension.
-pub fn local_sgd_delta_corrected_into<R: Rng + ?Sized>(
-    rng: &mut R,
-    scratch: &mut ClientScratch,
-    global: &[f32],
-    data: &Dataset,
-    cfg: &FlConfig,
-    correction: &[f32],
-) {
-    assert!(!data.is_empty(), "client has no training data");
-    assert_eq!(correction.len(), global.len(), "correction dimension");
-    let apply = correction.iter().any(|&v| v != 0.0);
-    scratch.model.load_params_into(global);
-    let mut opt = Sgd::new(cfg.client_lr);
-    let lr = cfg.client_lr as f32;
-    for _ in 0..cfg.local_steps {
-        data.minibatch_into(
-            rng,
-            cfg.batch_size,
-            &mut scratch.idx,
-            &mut scratch.x,
-            &mut scratch.y,
-        );
-        scratch
-            .model
-            .train_batch_ws(&scratch.x, &scratch.y, &mut opt, &mut scratch.ws);
-        if apply {
-            scratch.model.store_params_into(&mut scratch.params);
-            for (p, &cv) in scratch.params.iter_mut().zip(correction) {
-                *p -= lr * cv;
-            }
-            scratch.model.load_params_into(&scratch.params);
-        }
-    }
-    scratch.model.store_params_into(&mut scratch.params);
-    scratch.delta.clear();
-    scratch
-        .delta
-        .extend(scratch.params.iter().zip(global).map(|(l, g)| l - g));
+            .params()
+            .iter()
+            .zip(global)
+            .map(|(l, g)| l - g),
+    );
 }
 
 #[cfg(test)]
@@ -194,85 +127,103 @@ mod tests {
         ds
     }
 
-    fn setup() -> (FlConfig, Sequential, Vec<f32>) {
+    fn setup() -> (FlConfig, ClientScratch, Vec<f32>) {
         let spec = ModelSpec::mlp(2, &[8], 2);
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
-        (cfg, model, global)
+        let global = model.params().to_vec();
+        (cfg, ClientScratch::for_model(&model), global)
+    }
+
+    /// The delta of one seeded local-training run.
+    fn delta(
+        seed: u64,
+        scratch: &mut ClientScratch,
+        global: &[f32],
+        cfg: &FlConfig,
+        correction: Correction<'_>,
+    ) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        local_sgd_delta_into(&mut rng, scratch, global, &toy_data(), cfg, correction);
+        scratch.delta.clone()
     }
 
     #[test]
     fn delta_has_param_dimension_and_moves() {
-        let (cfg, mut model, global) = setup();
-        let mut rng = StdRng::seed_from_u64(1);
-        let delta = local_sgd_delta(&mut rng, &mut model, &global, &toy_data(), &cfg);
-        assert_eq!(delta.len(), global.len());
-        assert!(
-            delta.iter().any(|&d| d != 0.0),
-            "training must move the model"
-        );
+        let (cfg, mut scratch, global) = setup();
+        let d = delta(1, &mut scratch, &global, &cfg, Correction::None);
+        assert_eq!(d.len(), global.len());
+        assert!(d.iter().any(|&v| v != 0.0), "training must move the model");
+        // The trained parameters stay in the model's arena.
+        let trained: Vec<f32> = global.iter().zip(&d).map(|(g, v)| g + v).collect();
+        for (t, p) in trained.iter().zip(scratch.model.params()) {
+            assert!((t - p).abs() < 1e-6);
+        }
     }
 
     #[test]
     fn prox_term_shrinks_delta() {
-        let (mut cfg, mut model, global) = setup();
+        let (mut cfg, mut scratch, global) = setup();
         cfg.local_steps = 20;
-        let mut rng = StdRng::seed_from_u64(2);
-        let free = local_sgd_delta_prox(&mut rng, &mut model, &global, &toy_data(), &cfg, 0.0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let prox = local_sgd_delta_prox(&mut rng, &mut model, &global, &toy_data(), &cfg, 50.0);
+        let free = delta(2, &mut scratch, &global, &cfg, Correction::None);
+        let prox = Correction::Prox {
+            mu: 50.0,
+            anchor: &global,
+        };
+        let pulled = delta(2, &mut scratch, &global, &cfg, prox);
         let n_free = collapois_stats::geometry::l2_norm(&free);
-        let n_prox = collapois_stats::geometry::l2_norm(&prox);
+        let n_prox = collapois_stats::geometry::l2_norm(&pulled);
         assert!(n_prox < n_free, "prox={n_prox} free={n_free}");
     }
 
     #[test]
     fn scratch_reuse_is_history_free() {
-        let (cfg, model, global) = setup();
-        let data = toy_data();
-        let mut scratch = ClientScratch::for_model(&model);
-        let mut rng = StdRng::seed_from_u64(4);
-        local_sgd_delta_prox_into(&mut rng, &mut scratch, &global, &data, &cfg, 0.5);
-        let first = scratch.delta.clone();
+        let (cfg, mut scratch, global) = setup();
+        let prox = Correction::Prox {
+            mu: 0.5,
+            anchor: &global,
+        };
+        let first = delta(4, &mut scratch, &global, &cfg, prox);
         // Re-run with identical RNG on the warm arena: bitwise equal.
-        let mut rng = StdRng::seed_from_u64(4);
-        local_sgd_delta_prox_into(&mut rng, &mut scratch, &global, &data, &cfg, 0.5);
-        assert_eq!(first, scratch.delta);
+        assert_eq!(first, delta(4, &mut scratch, &global, &cfg, prox));
         // And equal to a fresh arena.
-        let mut fresh = ClientScratch::for_model(&model);
-        let mut rng = StdRng::seed_from_u64(4);
-        local_sgd_delta_prox_into(&mut rng, &mut fresh, &global, &data, &cfg, 0.5);
-        assert_eq!(first, fresh.delta);
+        let (_, mut fresh, _) = setup();
+        assert_eq!(first, delta(4, &mut fresh, &global, &cfg, prox));
     }
 
     #[test]
-    fn zero_correction_matches_plain_sgd_bitwise() {
-        let (cfg, model, global) = setup();
-        let data = toy_data();
-        let mut scratch = ClientScratch::for_model(&model);
-        let mut rng = StdRng::seed_from_u64(5);
-        local_sgd_delta_into(&mut rng, &mut scratch, &global, &data, &cfg);
-        let plain = scratch.delta.clone();
+    fn zero_corrections_match_plain_sgd_bitwise() {
+        let (cfg, mut scratch, global) = setup();
+        let plain = delta(5, &mut scratch, &global, &cfg, Correction::None);
         let zeros = vec![0.0f32; global.len()];
-        let mut rng = StdRng::seed_from_u64(5);
-        local_sgd_delta_corrected_into(&mut rng, &mut scratch, &global, &data, &cfg, &zeros);
-        assert_eq!(plain, scratch.delta);
+        let control = delta(5, &mut scratch, &global, &cfg, Correction::Control(&zeros));
+        assert_eq!(plain, control);
+        let prox = Correction::Prox {
+            mu: 0.0,
+            anchor: &zeros,
+        };
+        assert_eq!(plain, delta(5, &mut scratch, &global, &cfg, prox));
         // A non-zero correction must steer the iterate elsewhere.
         let mut corr = zeros;
         corr[0] = 0.5;
-        let mut rng = StdRng::seed_from_u64(5);
-        local_sgd_delta_corrected_into(&mut rng, &mut scratch, &global, &data, &cfg, &corr);
-        assert_ne!(plain, scratch.delta);
+        let steered = delta(5, &mut scratch, &global, &cfg, Correction::Control(&corr));
+        assert_ne!(plain, steered);
     }
 
     #[test]
     #[should_panic(expected = "no training data")]
     fn rejects_empty_dataset() {
-        let (cfg, mut model, global) = setup();
+        let (cfg, mut scratch, global) = setup();
         let mut rng = StdRng::seed_from_u64(3);
         let empty = Dataset::empty(&[2], 2);
-        let _ = local_sgd_delta(&mut rng, &mut model, &global, &empty, &cfg);
+        local_sgd(
+            &mut rng,
+            &mut scratch,
+            &global,
+            &empty,
+            &cfg,
+            Correction::None,
+        );
     }
 }

@@ -400,7 +400,7 @@ mod tests {
         let f = fed();
         let spec = ModelSpec::mlp(64, &[16], 4);
         let mut rng = StdRng::seed_from_u64(1);
-        let params = spec.build(&mut rng).params();
+        let params = spec.build(&mut rng).params().to_vec();
         let trigger = PatchTrigger::badnets(8);
         let serial = {
             let pool = WorkerPool::new(1);
@@ -442,7 +442,7 @@ mod tests {
         let f = fed();
         let spec = ModelSpec::mlp(64, &[16], 4);
         let mut rng = StdRng::seed_from_u64(1);
-        let params = spec.build(&mut rng).params();
+        let params = spec.build(&mut rng).params().to_vec();
         let trigger = PatchTrigger::badnets(8);
         let ms = evaluate_clients(&f, &spec, |_| params.clone(), &trigger, 0, &[0]);
         assert_eq!(ms.len(), 7); // client 0 excluded

@@ -18,10 +18,10 @@
 //! cluster wins). This is what makes the strategy schedule-independent.
 
 use super::{LocalOutcome, Personalization, StateCommit};
+use crate::client::{local_sgd, Correction};
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
-use collapois_nn::optim::Sgd;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -59,11 +59,6 @@ impl Clustered {
         self.k
     }
 
-    /// The last cluster `client_id` selected, if any.
-    pub fn assignment_of(&self, client_id: usize) -> Option<usize> {
-        self.assignment.get(client_id).copied().flatten()
-    }
-
     fn ensure_clusters<R: Rng + ?Sized>(&mut self, global: &[f32], rng: &mut R) {
         if !self.clusters.is_empty() {
             return;
@@ -96,7 +91,7 @@ impl Clustered {
         let mut best = 0usize;
         let mut best_loss = f64::INFINITY;
         for (c, params) in self.clusters.iter().enumerate() {
-            scratch.model.load_params_into(params);
+            scratch.model.set_params(params);
             let (loss, _) = scratch
                 .model
                 .loss_ws(&scratch.x, &scratch.y, &mut scratch.ws);
@@ -144,25 +139,20 @@ impl Personalization for Clustered {
             "begin_round must run before local_train"
         );
         let cluster = self.select_cluster(scratch, data, cfg, rng);
-        scratch.model.load_params_into(&self.clusters[cluster]);
-        let mut opt = Sgd::new(cfg.client_lr);
-        for _ in 0..cfg.local_steps {
-            data.minibatch_into(
-                rng,
-                cfg.batch_size,
-                &mut scratch.idx,
-                &mut scratch.x,
-                &mut scratch.y,
-            );
-            scratch
-                .model
-                .train_batch_ws(&scratch.x, &scratch.y, &mut opt, &mut scratch.ws);
-        }
+        local_sgd(
+            rng,
+            scratch,
+            &self.clusters[cluster],
+            data,
+            cfg,
+            Correction::None,
+        );
         let trained = scratch.model.params();
         scratch.delta.clear();
         scratch
             .delta
             .extend(trained.iter().zip(global).map(|(t, g)| t - g));
+        let trained = trained.to_vec();
         LocalOutcome {
             delta: std::mem::take(&mut scratch.delta),
             commit: StateCommit {
@@ -244,7 +234,7 @@ mod tests {
         cfg.client_lr = 0.3;
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         (cfg, model, global)
     }
 
@@ -276,8 +266,8 @@ mod tests {
             train_and_commit(&mut cl, 0, &global, &a, &cfg, &mut scratch, &mut rng);
             train_and_commit(&mut cl, 1, &global, &b, &cfg, &mut scratch, &mut rng);
         }
-        let c0 = cl.assignment_of(0).unwrap();
-        let c1 = cl.assignment_of(1).unwrap();
+        let c0 = cl.assignment[0].unwrap();
+        let c1 = cl.assignment[1].unwrap();
         assert_ne!(c0, c1, "conflicting populations should separate");
         // Each client's cluster model fits its own data.
         model.set_params(&cl.eval_params(0, &global));
@@ -294,7 +284,7 @@ mod tests {
         let mut cl = Clustered::new(3);
         cl.init(4, global.len());
         assert_eq!(cl.eval_params(2, &global), global);
-        assert_eq!(cl.assignment_of(2), None);
+        assert_eq!(cl.assignment[2], None);
         assert_eq!(cl.k(), 3);
     }
 
@@ -320,7 +310,7 @@ mod tests {
         let mut restored = Clustered::new(2);
         restored.init(2, global.len());
         restored.import_state(state);
-        assert_eq!(restored.assignment_of(1), cl.assignment_of(1));
+        assert_eq!(restored.assignment[1], cl.assignment[1]);
         assert_eq!(restored.eval_params(1, &global), cl.eval_params(1, &global));
     }
 

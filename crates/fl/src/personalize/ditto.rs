@@ -8,7 +8,7 @@
 //! Table I.
 
 use super::{LocalOutcome, PersonalStore, Personalization, StateCommit};
-use crate::client::local_sgd_delta_into;
+use crate::client::{local_sgd, local_sgd_delta_into, Correction};
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
@@ -56,47 +56,23 @@ impl Personalization for Ditto {
         rng: &mut StdRng,
     ) -> LocalOutcome {
         // The update sent to the server: plain local SGD from the global.
-        local_sgd_delta_into(rng, scratch, global, data, cfg);
+        local_sgd_delta_into(rng, scratch, global, data, cfg, Correction::None);
         let delta = std::mem::take(&mut scratch.delta);
-        // The personal model: prox-regularized training starting from the
-        // previous personal model (or the global on first participation).
-        // local_sgd_delta_prox starts from its `global` argument and pulls
-        // toward it; for Ditto the pull must be toward the *server* model
-        // while starting from the personal model, so run the prox step
-        // manually from the personal start with reference `global`.
-        match self.personal.get(client_id) {
-            Some(p) => scratch.model.load_params_into(p),
-            None => scratch.model.load_params_into(global),
-        }
-        let mut opt = collapois_nn::optim::Sgd::new(cfg.client_lr);
-        for _ in 0..cfg.local_steps {
-            data.minibatch_into(
-                rng,
-                cfg.batch_size,
-                &mut scratch.idx,
-                &mut scratch.x,
-                &mut scratch.y,
-            );
-            scratch
-                .model
-                .train_batch_ws(&scratch.x, &scratch.y, &mut opt, &mut scratch.ws);
-            if self.lambda > 0.0 {
-                scratch.model.store_params_into(&mut scratch.params);
-                // Clamped at 1: huge λ pins the personal model to the
-                // global instead of oscillating.
-                let lr_l = (cfg.client_lr * self.lambda).min(1.0) as f32;
-                for (p, &g) in scratch.params.iter_mut().zip(global) {
-                    *p -= lr_l * (*p - g);
-                }
-                scratch.model.load_params_into(&scratch.params);
-            }
-        }
+        // The personal model: starts from the previous personal model (or
+        // the global on first participation) and is pulled toward the
+        // *server* model by the λ-proximal step.
+        let personal = self.personal.get(client_id).map_or(global, Vec::as_slice);
+        let prox = Correction::Prox {
+            mu: self.lambda,
+            anchor: global,
+        };
+        local_sgd(rng, scratch, personal, data, cfg, prox);
         LocalOutcome {
             delta,
             commit: StateCommit {
                 // Owned vector required: this outlives the arena in the
                 // personal store.
-                personal: Some(scratch.model.params()),
+                personal: Some(scratch.model.params().to_vec()),
                 ..StateCommit::none()
             },
         }
@@ -162,7 +138,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut d = Ditto::new(0.1);
         d.init(1, global.len());
@@ -187,7 +163,7 @@ mod tests {
         let run = |lambda: f64| {
             let mut rng = StdRng::seed_from_u64(1);
             let model = spec.build(&mut rng);
-            let global = model.params();
+            let global = model.params().to_vec();
             let mut scratch = ClientScratch::for_model(&model);
             let mut d = Ditto::new(lambda);
             d.init(1, global.len());
@@ -207,7 +183,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(3);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut d = Ditto::new(0.1);
         d.init(2, global.len());
@@ -233,7 +209,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(4);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut d = Ditto::new(0.1);
         d.init(1, global.len());

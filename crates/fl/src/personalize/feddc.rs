@@ -12,7 +12,7 @@
 //! (no per-minibatch drift schedule).
 
 use super::{LocalOutcome, PersonalStore, Personalization, StateCommit};
-use crate::client::local_sgd_delta_prox_into;
+use crate::client::{local_sgd_delta_into, Correction};
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
@@ -42,11 +42,6 @@ impl FedDc {
             personal: PersonalStore::default(),
         }
     }
-
-    /// Drift of client `id` (zero vector if never trained).
-    pub fn drift_of(&self, id: usize) -> Option<&Vec<f32>> {
-        self.drift.get(id).and_then(Option::as_ref)
-    }
 }
 
 impl Personalization for FedDc {
@@ -68,7 +63,11 @@ impl Personalization for FedDc {
         scratch: &mut ClientScratch,
         rng: &mut StdRng,
     ) -> LocalOutcome {
-        local_sgd_delta_prox_into(rng, scratch, global, data, cfg, self.prox_mu);
+        let prox = Correction::Prox {
+            mu: self.prox_mu,
+            anchor: global,
+        };
+        local_sgd_delta_into(rng, scratch, global, data, cfg, prox);
         let delta = std::mem::take(&mut scratch.delta);
         // Drift correction: h_i ← decay·h_i + (θ_i − θ).
         let decay = self.drift_decay as f32;
@@ -167,11 +166,11 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut fd = FedDc::new(1.0);
         fd.init(2, global.len());
-        assert!(fd.drift_of(0).is_none());
+        assert!(fd.drift[0].as_ref().is_none());
         let _ = train_and_commit(
             &mut fd,
             0,
@@ -181,7 +180,7 @@ mod tests {
             &mut scratch,
             &mut rng,
         );
-        assert!(fd.drift_of(0).is_some());
+        assert!(fd.drift[0].as_ref().is_some());
         // Personalized model differs from the global.
         assert_ne!(fd.eval_params(0, &global), global);
         // Untrained client evaluates on the global model.
@@ -194,7 +193,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(1);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut fd = FedDc::new(1.0);
         fd.init(1, global.len());
@@ -207,7 +206,7 @@ mod tests {
             &mut scratch,
             &mut rng,
         );
-        let d1 = fd.drift_of(0).unwrap().clone();
+        let d1 = fd.drift[0].as_ref().unwrap().clone();
         let _ = train_and_commit(
             &mut fd,
             0,
@@ -217,7 +216,7 @@ mod tests {
             &mut scratch,
             &mut rng,
         );
-        let d2 = fd.drift_of(0).unwrap().clone();
+        let d2 = fd.drift[0].as_ref().unwrap().clone();
         assert_ne!(d1, d2);
     }
 
@@ -227,7 +226,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(2);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut fd = FedDc::new(1.0);
         fd.init(3, global.len());
@@ -245,7 +244,7 @@ mod tests {
         let mut restored = FedDc::new(1.0);
         restored.init(3, global.len());
         restored.import_state(state);
-        assert_eq!(restored.drift_of(2), fd.drift_of(2));
+        assert_eq!(restored.drift[2], fd.drift[2]);
         assert_eq!(restored.eval_params(2, &global), fd.eval_params(2, &global));
     }
 }

@@ -14,6 +14,7 @@ use super::{LocalOutcome, PersonalStore, Personalization, StateCommit};
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
+use collapois_nn::loss::{softmax_into, Loss};
 use collapois_nn::optim::Sgd;
 use rand::rngs::StdRng;
 
@@ -65,19 +66,17 @@ impl Personalization for MetaFed {
         // lazily created auxiliary instance.
         scratch.ensure_aux();
         let teacher = scratch.aux.as_mut().expect("aux just ensured");
-        teacher.load_params_into(global);
+        teacher.set_params(global);
 
         // Student: the client's persistent personal model (starts from the
         // common model on first participation).
-        match self.personal.get(client_id) {
-            Some(p) => scratch.model.load_params_into(p),
-            None => scratch.model.load_params_into(global),
-        }
+        scratch
+            .model
+            .set_params(self.personal.get(client_id).map_or(global, Vec::as_slice));
         let mut opt = Sgd::new(cfg.client_lr);
 
-        // Stage 1 — common-knowledge distillation (the teacher's soft
-        // targets are allocated per step; distillation is off the
-        // steady-state FedAvg hot path).
+        // Stage 1 — common-knowledge distillation toward the teacher's soft
+        // predictions on the same minibatch.
         for _ in 0..self.distill_steps {
             data.minibatch_into(
                 rng,
@@ -86,23 +85,19 @@ impl Personalization for MetaFed {
                 &mut scratch.x,
                 &mut scratch.y,
             );
-            let targets = teacher.predict_proba(&scratch.x);
+            let logits = teacher.forward_ws(&scratch.x, &mut scratch.ws, false);
+            softmax_into(logits, &mut scratch.soft);
+            let distill = Loss::Distillation {
+                targets: &scratch.soft,
+                temperature: self.temperature,
+            };
             scratch
                 .model
-                .distill_batch(&scratch.x, &targets, self.temperature, &mut opt);
+                .train_batch_ws(&scratch.x, distill, &mut opt, &mut scratch.ws);
         }
         // Stage 2 — personalization on local data.
         for _ in 0..cfg.local_steps {
-            data.minibatch_into(
-                rng,
-                cfg.batch_size,
-                &mut scratch.idx,
-                &mut scratch.x,
-                &mut scratch.y,
-            );
-            scratch
-                .model
-                .train_batch_ws(&scratch.x, &scratch.y, &mut opt, &mut scratch.ws);
+            scratch.train_step(rng, data, cfg.batch_size, &mut opt);
         }
         let personal = scratch.model.params();
         scratch.delta.clear();
@@ -112,7 +107,7 @@ impl Personalization for MetaFed {
         LocalOutcome {
             delta: std::mem::take(&mut scratch.delta),
             commit: StateCommit {
-                personal: Some(personal),
+                personal: Some(personal.to_vec()),
                 ..StateCommit::none()
             },
         }
@@ -162,7 +157,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut mf = MetaFed::new(2.0, 2);
         mf.init(2, global.len());
@@ -187,7 +182,7 @@ mod tests {
         cfg.client_lr = 0.3;
         let mut rng = StdRng::seed_from_u64(1);
         let mut model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut mf = MetaFed::new(2.0, 2);
         mf.init(1, global.len());

@@ -37,7 +37,7 @@ pub use feddc::FedDc;
 pub use metafed::MetaFed;
 pub use scaffold::Scaffold;
 
-use crate::client::local_sgd_delta_into;
+use crate::client::{local_sgd_delta_into, Correction};
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
@@ -168,7 +168,7 @@ impl Personalization for NoPersonalization {
         scratch: &mut ClientScratch,
         rng: &mut StdRng,
     ) -> LocalOutcome {
-        local_sgd_delta_into(rng, scratch, global, data, cfg);
+        local_sgd_delta_into(rng, scratch, global, data, cfg, Correction::None);
         LocalOutcome::stateless(std::mem::take(&mut scratch.delta))
     }
 
@@ -238,7 +238,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let mut scratch = ClientScratch::for_model(&model);
         let mut p = NoPersonalization::new();
         p.init(1, global.len());

@@ -23,7 +23,7 @@
 //! SCAFFOLD trains one shared model, not per-client ones.
 
 use super::{LocalOutcome, Personalization, StateCommit};
-use crate::client::local_sgd_delta_corrected_into;
+use crate::client::{local_sgd_delta_into, Correction};
 use crate::config::FlConfig;
 use crate::scratch::ClientScratch;
 use collapois_data::sample::Dataset;
@@ -80,14 +80,15 @@ impl Personalization for Scaffold {
         let ci = self.clients.get(client_id).and_then(Option::as_deref);
         // Correction c − c_i into the spare flat buffer (taken out of the
         // arena so the trainer can borrow the rest of it mutably).
-        let mut corr = std::mem::take(&mut scratch.params2);
+        let mut corr = std::mem::take(&mut scratch.correction);
         corr.clear();
         match ci {
             Some(ci) => corr.extend(self.server.iter().zip(ci).map(|(c, i)| c - i)),
             None => corr.extend_from_slice(&self.server),
         }
-        local_sgd_delta_corrected_into(rng, scratch, global, data, cfg, &corr);
-        scratch.params2 = corr;
+        let control = Correction::Control(&corr);
+        local_sgd_delta_into(rng, scratch, global, data, cfg, control);
+        scratch.correction = corr;
         // Option II variate refresh: c_i⁺ = c_i − c − Δ/(K·η).
         let scale = 1.0 / (cfg.local_steps.max(1) as f32 * cfg.client_lr as f32);
         let ctrl: Vec<f32> = (0..global.len())
@@ -177,7 +178,7 @@ mod tests {
         let cfg = FlConfig::quick(spec.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let model = spec.build(&mut rng);
-        let global = model.params();
+        let global = model.params().to_vec();
         let scratch = ClientScratch::for_model(&model);
         (cfg, global, scratch)
     }

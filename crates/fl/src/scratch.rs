@@ -9,9 +9,13 @@
 //! what keeps the pooled path bitwise identical to the historical
 //! clone-per-client path.
 
+use collapois_data::sample::Dataset;
+use collapois_nn::loss::Loss;
 use collapois_nn::model::Sequential;
+use collapois_nn::optim::Optimizer;
 use collapois_nn::tensor::Tensor;
 use collapois_nn::workspace::Workspace;
+use rand::Rng;
 
 /// Reusable per-worker buffers for
 /// [`crate::personalize::Personalization::local_train`].
@@ -28,26 +32,49 @@ pub struct ClientScratch {
     /// Output delta buffer: strategies compute `θ_local − θ_global` here
     /// and hand it off via `mem::take`.
     pub delta: Vec<f32>,
-    /// Flat parameter scratch (trained local parameters, prox steps).
-    pub params: Vec<f32>,
-    /// Second flat parameter scratch for strategies juggling two vectors.
-    pub params2: Vec<f32>,
+    /// Flat correction scratch (SCAFFOLD's `c − c_i`).
+    pub correction: Vec<f32>,
     /// Minibatch index buffer for `Dataset::minibatch_into`.
     pub idx: Vec<usize>,
     /// Minibatch feature buffer.
     pub x: Tensor,
     /// Minibatch label buffer.
     pub y: Vec<usize>,
+    /// Soft-target buffer (MetaFed's teacher probabilities).
+    pub soft: Tensor,
 }
 
 impl ClientScratch {
+    /// Creates a scratch arena that trains `model`.
+    pub fn new(model: Sequential) -> Self {
+        Self {
+            model,
+            ..Self::default()
+        }
+    }
+
     /// Creates a scratch arena for the given model architecture (the model
     /// is cloned once here — the last per-client clone in the system).
     pub fn for_model(template: &Sequential) -> Self {
-        Self {
-            model: template.clone(),
-            ..Self::default()
-        }
+        Self::new(template.clone())
+    }
+
+    /// Draws a `batch`-sample minibatch of `data` into the arena and takes
+    /// one cross-entropy SGD step on `model`.
+    pub fn train_step<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        data: &Dataset,
+        batch: usize,
+        optimizer: &mut dyn Optimizer,
+    ) {
+        data.minibatch_into(rng, batch, &mut self.idx, &mut self.x, &mut self.y);
+        self.model.train_batch_ws(
+            &self.x,
+            Loss::CrossEntropy(&self.y),
+            optimizer,
+            &mut self.ws,
+        );
     }
 
     /// Ensures the auxiliary model exists (cloned from `model` on first

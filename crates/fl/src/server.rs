@@ -267,7 +267,7 @@ impl FlServer {
             .unwrap_or_else(|e| panic!("invalid FlConfig: {e}"));
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let scratch = cfg.model.build(&mut rng);
-        let global = scratch.params();
+        let global = scratch.params().to_vec();
         personalization.init(fed.num_clients(), global.len());
         Self {
             cfg,

@@ -21,19 +21,7 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::default();
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
         out.copy_from(input);
         if train {
             self.mask.clear();
@@ -54,7 +42,13 @@ impl Layer for ReLU {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+    fn backward_into(
+        &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    ) {
         assert!(
             self.have_mask,
             "relu backward called without a training forward"
@@ -91,19 +85,7 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::default();
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
         out.copy_from(input);
         for v in out.data_mut() {
             *v = v.tanh();
@@ -114,7 +96,13 @@ impl Layer for Tanh {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+    fn backward_into(
+        &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    ) {
         assert!(
             self.cached,
             "tanh backward called without a training forward"
@@ -137,15 +125,16 @@ impl Layer for Tanh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
 
     #[test]
     fn relu_forward_and_backward() {
         let mut relu = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.5], &[1, 4]);
-        let out = relu.forward(&x, true);
+        let out = forward(&mut relu, &[], &x, true);
         assert_eq!(out.data(), &[0.0, 0.0, 2.0, 0.0]);
         let g = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 4]);
-        let gx = relu.backward(&g);
+        let gx = backward(&mut relu, &[], &mut [], &g);
         assert_eq!(gx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -153,34 +142,34 @@ mod tests {
     fn tanh_gradient_matches_derivative() {
         let mut tanh = Tanh::new();
         let x = Tensor::from_vec(vec![0.5, -0.3], &[1, 2]);
-        let out = tanh.forward(&x, true);
+        let out = forward(&mut tanh, &[], &x, true);
         assert!((out.data()[0] - 0.5f32.tanh()).abs() < 1e-6);
         let g = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let gx = tanh.backward(&g);
+        let gx = backward(&mut tanh, &[], &mut [], &g);
         let expect = 1.0 - 0.5f32.tanh().powi(2);
         assert!((gx.data()[0] - expect).abs() < 1e-6);
     }
 
     #[test]
     fn relu_has_no_params() {
-        let relu = ReLU::new();
+        let mut relu = ReLU::new();
         assert_eq!(relu.param_count(), 0);
+        assert!(relu.take_init_params().is_empty());
     }
 
     #[test]
-    fn relu_into_reuses_buffers_and_matches() {
+    fn relu_reuses_buffers_and_matches_fresh_layer() {
         let mut a = ReLU::new();
-        let mut b = ReLU::new();
         let mut out = Tensor::default();
         let mut gin = Tensor::default();
         for scale in [1.0f32, -2.0, 0.5] {
+            let mut b = ReLU::new();
             let x = Tensor::from_vec(vec![-scale, 0.0, 2.0 * scale], &[1, 3]);
-            a.forward_into(&x, &mut out, true);
-            let expect = b.forward(&x, true);
-            assert_eq!(out, expect);
+            a.forward_into(&[], &x, &mut out, true);
+            assert_eq!(out, forward(&mut b, &[], &x, true));
             let g = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-            a.backward_into(&g, &mut gin);
-            assert_eq!(gin, b.backward(&g));
+            a.backward_into(&[], &mut [], &g, &mut gin);
+            assert_eq!(gin, backward(&mut b, &[], &mut [], &g));
         }
     }
 }

@@ -6,18 +6,19 @@ use crate::tensor::Tensor;
 use rand::Rng;
 
 /// 2-D convolution over `[N, C, H, W]` inputs with `valid` padding and
-/// stride 1. Weights are stored `[out_c, in_c, kh, kw]` row-major.
+/// stride 1. Weights are stored `[out_c, in_c, kh, kw]` row-major, followed
+/// by the bias in the layer's arena range.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_c: usize,
     out_c: usize,
     kh: usize,
     kw: usize,
-    weight: Vec<f32>,
-    bias: Vec<f32>,
-    grad_weight: Vec<f32>,
-    grad_bias: Vec<f32>,
-    cached_input: Option<Tensor>,
+    /// Initial weights then bias, until the model takes them.
+    init: Vec<f32>,
+    // Persistent cache buffer, validity gated by `cached`.
+    cached_input: Tensor,
+    cached: bool,
 }
 
 impl Conv2d {
@@ -32,19 +33,26 @@ impl Conv2d {
             "conv dims must be positive"
         );
         let fan_in = in_c * kernel * kernel;
-        let mut weight = vec![0.0; out_c * fan_in];
-        Init::HeNormal.fill(rng, &mut weight, fan_in, out_c * kernel * kernel);
+        let mut params = vec![0.0; out_c * fan_in + out_c];
+        Init::HeNormal.fill(
+            rng,
+            &mut params[..out_c * fan_in],
+            fan_in,
+            out_c * kernel * kernel,
+        );
         Self {
             in_c,
             out_c,
             kh: kernel,
             kw: kernel,
-            weight,
-            bias: vec![0.0; out_c],
-            grad_weight: vec![0.0; out_c * fan_in],
-            grad_bias: vec![0.0; out_c],
-            cached_input: None,
+            init: params,
+            cached_input: Tensor::default(),
+            cached: false,
         }
+    }
+
+    fn weight_len(&self) -> usize {
+        self.out_c * self.in_c * self.kh * self.kw
     }
 
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
@@ -59,14 +67,18 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_into(&mut self, params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "conv expects [N, C, H, W], got {shape:?}");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(c, self.in_c, "conv channel mismatch");
         let (oh, ow) = self.out_hw(h, w);
+        let (weight, bias) = params.split_at(self.weight_len());
         let x = input.data();
-        let mut out = vec![0.0f32; n * self.out_c * oh * ow];
+        // Every output plane is first filled with its bias, so stale
+        // contents from a previous minibatch are harmless.
+        out.resize_to(&[n, self.out_c, oh, ow]);
+        let out = out.data_mut();
         let in_plane = h * w;
         let out_plane = oh * ow;
         let k_plane = self.kh * self.kw;
@@ -74,10 +86,9 @@ impl Layer for Conv2d {
             let xb = &x[b * c * in_plane..(b + 1) * c * in_plane];
             let ob = &mut out[b * self.out_c * out_plane..(b + 1) * self.out_c * out_plane];
             for oc in 0..self.out_c {
-                let w_oc = &self.weight[oc * self.in_c * k_plane..(oc + 1) * self.in_c * k_plane];
-                let bias = self.bias[oc];
+                let w_oc = &weight[oc * self.in_c * k_plane..(oc + 1) * self.in_c * k_plane];
                 let o_plane = &mut ob[oc * out_plane..(oc + 1) * out_plane];
-                o_plane.fill(bias);
+                o_plane.fill(bias[oc]);
                 for ic in 0..self.in_c {
                     let x_plane = &xb[ic * in_plane..(ic + 1) * in_plane];
                     let w_k = &w_oc[ic * k_plane..(ic + 1) * k_plane];
@@ -100,17 +111,24 @@ impl Layer for Conv2d {
             }
         }
         if train {
-            self.cached_input = Some(input.clone());
+            self.cached_input.copy_from(input);
+            self.cached = true;
         }
-        Tensor::from_vec(out, &[n, self.out_c, oh, ow])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("conv backward called without a training forward");
-        let shape = input.shape();
+    fn backward_into(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    ) {
+        assert!(
+            self.cached,
+            "conv backward called without a training forward"
+        );
+        self.cached = false;
+        let shape = self.cached_input.shape();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = self.out_hw(h, w);
         assert_eq!(
@@ -118,22 +136,26 @@ impl Layer for Conv2d {
             &[n, self.out_c, oh, ow],
             "conv grad shape mismatch"
         );
-        let x = input.data();
+        let weight = &params[..self.weight_len()];
+        let (grad_weight, grad_bias) = grads.split_at_mut(self.weight_len());
+        let x = self.cached_input.data();
         let g = grad_out.data();
         let in_plane = h * w;
         let out_plane = oh * ow;
         let k_plane = self.kh * self.kw;
-        let mut grad_in = vec![0.0f32; x.len()];
+        grad_in.resize_to(shape);
+        let grad_in = grad_in.data_mut();
+        grad_in.fill(0.0);
         for b in 0..n {
             let xb = &x[b * c * in_plane..(b + 1) * c * in_plane];
             let gb = &g[b * self.out_c * out_plane..(b + 1) * self.out_c * out_plane];
             let gib = &mut grad_in[b * c * in_plane..(b + 1) * c * in_plane];
             for oc in 0..self.out_c {
                 let g_plane = &gb[oc * out_plane..(oc + 1) * out_plane];
-                self.grad_bias[oc] += g_plane.iter().sum::<f32>();
-                let w_oc = &self.weight[oc * self.in_c * k_plane..(oc + 1) * self.in_c * k_plane];
+                grad_bias[oc] += g_plane.iter().sum::<f32>();
+                let w_oc = &weight[oc * self.in_c * k_plane..(oc + 1) * self.in_c * k_plane];
                 let gw_oc =
-                    &mut self.grad_weight[oc * self.in_c * k_plane..(oc + 1) * self.in_c * k_plane];
+                    &mut grad_weight[oc * self.in_c * k_plane..(oc + 1) * self.in_c * k_plane];
                 for ic in 0..self.in_c {
                     let x_plane = &xb[ic * in_plane..(ic + 1) * in_plane];
                     let gi_plane = &mut gib[ic * in_plane..(ic + 1) * in_plane];
@@ -159,46 +181,29 @@ impl Layer for Conv2d {
                 }
             }
         }
-        Tensor::from_vec(grad_in, &[n, c, h, w])
     }
 
     fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
+        self.weight_len() + self.out_c
     }
 
-    fn write_params(&self, out: &mut [f32]) {
-        let (w, b) = out.split_at_mut(self.weight.len());
-        w.copy_from_slice(&self.weight);
-        b.copy_from_slice(&self.bias);
-    }
-
-    fn read_params(&mut self, src: &[f32]) {
-        let (w, b) = src.split_at(self.weight.len());
-        self.weight.copy_from_slice(w);
-        self.bias.copy_from_slice(b);
-    }
-
-    fn write_grads(&self, out: &mut [f32]) {
-        let (w, b) = out.split_at_mut(self.grad_weight.len());
-        w.copy_from_slice(&self.grad_weight);
-        b.copy_from_slice(&self.grad_bias);
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
+    fn take_init_params(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        let mut c = self.clone();
-        c.cached_input = None;
-        Box::new(c)
+        Box::new(Self {
+            cached_input: Tensor::default(),
+            cached: false,
+            ..self.clone()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -239,13 +244,12 @@ mod tests {
     fn forward_matches_reference() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(&mut rng, 2, 3, 3);
+        let params = conv.take_init_params();
         let x: Vec<f32> = (0..2 * 2 * 6 * 6)
             .map(|i| ((i * 31 % 17) as f32 - 8.0) * 0.1)
             .collect();
         let t = Tensor::from_vec(x.clone(), &[2, 2, 6, 6]);
-        let out = conv.forward(&t, false);
-        let mut params = vec![0.0; conv.param_count()];
-        conv.write_params(&mut params);
+        let out = forward(&mut conv, &params, &t, false);
         let (w, b) = params.split_at(2 * 3 * 9);
         let reference = reference_conv(&x, w, b, (2, 2, 6, 6), (3, 3));
         assert_eq!(out.shape(), &[2, 3, 4, 4]);
@@ -258,26 +262,23 @@ mod tests {
     fn backward_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut conv = Conv2d::new(&mut rng, 1, 2, 2);
+        let params = conv.take_init_params();
         let x = Tensor::from_vec((0..16).map(|i| 0.05 * i as f32).collect(), &[1, 1, 4, 4]);
-        let out = conv.forward(&x, true);
+        let out = forward(&mut conv, &params, &x, true);
         let ones = Tensor::from_vec(vec![1.0; out.len()], out.shape());
-        let gx = conv.backward(&ones);
         let mut grads = vec![0.0; conv.param_count()];
-        conv.write_grads(&mut grads);
+        let gx = backward(&mut conv, &params, &mut grads, &ones);
 
-        let mut params = vec![0.0; conv.param_count()];
-        conv.write_params(&mut params);
+        let sum_at = |conv: &mut Conv2d, p: &[f32], x: &Tensor| -> f32 {
+            forward(conv, p, x, false).data().iter().sum()
+        };
         let eps = 1e-3;
         for idx in 0..conv.param_count() {
             let mut hi = params.clone();
             hi[idx] += eps;
-            conv.read_params(&hi);
-            let s_hi: f32 = conv.forward(&x, false).data().iter().sum();
             let mut lo = params.clone();
             lo[idx] -= eps;
-            conv.read_params(&lo);
-            let s_lo: f32 = conv.forward(&x, false).data().iter().sum();
-            let fd = (s_hi - s_lo) / (2.0 * eps);
+            let fd = (sum_at(&mut conv, &hi, &x) - sum_at(&mut conv, &lo, &x)) / (2.0 * eps);
             assert!(
                 (fd - grads[idx]).abs() < 1e-2,
                 "param {idx}: fd={fd} vs {}",
@@ -285,14 +286,12 @@ mod tests {
             );
         }
         // Spot-check an input gradient.
-        conv.read_params(&params);
         let mut x_hi = x.clone();
         x_hi.data_mut()[5] += eps;
-        let s_hi: f32 = conv.forward(&x_hi, false).data().iter().sum();
         let mut x_lo = x.clone();
         x_lo.data_mut()[5] -= eps;
-        let s_lo: f32 = conv.forward(&x_lo, false).data().iter().sum();
-        let fd = (s_hi - s_lo) / (2.0 * eps);
+        let fd =
+            (sum_at(&mut conv, &params, &x_hi) - sum_at(&mut conv, &params, &x_lo)) / (2.0 * eps);
         assert!((fd - gx.data()[5]).abs() < 1e-2);
     }
 
@@ -301,6 +300,7 @@ mod tests {
     fn rejects_too_small_input() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut conv = Conv2d::new(&mut rng, 1, 1, 5);
-        let _ = conv.forward(&Tensor::zeros(&[1, 1, 3, 3]), false);
+        let params = conv.take_init_params();
+        let _ = forward(&mut conv, &params, &Tensor::zeros(&[1, 1, 3, 3]), false);
     }
 }

@@ -7,15 +7,13 @@ use crate::tensor::Tensor;
 use rand::Rng;
 
 /// Fully connected layer: `y = x Wᵀ + b`, weights stored `[out, in]`
-/// row-major.
+/// row-major, followed by the bias in the layer's arena range.
 #[derive(Debug, Clone)]
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
-    weight: Vec<f32>, // [out, in]
-    bias: Vec<f32>,   // [out]
-    grad_weight: Vec<f32>,
-    grad_bias: Vec<f32>,
+    /// Initial weights then bias, until the model takes them.
+    init: Vec<f32>,
     // Persistent cache buffer: `cached` gates validity so the heap
     // allocation survives (and is reused by) every training forward.
     cached_input: Tensor,
@@ -36,15 +34,12 @@ impl Dense {
         init: Init,
     ) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "dense dims must be positive");
-        let mut weight = vec![0.0; in_dim * out_dim];
-        init.fill(rng, &mut weight, in_dim, out_dim);
+        let mut params = vec![0.0; in_dim * out_dim + out_dim];
+        init.fill(rng, &mut params[..in_dim * out_dim], in_dim, out_dim);
         Self {
             in_dim,
             out_dim,
-            weight,
-            bias: vec![0.0; out_dim],
-            grad_weight: vec![0.0; in_dim * out_dim],
-            grad_bias: vec![0.0; out_dim],
+            init: params,
             cached_input: Tensor::default(),
             cached: false,
         }
@@ -59,22 +54,42 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+
+    /// `dW += gᵀ x ; db[o] += Σ_batch g[o]` from the cached input; returns
+    /// the batch size.
+    fn accumulate_param_grads(&mut self, grads: &mut [f32], grad_out: &Tensor) -> usize {
+        assert!(
+            self.cached,
+            "dense backward called without a training forward"
+        );
+        self.cached = false;
+        let n = self.cached_input.batch();
+        assert_eq!(
+            grad_out.len(),
+            n * self.out_dim,
+            "dense grad shape mismatch"
+        );
+        let g = grad_out.data();
+        let (grad_weight, grad_bias) = grads.split_at_mut(self.in_dim * self.out_dim);
+        kernels::matmul_transa_acc(
+            g,
+            self.cached_input.data(),
+            grad_weight,
+            n,
+            self.out_dim,
+            self.in_dim,
+        );
+        for gb in g.chunks_exact(self.out_dim) {
+            for (db, &go) in grad_bias.iter_mut().zip(gb) {
+                *db += go;
+            }
+        }
+        n
+    }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::default();
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&mut self, params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
         let n = input.batch();
         assert_eq!(
             input.len(),
@@ -84,20 +99,14 @@ impl Layer for Dense {
             input.shape()
         );
         let x = input.data();
+        let (weight, bias) = params.split_at(self.in_dim * self.out_dim);
         // y = x Wᵀ, then add the bias per row. The matmul kernel fully
         // overwrites `out`, so stale contents from a previous minibatch are
         // harmless.
         out.resize_to(&[n, self.out_dim]);
-        kernels::matmul_transb(
-            x,
-            &self.weight,
-            out.data_mut(),
-            n,
-            self.in_dim,
-            self.out_dim,
-        );
+        kernels::matmul_transb(x, weight, out.data_mut(), n, self.in_dim, self.out_dim);
         for oi in out.data_mut().chunks_exact_mut(self.out_dim) {
-            for (o, b) in oi.iter_mut().zip(&self.bias) {
+            for (o, b) in oi.iter_mut().zip(bias) {
                 *o += b;
             }
         }
@@ -108,126 +117,71 @@ impl Layer for Dense {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        assert!(
-            self.cached,
-            "dense backward called without a training forward"
-        );
-        self.cached = false;
-        // Move the cache out so its data can be read while parameter
-        // gradients are mutated; restored below to keep its buffer alive.
-        let input = std::mem::take(&mut self.cached_input);
-        let n = input.batch();
-        assert_eq!(
-            grad_out.len(),
-            n * self.out_dim,
-            "dense grad shape mismatch"
-        );
-        let x = input.data();
-        let g = grad_out.data();
-        // dW += gᵀ x ; db[o] += Σ_batch g[o].
-        kernels::matmul_transa_acc(g, x, &mut self.grad_weight, n, self.out_dim, self.in_dim);
-        for gb in g.chunks_exact(self.out_dim) {
-            for (db, &go) in self.grad_bias.iter_mut().zip(gb) {
-                *db += go;
-            }
-        }
+    fn backward_into(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    ) {
+        let n = self.accumulate_param_grads(grads, grad_out);
         // dX = g W.
         grad_in.resize_to(&[n, self.in_dim]);
         kernels::matmul(
-            g,
-            &self.weight,
+            grad_out.data(),
+            &params[..self.in_dim * self.out_dim],
             grad_in.data_mut(),
             n,
             self.out_dim,
             self.in_dim,
         );
-        self.cached_input = input;
     }
 
-    fn backward_head_into(&mut self, grad_out: &Tensor, _scratch: &mut Tensor) {
-        assert!(
-            self.cached,
-            "dense backward called without a training forward"
-        );
-        self.cached = false;
-        let input = std::mem::take(&mut self.cached_input);
-        let n = input.batch();
-        assert_eq!(
-            grad_out.len(),
-            n * self.out_dim,
-            "dense grad shape mismatch"
-        );
-        let x = input.data();
-        let g = grad_out.data();
+    fn backward_head_into(
+        &mut self,
+        _params: &[f32],
+        grads: &mut [f32],
+        grad_out: &Tensor,
+        _scratch: &mut Tensor,
+    ) {
         // Parameter gradients only — identical ops to `backward_into`; the
         // dX matmul (the single largest matmul of a first-layer backward)
         // is skipped because nothing consumes it.
-        kernels::matmul_transa_acc(g, x, &mut self.grad_weight, n, self.out_dim, self.in_dim);
-        for gb in g.chunks_exact(self.out_dim) {
-            for (db, &go) in self.grad_bias.iter_mut().zip(gb) {
-                *db += go;
-            }
-        }
-        self.cached_input = input;
+        self.accumulate_param_grads(grads, grad_out);
     }
 
     fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
+        self.in_dim * self.out_dim + self.out_dim
     }
 
-    fn write_params(&self, out: &mut [f32]) {
-        let (w, b) = out.split_at_mut(self.weight.len());
-        w.copy_from_slice(&self.weight);
-        b.copy_from_slice(&self.bias);
-    }
-
-    fn read_params(&mut self, src: &[f32]) {
-        let (w, b) = src.split_at(self.weight.len());
-        self.weight.copy_from_slice(w);
-        self.bias.copy_from_slice(b);
-    }
-
-    fn write_grads(&self, out: &mut [f32]) {
-        let (w, b) = out.split_at_mut(self.grad_weight.len());
-        w.copy_from_slice(&self.grad_weight);
-        b.copy_from_slice(&self.grad_bias);
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
+    fn take_init_params(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        let mut c = self.clone();
-        c.cached_input = Tensor::default();
-        c.cached = false;
-        Box::new(c)
+        Box::new(Self {
+            cached_input: Tensor::default(),
+            cached: false,
+            ..self.clone()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn layer() -> Dense {
-        let mut rng = StdRng::seed_from_u64(0);
-        Dense::new(&mut rng, 3, 2)
-    }
-
     #[test]
     fn forward_shape_and_bias() {
-        let mut l = layer();
-        // Zero the weights, set bias: output must equal the bias per row.
-        l.read_params(&[0.0; 8]);
+        let mut l = Dense::new(&mut StdRng::seed_from_u64(0), 3, 2);
+        // Zero weights, set bias: output must equal the bias per row.
         let mut p = vec![0.0; 8];
         p[6] = 1.5;
         p[7] = -0.5;
-        l.read_params(&p);
-        let out = l.forward(&Tensor::zeros(&[4, 3]), false);
+        let out = forward(&mut l, &p, &Tensor::zeros(&[4, 3]), false);
         assert_eq!(out.shape(), &[4, 2]);
         for i in 0..4 {
             assert_eq!(out.row(i), &[1.5, -0.5]);
@@ -238,27 +192,24 @@ mod tests {
     fn backward_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut l = Dense::new(&mut rng, 4, 3);
+        let params = l.take_init_params();
         let x = Tensor::from_vec((0..8).map(|i| 0.1 * i as f32).collect(), &[2, 4]);
         // Loss = sum(outputs); dL/dout = 1.
-        let out = l.forward(&x, true);
+        let out = forward(&mut l, &params, &x, true);
         let ones = Tensor::from_vec(vec![1.0; out.len()], out.shape());
-        let gx = l.backward(&ones);
         let mut grads = vec![0.0; l.param_count()];
-        l.write_grads(&mut grads);
+        let gx = backward(&mut l, &params, &mut grads, &ones);
 
-        let mut params = vec![0.0; l.param_count()];
-        l.write_params(&mut params);
+        let sum_at = |l: &mut Dense, p: &[f32], x: &Tensor| -> f32 {
+            forward(l, p, x, false).data().iter().sum()
+        };
         let eps = 1e-3;
         for idx in [0usize, 5, 11, 12, 14] {
             let mut p_hi = params.clone();
             p_hi[idx] += eps;
-            l.read_params(&p_hi);
-            let hi: f32 = l.forward(&x, false).data().iter().sum();
             let mut p_lo = params.clone();
             p_lo[idx] -= eps;
-            l.read_params(&p_lo);
-            let lo: f32 = l.forward(&x, false).data().iter().sum();
-            let fd = (hi - lo) / (2.0 * eps);
+            let fd = (sum_at(&mut l, &p_hi, &x) - sum_at(&mut l, &p_lo, &x)) / (2.0 * eps);
             assert!(
                 (fd - grads[idx]).abs() < 1e-2,
                 "param {idx}: fd={fd} analytic={}",
@@ -266,63 +217,38 @@ mod tests {
             );
         }
         // Input gradient via finite differences on one coordinate.
-        l.read_params(&params);
         let mut x_hi = x.clone();
         x_hi.data_mut()[2] += eps;
-        let hi: f32 = l.forward(&x_hi, false).data().iter().sum();
         let mut x_lo = x.clone();
         x_lo.data_mut()[2] -= eps;
-        let lo: f32 = l.forward(&x_lo, false).data().iter().sum();
-        let fd = (hi - lo) / (2.0 * eps);
+        let fd = (sum_at(&mut l, &params, &x_hi) - sum_at(&mut l, &params, &x_lo)) / (2.0 * eps);
         assert!((fd - gx.data()[2]).abs() < 1e-2);
     }
 
     #[test]
-    fn param_roundtrip() {
-        let mut l = layer();
-        let mut before = vec![0.0; l.param_count()];
-        l.write_params(&mut before);
-        let incremented: Vec<f32> = before.iter().map(|p| p + 1.0).collect();
-        l.read_params(&incremented);
-        let mut after = vec![0.0; l.param_count()];
-        l.write_params(&mut after);
-        assert_eq!(after, incremented);
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut l = layer();
-        let x = Tensor::from_vec(vec![1.0; 3], &[1, 3]);
-        let out = l.forward(&x, true);
-        let g = Tensor::from_vec(vec![1.0; out.len()], out.shape());
-        l.backward(&g);
-        let mut grads = vec![0.0; l.param_count()];
-        l.write_grads(&mut grads);
-        assert!(grads.iter().any(|&g| g != 0.0));
-        l.zero_grad();
-        l.write_grads(&mut grads);
-        assert!(grads.iter().all(|&g| g == 0.0));
+    fn init_params_are_taken_once() {
+        let mut l = Dense::new(&mut StdRng::seed_from_u64(0), 3, 2);
+        assert_eq!(l.take_init_params().len(), l.param_count());
+        assert!(l.take_init_params().is_empty());
     }
 
     #[test]
     fn head_backward_matches_full_backward_param_grads() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut full = Dense::new(&mut rng, 5, 3);
+        let params = full.take_init_params();
         let mut head = full.clone();
         let x = Tensor::from_vec((0..10).map(|i| 0.3 * i as f32 - 1.0).collect(), &[2, 5]);
         let g = Tensor::from_vec((0..6).map(|i| 0.1 * i as f32 - 0.2).collect(), &[2, 3]);
         let mut scratch = Tensor::default();
-
-        full.forward_into(&x, &mut scratch, true);
-        let mut grad_in = Tensor::default();
-        full.backward_into(&g, &mut grad_in);
-        head.forward_into(&x, &mut scratch, true);
-        head.backward_head_into(&g, &mut scratch);
-
         let mut gf = vec![0.0; full.param_count()];
         let mut gh = vec![0.0; head.param_count()];
-        full.write_grads(&mut gf);
-        head.write_grads(&mut gh);
+
+        full.forward_into(&params, &x, &mut scratch, true);
+        full.backward_into(&params, &mut gf, &g, &mut Tensor::default());
+        head.forward_into(&params, &x, &mut scratch, true);
+        head.backward_head_into(&params, &mut gh, &g, &mut scratch);
+
         assert_eq!(
             gf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             gh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -333,8 +259,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "without a training forward")]
     fn backward_requires_forward() {
-        let mut l = layer();
-        let g = Tensor::zeros(&[1, 2]);
-        let _ = l.backward(&g);
+        let mut l = Dense::new(&mut StdRng::seed_from_u64(0), 3, 2);
+        let params = vec![0.0; 8];
+        let _ = backward(&mut l, &params, &mut [0.0; 8], &Tensor::zeros(&[1, 2]));
     }
 }

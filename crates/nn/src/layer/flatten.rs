@@ -17,19 +17,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::default();
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
         let n = input.batch();
         let rest: usize = input.shape()[1..].iter().product();
         if train {
@@ -40,7 +28,13 @@ impl Layer for Flatten {
         out.data_mut().copy_from_slice(input.data());
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+    fn backward_into(
+        &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    ) {
         assert!(
             !self.in_shape.is_empty(),
             "flatten backward called without a training forward"
@@ -57,14 +51,15 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
 
     #[test]
     fn roundtrip() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 4]);
-        let out = f.forward(&x, true);
+        let out = forward(&mut f, &[], &x, true);
         assert_eq!(out.shape(), &[2, 48]);
-        let back = f.backward(&out);
+        let back = backward(&mut f, &[], &mut [], &out);
         assert_eq!(back.shape(), &[2, 3, 4, 4]);
     }
 }

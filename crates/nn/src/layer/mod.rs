@@ -1,7 +1,7 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Every layer exposes its parameters and accumulated gradients through the
-//! flat read/write interface used by [`crate::model::Sequential`] — the
+//! Layers read their parameters from, and accumulate their gradients into,
+//! ranges of the flat arenas [`crate::model::Sequential`] owns — the
 //! representation all federated-learning aggregation in this workspace
 //! operates on.
 
@@ -21,37 +21,35 @@ use crate::tensor::Tensor;
 
 /// A differentiable layer.
 ///
-/// `forward` caches whatever the subsequent `backward` needs; `backward`
-/// consumes the cache, **accumulates** parameter gradients internally, and
-/// returns the gradient with respect to the layer input.
+/// A layer owns no parameters: [`crate::model::Sequential`] keeps every
+/// layer's parameters in one flat arena and its gradients in a second one,
+/// and hands each layer its own range of both (weights row-major, then
+/// bias). Every pass writes into caller-owned buffers, resized as needed
+/// so their heap allocations are reused across minibatches.
+///
+/// `forward_into` caches whatever the subsequent backward pass needs; the
+/// backward pass consumes the cache, **accumulates** parameter gradients
+/// into its range of the gradient arena, and writes the gradient with
+/// respect to the layer input.
 pub trait Layer: std::fmt::Debug + Send + Sync {
-    /// Forward pass. `train` controls caching (inference can skip it).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Forward pass: writes the layer output into `out`. `params` is this
+    /// layer's parameter range; `train` controls caching (inference skips
+    /// it).
+    fn forward_into(&mut self, params: &[f32], input: &Tensor, out: &mut Tensor, train: bool);
 
-    /// Backward pass; returns the gradient w.r.t. the forward input.
+    /// Backward pass: accumulates parameter gradients into `grads` and
+    /// writes the gradient w.r.t. the forward input into `grad_in`.
     ///
     /// # Panics
     ///
-    /// Implementations panic if called before a `forward(_, train=true)`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// In-place forward pass: writes the layer output into `out`, resizing
-    /// it as needed so its heap buffer is reused across minibatches.
-    ///
-    /// The default delegates to the allocating [`Layer::forward`]; layers on
-    /// the zero-allocation training path override it (and implement
-    /// `forward` in terms of it, so both entry points share one code path
-    /// and stay bitwise identical).
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        *out = self.forward(input, train);
-    }
-
-    /// In-place backward pass: writes the gradient w.r.t. the forward input
-    /// into `grad_in`, resizing it as needed. Same caching contract and
-    /// panics as [`Layer::backward`], which the default delegates to.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        *grad_in = self.backward(grad_out);
-    }
+    /// Implementations panic if called before a `forward_into(.., true)`.
+    fn backward_into(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    );
 
     /// Backward pass for the bottom-most layer of a network: accumulates
     /// this layer's parameter gradients exactly like
@@ -63,8 +61,14 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// layers whose input gradient is a significant cost (Dense) override
     /// it. Parameter gradients are identical either way, so skipping is
     /// invisible to training results.
-    fn backward_head_into(&mut self, grad_out: &Tensor, scratch: &mut Tensor) {
-        self.backward_into(grad_out, scratch);
+    fn backward_head_into(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_out: &Tensor,
+        scratch: &mut Tensor,
+    ) {
+        self.backward_into(params, grads, grad_out, scratch);
     }
 
     /// Number of trainable parameters.
@@ -72,24 +76,45 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         0
     }
 
-    /// Copies the parameters into `out` (length must be `param_count()`).
-    fn write_params(&self, _out: &mut [f32]) {}
+    /// Hands over the parameters drawn at construction, in arena order;
+    /// [`crate::model::Sequential::push`] moves them into the model's
+    /// arena. Empty for parameter-free layers and on every later call.
+    fn take_init_params(&mut self) -> Vec<f32> {
+        Vec::new()
+    }
 
-    /// Loads parameters from `src` (length must be `param_count()`).
-    fn read_params(&mut self, _src: &[f32]) {}
-
-    /// Copies accumulated gradients into `out`.
-    fn write_grads(&self, _out: &mut [f32]) {}
-
-    /// Clears accumulated gradients.
-    fn zero_grad(&mut self) {}
-
-    /// Clones the layer (parameters included, caches excluded).
+    /// Clones the layer (caches excluded).
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// Allocating single-layer passes for the layer unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Layer;
+    use crate::tensor::Tensor;
+
+    pub fn forward(layer: &mut dyn Layer, params: &[f32], x: &Tensor, train: bool) -> Tensor {
+        let mut out = Tensor::default();
+        layer.forward_into(params, x, &mut out, train);
+        out
+    }
+
+    /// Returns the input gradient; parameter gradients accumulate into
+    /// `grads`.
+    pub fn backward(
+        layer: &mut dyn Layer,
+        params: &[f32],
+        grads: &mut [f32],
+        grad_out: &Tensor,
+    ) -> Tensor {
+        let mut grad_in = Tensor::default();
+        layer.backward_into(params, grads, grad_out, &mut grad_in);
+        grad_in
     }
 }

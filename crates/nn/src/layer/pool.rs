@@ -8,8 +8,11 @@ use crate::tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     size: usize,
-    /// Argmax indices (into the input data buffer) cached for backward.
-    cached: Option<(Vec<usize>, Vec<usize>)>, // (input_shape, argmax)
+    // Persistent backward cache, validity gated by `cached`: the input
+    // shape and, per output element, its argmax index into the input.
+    in_shape: Vec<usize>,
+    argmax: Vec<usize>,
+    cached: bool,
 }
 
 impl MaxPool2d {
@@ -20,12 +23,17 @@ impl MaxPool2d {
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "pool size must be positive");
-        Self { size, cached: None }
+        Self {
+            size,
+            in_shape: Vec::new(),
+            argmax: Vec::new(),
+            cached: false,
+        }
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "pool expects [N, C, H, W], got {shape:?}");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -37,8 +45,13 @@ impl Layer for MaxPool2d {
         let oh = h / s;
         let ow = w / s;
         let x = input.data();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; out.len()];
+        out.resize_to(&[n, c, oh, ow]);
+        let out = out.data_mut();
+        if train {
+            self.in_shape.clear();
+            self.in_shape.extend_from_slice(shape);
+            self.argmax.resize(out.len(), 0);
+        }
         for bc in 0..n * c {
             let x_plane = &x[bc * h * w..(bc + 1) * h * w];
             for oy in 0..oh {
@@ -56,39 +69,44 @@ impl Layer for MaxPool2d {
                     }
                     let o_idx = bc * oh * ow + oy * ow + ox;
                     out[o_idx] = best;
-                    argmax[o_idx] = best_idx;
+                    if train {
+                        self.argmax[o_idx] = best_idx;
+                    }
                 }
             }
         }
-        if train {
-            self.cached = Some((shape.to_vec(), argmax));
-        }
-        Tensor::from_vec(out, &[n, c, oh, ow])
+        self.cached |= train;
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (in_shape, argmax) = self
-            .cached
-            .take()
-            .expect("pool backward called without a training forward");
-        let mut grad_in = vec![0.0f32; in_shape.iter().product()];
-        for (o_idx, &in_idx) in argmax.iter().enumerate() {
-            grad_in[in_idx] += grad_out.data()[o_idx];
+    fn backward_into(
+        &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+    ) {
+        assert!(
+            self.cached,
+            "pool backward called without a training forward"
+        );
+        self.cached = false;
+        grad_in.resize_to(&self.in_shape);
+        let grad_in = grad_in.data_mut();
+        grad_in.fill(0.0);
+        for (&in_idx, &g) in self.argmax.iter().zip(grad_out.data()) {
+            grad_in[in_idx] += g;
         }
-        Tensor::from_vec(grad_in, &in_shape)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            size: self.size,
-            cached: None,
-        })
+        Box::new(Self::new(self.size))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testing::{backward, forward};
 
     #[test]
     fn forward_picks_max() {
@@ -100,7 +118,7 @@ mod tests {
             9.0, 1.0, 2.0, 3.0,
             4.0, 5.0, 6.0, 7.0,
         ], &[1, 1, 4, 4]);
-        let out = pool.forward(&x, false);
+        let out = forward(&mut pool, &[], &x, false);
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
         assert_eq!(out.data(), &[6.0, 8.0, 9.0, 7.0]);
     }
@@ -113,9 +131,9 @@ mod tests {
             1.0, 2.0,
             3.0, 0.5,
         ], &[1, 1, 2, 2]);
-        let _ = pool.forward(&x, true);
+        let _ = forward(&mut pool, &[], &x, true);
         let g = Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]);
-        let gx = pool.backward(&g);
+        let gx = backward(&mut pool, &[], &mut [], &g);
         assert_eq!(gx.data(), &[0.0, 0.0, 10.0, 0.0]);
     }
 
@@ -123,7 +141,7 @@ mod tests {
     fn truncates_ragged_edges() {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::zeros(&[1, 1, 5, 5]);
-        let out = pool.forward(&x, false);
+        let out = forward(&mut pool, &[], &x, false);
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
     }
 }

@@ -9,18 +9,21 @@
 //!   behind a dispatcher that the `reference` cargo feature reroutes onto
 //!   the retained naive oracle implementations.
 //! * [`layer`] — Dense, Conv2d (valid, stride 1), MaxPool2d, ReLU, Tanh and
-//!   Flatten layers, each with forward/backward passes and parameter access.
+//!   Flatten layers, each with forward/backward passes over its range of
+//!   the model's parameter and gradient arenas.
 //! * [`loss`] — softmax cross-entropy (hard labels) and distillation loss
-//!   (soft targets with temperature, used by MetaFed).
-//! * [`model`] — [`model::Sequential`], whose parameters are exposed as a
-//!   single **flat `Vec<f32>`**. Federated aggregation, Krum distances,
-//!   Theorem 2's ‖θ − X‖₂ and every other vector-level operation in the
-//!   paper act on this flat representation.
+//!   (soft targets with temperature, used by MetaFed), the two losses of
+//!   [`loss::Loss`].
+//! * [`model`] — [`model::Sequential`], which owns its parameters as one
+//!   **flat `f32` arena** and its gradients as a second one. Federated
+//!   aggregation, Krum distances, Theorem 2's ‖θ − X‖₂ and every other
+//!   vector-level operation in the paper act on this flat representation,
+//!   and an SGD step updates it in place.
 //! * [`optim`] — plain/momentum SGD with optional weight decay. (The DP
 //!   defense clips and noises at the server, in `collapois_fl`'s
 //!   `DpAggregator`.)
-//! * [`workspace`] — persistent scratch buffers for the allocation-free
-//!   training path ([`model::Sequential::train_batch_ws`]).
+//! * [`workspace`] — persistent activation buffers for the allocation-free
+//!   training step ([`model::Sequential::train_batch_ws`]).
 //! * [`zoo`] — the paper's model family: a LeNet-style CNN (2 conv + 2 FC)
 //!   and MLP heads (the Sentiment experiments train a small head over frozen
 //!   embeddings).
@@ -28,9 +31,11 @@
 //! # Example
 //!
 //! ```
-//! use collapois_nn::zoo::ModelSpec;
+//! use collapois_nn::loss::Loss;
 //! use collapois_nn::optim::Sgd;
 //! use collapois_nn::tensor::Tensor;
+//! use collapois_nn::workspace::Workspace;
+//! use collapois_nn::zoo::ModelSpec;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -38,7 +43,8 @@
 //! let x = Tensor::zeros(&[2, 4]);
 //! let labels = [0usize, 2];
 //! let mut opt = Sgd::new(0.1);
-//! let stats = model.train_batch(&x, &labels, &mut opt);
+//! let mut ws = Workspace::new();
+//! let stats = model.train_batch_ws(&x, Loss::CrossEntropy(&labels), &mut opt, &mut ws);
 //! assert!(stats.loss > 0.0);
 //! ```
 

@@ -7,11 +7,18 @@ use crate::tensor::Tensor;
 /// Numerically stable softmax over the last dimension of a `[N, K]` tensor,
 /// routed through [`kernels::softmax_rows`].
 pub fn softmax(logits: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    softmax_into(logits, &mut out);
+    out
+}
+
+/// In-place [`softmax`]: writes the probabilities into `out` (resized as
+/// needed, its buffer reused across minibatches).
+pub fn softmax_into(logits: &Tensor, out: &mut Tensor) {
     let n = logits.batch();
     let k = logits.len() / n.max(1);
-    let mut out = logits.clone();
+    out.copy_from(logits);
     kernels::softmax_rows(out.data_mut(), n, k);
-    out
 }
 
 /// Loss value plus the gradient with respect to the logits.
@@ -69,10 +76,19 @@ pub fn cross_entropy_into(logits: &Tensor, labels: &[usize], grad: &mut Tensor) 
 /// softmax against the teacher's soft targets (`[N, K]`, rows on the
 /// simplex). Used by MetaFed's cyclic knowledge distillation.
 ///
+/// Writes the logit gradient into `grad` (resized as needed, its buffer
+/// reused across minibatches) and returns `(mean_loss, correct)`, where a
+/// sample is correct when the student's and the teacher's argmax agree.
+///
 /// # Panics
 ///
 /// Panics if shapes mismatch or `temperature <= 0`.
-pub fn distillation(logits: &Tensor, soft_targets: &Tensor, temperature: f64) -> LossOutput {
+pub fn distillation_into(
+    logits: &Tensor,
+    soft_targets: &Tensor,
+    temperature: f64,
+    grad: &mut Tensor,
+) -> (f64, usize) {
     assert!(temperature > 0.0, "temperature must be positive");
     assert_eq!(
         logits.shape(),
@@ -82,23 +98,24 @@ pub fn distillation(logits: &Tensor, soft_targets: &Tensor, temperature: f64) ->
     let n = logits.batch();
     let k = logits.len() / n.max(1);
     let t = temperature as f32;
-    let mut scaled = logits.clone();
-    for v in scaled.data_mut() {
+    // The gradient buffer first holds the softened probabilities p, then
+    // p − q, then the scaled gradient.
+    grad.copy_from(logits);
+    for v in grad.data_mut() {
         *v /= t;
     }
-    let probs = softmax(&scaled);
-    let mut grad = probs.clone();
+    kernels::softmax_rows(grad.data_mut(), n, k);
     let mut loss = 0.0f64;
     let mut correct = 0usize;
     for i in 0..n {
-        let p = probs.row(i);
+        let p = &mut grad.data_mut()[i * k..(i + 1) * k];
         let q = soft_targets.row(i);
-        for j in 0..k {
-            loss += -(q[j] as f64) * (p[j].max(1e-12) as f64).ln();
-            grad.data_mut()[i * k + j] -= q[j];
-        }
         if argmax(p) == argmax(q) {
             correct += 1;
+        }
+        for (pj, &qj) in p.iter_mut().zip(q) {
+            loss += -(qj as f64) * (pj.max(1e-12) as f64).ln();
+            *pj -= qj;
         }
     }
     // dL/dz = (p − q)/T per sample; the standard T² correction multiplies the
@@ -107,10 +124,36 @@ pub fn distillation(logits: &Tensor, soft_targets: &Tensor, temperature: f64) ->
     for g in grad.data_mut() {
         *g *= scale;
     }
-    LossOutput {
-        loss: loss / n as f64,
-        grad,
-        correct,
+    (loss / n as f64, correct)
+}
+
+/// The loss one training step descends
+/// ([`crate::model::Sequential::train_batch_ws`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Loss<'a> {
+    /// Softmax cross-entropy against integer class labels.
+    CrossEntropy(&'a [usize]),
+    /// Distillation toward a teacher's soft targets at a temperature
+    /// (MetaFed's knowledge-distillation step).
+    Distillation {
+        /// Teacher probabilities, `[N, K]`.
+        targets: &'a Tensor,
+        /// Softmax temperature `T > 0`.
+        temperature: f64,
+    },
+}
+
+impl Loss<'_> {
+    /// Mean loss and correct count of `logits`, with the logit gradient
+    /// written into `grad`.
+    pub(crate) fn eval_into(self, logits: &Tensor, grad: &mut Tensor) -> (f64, usize) {
+        match self {
+            Self::CrossEntropy(labels) => cross_entropy_into(logits, labels, grad),
+            Self::Distillation {
+                targets,
+                temperature,
+            } => distillation_into(logits, targets, temperature, grad),
+        }
     }
 }
 
@@ -191,18 +234,22 @@ mod tests {
         // Teacher equals student softmax ⇒ gradient ≈ 0.
         let logits = Tensor::from_vec(vec![1.0, 2.0, 0.5], &[1, 3]);
         let targets = softmax(&logits);
-        let out = distillation(&logits, &targets, 1.0);
-        assert!(out.grad.data().iter().all(|g| g.abs() < 1e-6));
+        let mut grad = Tensor::default();
+        distillation_into(&logits, &targets, 1.0, &mut grad);
+        assert!(grad.data().iter().all(|g| g.abs() < 1e-6));
     }
 
     #[test]
     fn distillation_pulls_toward_teacher() {
         let logits = Tensor::from_vec(vec![0.0, 0.0], &[1, 2]);
         let targets = Tensor::from_vec(vec![0.9, 0.1], &[1, 2]);
-        let out = distillation(&logits, &targets, 2.0);
+        let mut grad = Tensor::default();
+        let (_, correct) = distillation_into(&logits, &targets, 2.0, &mut grad);
         // Gradient on logit 0 must be negative (increase it).
-        assert!(out.grad.data()[0] < 0.0);
-        assert!(out.grad.data()[1] > 0.0);
+        assert!(grad.data()[0] < 0.0);
+        assert!(grad.data()[1] > 0.0);
+        // Tied student logits pick class 0, as the teacher does.
+        assert_eq!(correct, 1);
     }
 
     #[test]

@@ -1,20 +1,31 @@
-//! Sequential model with a flat-parameter view.
+//! Sequential model over one flat parameter arena.
 //!
 //! Federated learning in this workspace treats a model as a point
 //! `θ ∈ R^m`: aggregation rules, Krum distances, CollaPois' `ψ(X − θ)`
 //! update, and Theorem 2's `‖θ − X‖₂` all operate on the flat vector
-//! returned by [`Sequential::params`].
+//! [`Sequential::params`] borrows. The model stores exactly that vector —
+//! per layer, weights row-major then bias — and a gradient vector of the
+//! same layout, and each layer reads and writes its own range of the two.
+//! An SGD step therefore updates the parameters in place, with no copy of
+//! the model in or out.
+
+use std::ops::Range;
 
 use crate::layer::Layer;
-use crate::loss::{argmax, cross_entropy, cross_entropy_into, distillation, softmax, LossOutput};
+use crate::loss::{argmax, cross_entropy_into, softmax, Loss};
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
-/// A stack of layers applied in order.
+/// A stack of layers applied in order, with their parameters and
+/// gradients in two flat arenas.
 #[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Layer `i`'s range of `params` and `grads`.
+    ranges: Vec<Range<usize>>,
+    params: Vec<f32>,
+    grads: Vec<f32>,
 }
 
 /// Per-batch training statistics.
@@ -32,8 +43,23 @@ impl Sequential {
         Self::default()
     }
 
-    /// Appends a layer (builder style).
-    pub fn push(mut self, layer: Box<dyn Layer>) -> Self {
+    /// Appends a layer (builder style), moving its initial parameters to
+    /// the end of the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer already handed its parameters to a model.
+    pub fn push(mut self, mut layer: Box<dyn Layer>) -> Self {
+        let init = layer.take_init_params();
+        assert_eq!(
+            init.len(),
+            layer.param_count(),
+            "layer parameters were already taken by another model"
+        );
+        let start = self.params.len();
+        self.params.extend_from_slice(&init);
+        self.ranges.push(start..self.params.len());
+        self.grads.resize(self.params.len(), 0.0);
         self.layers.push(layer);
         self
     }
@@ -45,75 +71,18 @@ impl Sequential {
 
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
-    /// Backward pass; feeds `grad` (w.r.t. the final output) through the
-    /// layers in reverse, accumulating parameter gradients.
-    pub fn backward(&mut self, grad: &Tensor) {
-        let _ = self.backward_with_input_grad(grad);
-    }
-
-    /// Backward pass that also returns the gradient with respect to the
-    /// network *input* — the quantity trigger-reconstruction defenses like
-    /// Neural Cleanse optimize over.
-    pub fn backward_with_input_grad(&mut self, grad: &Tensor) -> Tensor {
-        let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// Gradient of the cross-entropy loss with respect to the input batch
-    /// (parameter gradients are also accumulated; call
-    /// [`Sequential::zero_grad`] if they matter). Returns `(input_grad,
-    /// stats)`.
-    pub fn input_gradient(&mut self, x: &Tensor, labels: &[usize]) -> (Tensor, BatchStats) {
-        self.zero_grad();
-        let logits = self.forward(x, true);
-        let LossOutput {
-            loss,
-            grad,
-            correct,
-        } = cross_entropy(&logits, labels);
-        let gx = self.backward_with_input_grad(&grad);
-        (
-            gx,
-            BatchStats {
-                loss,
-                accuracy: correct as f64 / labels.len().max(1) as f64,
-            },
-        )
-    }
-
-    /// Clears accumulated gradients in every layer.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
-        }
+        self.params.len()
     }
 
     /// The model parameters as one flat vector (layer order, weights then
     /// biases within each layer).
-    pub fn params(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.param_count()];
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_count();
-            layer.write_params(&mut out[offset..offset + n]);
-            offset += n;
-        }
-        out
+    pub fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    /// Mutable view of the flat parameters, for in-place updates.
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
     }
 
     /// Loads parameters from a flat vector.
@@ -123,70 +92,29 @@ impl Sequential {
     /// Panics if `src.len() != self.param_count()`.
     pub fn set_params(&mut self, src: &[f32]) {
         assert_eq!(src.len(), self.param_count(), "set_params length mismatch");
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            let n = layer.param_count();
-            layer.read_params(&src[offset..offset + n]);
-            offset += n;
-        }
+        self.params.copy_from_slice(src);
     }
 
-    /// The accumulated gradients as one flat vector.
-    pub fn grads(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.param_count()];
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_count();
-            layer.write_grads(&mut out[offset..offset + n]);
-            offset += n;
-        }
-        out
+    /// The gradients accumulated since the last [`Sequential::zero_grad`],
+    /// in the layout of [`Sequential::params`].
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
     }
 
-    /// Writes the flat parameter vector into `out` (resized as needed) —
-    /// the in-place counterpart of [`Sequential::params`], reusing `out`'s
-    /// heap buffer across calls.
-    pub fn store_params_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.param_count(), 0.0);
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_count();
-            layer.write_params(&mut out[offset..offset + n]);
-            offset += n;
-        }
+    /// Clears the accumulated gradients.
+    pub fn zero_grad(&mut self) {
+        self.grads.fill(0.0);
     }
 
-    /// Writes the flat accumulated-gradient vector into `out` (resized as
-    /// needed) — the in-place counterpart of [`Sequential::grads`].
-    pub fn store_grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.param_count(), 0.0);
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_count();
-            layer.write_grads(&mut out[offset..offset + n]);
-            offset += n;
-        }
-    }
-
-    /// Loads parameters from a borrowed flat slice. Identical to
-    /// [`Sequential::set_params`] (which is already in-place); named for
-    /// symmetry with [`Sequential::store_params_into`] on the
-    /// zero-allocation training path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != self.param_count()`.
-    pub fn load_params_into(&mut self, src: &[f32]) {
-        self.set_params(src);
+    /// Forward pass through all layers into a fresh output tensor.
+    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut ws = Workspace::new();
+        self.forward_ws(input, &mut ws, train);
+        ws.acts.pop().expect("one activation per layer")
     }
 
     /// Forward pass writing every layer activation into the workspace's
     /// persistent buffers; returns the final output by reference.
-    ///
-    /// Shares the per-layer `forward_into` code path with
-    /// [`Sequential::forward`], so both produce bitwise-identical values.
     ///
     /// # Panics
     ///
@@ -202,15 +130,66 @@ impl Sequential {
         if ws.acts.len() != depth {
             ws.acts.resize_with(depth, Tensor::default);
         }
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+        for (i, (layer, range)) in self.layers.iter_mut().zip(&self.ranges).enumerate() {
+            let params = &self.params[range.clone()];
             if i == 0 {
-                layer.forward_into(input, &mut ws.acts[0], train);
+                layer.forward_into(params, input, &mut ws.acts[0], train);
             } else {
                 let (prev, rest) = ws.acts.split_at_mut(i);
-                layer.forward_into(&prev[i - 1], &mut rest[0], train);
+                layer.forward_into(params, &prev[i - 1], &mut rest[0], train);
             }
         }
         &ws.acts[depth - 1]
+    }
+
+    /// Backward pass from `ws.loss_grad` through every layer, accumulating
+    /// parameter gradients into the arena; ping-pongs between the
+    /// workspace's two gradient buffers. With `input_grad` the bottom layer
+    /// also writes the gradient w.r.t. the model input, which is returned;
+    /// without, it may skip that (discarded) computation.
+    fn backward_ws<'w>(&mut self, ws: &'w mut Workspace, input_grad: bool) -> &'w Tensor {
+        let depth = self.layers.len();
+        for i in (0..depth).rev() {
+            let (src, dst) = if i == depth - 1 {
+                (&ws.loss_grad, &mut ws.grad_a)
+            } else if (depth - 1 - i) % 2 == 1 {
+                (&ws.grad_a, &mut ws.grad_b)
+            } else {
+                (&ws.grad_b, &mut ws.grad_a)
+            };
+            let range = self.ranges[i].clone();
+            let (params, grads) = (&self.params[range.clone()], &mut self.grads[range]);
+            if i == 0 && !input_grad {
+                self.layers[i].backward_head_into(params, grads, src, dst);
+            } else {
+                self.layers[i].backward_into(params, grads, src, dst);
+            }
+        }
+        if depth % 2 == 1 {
+            &ws.grad_a
+        } else {
+            &ws.grad_b
+        }
+    }
+
+    /// Gradient of the cross-entropy loss with respect to the input batch
+    /// (parameter gradients are also accumulated; call
+    /// [`Sequential::zero_grad`] if they matter). Returns `(input_grad,
+    /// stats)`.
+    pub fn input_gradient(&mut self, x: &Tensor, labels: &[usize]) -> (Tensor, BatchStats) {
+        let mut ws = Workspace::new();
+        self.zero_grad();
+        self.forward_ws(x, &mut ws, true);
+        let logits = ws.acts.last().expect("one activation per layer");
+        let (loss, correct) = cross_entropy_into(logits, labels, &mut ws.loss_grad);
+        let gx = self.backward_ws(&mut ws, true).clone();
+        (
+            gx,
+            BatchStats {
+                loss,
+                accuracy: correct as f64 / labels.len().max(1) as f64,
+            },
+        )
     }
 
     /// Mean cross-entropy loss and correct count on a labelled batch,
@@ -223,123 +202,28 @@ impl Sequential {
         cross_entropy_into(&ws.acts[depth - 1], labels, &mut ws.loss_grad)
     }
 
-    /// One SGD step on a labelled batch using the persistent workspace:
-    /// allocation-free after warm-up and bitwise identical to
-    /// [`Sequential::train_batch`] (same kernels in the same order — the
-    /// only difference is where the buffers live).
+    /// One optimizer step on a batch: forward through the workspace, the
+    /// `loss` and its gradient, backward into the gradient arena, then
+    /// `optimizer.step` on the parameter arena in place. Allocation-free
+    /// after warm-up. The reported accuracy counts a sample correct when
+    /// its argmax matches the label (or, for distillation, the teacher's
+    /// argmax).
     pub fn train_batch_ws(
         &mut self,
         x: &Tensor,
-        labels: &[usize],
+        loss: Loss<'_>,
         optimizer: &mut dyn Optimizer,
         ws: &mut Workspace,
     ) -> BatchStats {
         self.zero_grad();
         self.forward_ws(x, ws, true);
-        let depth = self.layers.len();
-        let (loss, correct) = cross_entropy_into(&ws.acts[depth - 1], labels, &mut ws.loss_grad);
-        // Backward: ping-pong between the two persistent gradient buffers,
-        // starting from the loss gradient. The bottom layer uses the
-        // head variant, which may skip the (discarded) input gradient —
-        // parameter gradients are identical either way.
-        let mut src_is_a = false;
-        for i in (0..depth).rev() {
-            let layer = &mut self.layers[i];
-            if i == depth - 1 && i == 0 {
-                layer.backward_head_into(&ws.loss_grad, &mut ws.grad_a);
-            } else if i == depth - 1 {
-                layer.backward_into(&ws.loss_grad, &mut ws.grad_a);
-                src_is_a = true;
-            } else if i == 0 {
-                if src_is_a {
-                    layer.backward_head_into(&ws.grad_a, &mut ws.grad_b);
-                } else {
-                    layer.backward_head_into(&ws.grad_b, &mut ws.grad_a);
-                }
-            } else if src_is_a {
-                layer.backward_into(&ws.grad_a, &mut ws.grad_b);
-                src_is_a = false;
-            } else {
-                layer.backward_into(&ws.grad_b, &mut ws.grad_a);
-                src_is_a = true;
-            }
-        }
-        self.store_params_into(&mut ws.params);
-        self.store_grads_into(&mut ws.grads);
-        optimizer.step(&mut ws.params, &ws.grads);
-        self.set_params(&ws.params);
-        BatchStats {
-            loss,
-            accuracy: correct as f64 / labels.len().max(1) as f64,
-        }
-    }
-
-    /// One SGD step on a labelled batch: forward, cross-entropy backward,
-    /// optimizer update. Returns loss/accuracy for the batch.
-    pub fn train_batch(
-        &mut self,
-        x: &Tensor,
-        labels: &[usize],
-        optimizer: &mut dyn Optimizer,
-    ) -> BatchStats {
-        self.zero_grad();
-        let logits = self.forward(x, true);
-        let LossOutput {
-            loss,
-            grad,
-            correct,
-        } = cross_entropy(&logits, labels);
-        self.backward(&grad);
-        let mut params = self.params();
-        let grads = self.grads();
-        optimizer.step(&mut params, &grads);
-        self.set_params(&params);
-        BatchStats {
-            loss,
-            accuracy: correct as f64 / labels.len().max(1) as f64,
-        }
-    }
-
-    /// One SGD step distilling toward soft targets (MetaFed's KD step).
-    pub fn distill_batch(
-        &mut self,
-        x: &Tensor,
-        soft_targets: &Tensor,
-        temperature: f64,
-        optimizer: &mut dyn Optimizer,
-    ) -> BatchStats {
-        self.zero_grad();
-        let logits = self.forward(x, true);
-        let LossOutput {
-            loss,
-            grad,
-            correct,
-        } = distillation(&logits, soft_targets, temperature);
-        self.backward(&grad);
-        let mut params = self.params();
-        let grads = self.grads();
-        optimizer.step(&mut params, &grads);
-        self.set_params(&params);
+        let logits = ws.acts.last().expect("one activation per layer");
+        let (loss, correct) = loss.eval_into(logits, &mut ws.loss_grad);
+        self.backward_ws(ws, false);
+        optimizer.step(&mut self.params, &self.grads);
         BatchStats {
             loss,
             accuracy: correct as f64 / x.batch().max(1) as f64,
-        }
-    }
-
-    /// Computes per-batch gradients without applying them; the flat gradient
-    /// is left accumulated in the layers (read with [`Sequential::grads`]).
-    pub fn compute_grads(&mut self, x: &Tensor, labels: &[usize]) -> BatchStats {
-        self.zero_grad();
-        let logits = self.forward(x, true);
-        let LossOutput {
-            loss,
-            grad,
-            correct,
-        } = cross_entropy(&logits, labels);
-        self.backward(&grad);
-        BatchStats {
-            loss,
-            accuracy: correct as f64 / labels.len().max(1) as f64,
         }
     }
 
@@ -401,13 +285,37 @@ mod tests {
         (Tensor::from_vec(xs, &[40, 2]), ys)
     }
 
+    fn ce_step(m: &mut Sequential, x: &Tensor, y: &[usize], opt: &mut Sgd) -> BatchStats {
+        m.train_batch_ws(x, Loss::CrossEntropy(y), opt, &mut Workspace::new())
+    }
+
     #[test]
     fn param_roundtrip_is_identity() {
         let mut m = tiny_model(0);
-        let p = m.params();
+        let p = m.params().to_vec();
         assert_eq!(p.len(), m.param_count());
         m.set_params(&p);
-        assert_eq!(m.params(), p);
+        assert_eq!(m.params(), &p[..]);
+    }
+
+    #[test]
+    fn arena_holds_each_layers_initial_params_in_order() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut first = Dense::new(&mut rng, 2, 3);
+        let mut second = Dense::new(&mut rng, 3, 2);
+        let mut expected = first.clone().take_init_params();
+        expected.extend(second.clone().take_init_params());
+        let m = Sequential::new()
+            .push(Box::new(first.clone()))
+            .push(Box::new(ReLU::new()))
+            .push(Box::new(second.clone()));
+        assert_eq!(m.params(), &expected[..]);
+        assert_eq!(m.grads().len(), expected.len());
+        // A layer's parameters move into one model only.
+        first.take_init_params();
+        second.take_init_params();
+        let reuse = std::panic::catch_unwind(|| Sequential::new().push(Box::new(first)));
+        assert!(reuse.is_err());
     }
 
     #[test]
@@ -415,10 +323,10 @@ mod tests {
         let mut m = tiny_model(1);
         let (x, y) = toy_data();
         let mut opt = Sgd::new(0.5);
-        let first = m.train_batch(&x, &y, &mut opt).loss;
+        let first = ce_step(&mut m, &x, &y, &mut opt).loss;
         let mut last = first;
         for _ in 0..100 {
-            last = m.train_batch(&x, &y, &mut opt).loss;
+            last = ce_step(&mut m, &x, &y, &mut opt).loss;
         }
         assert!(
             last < first * 0.5,
@@ -433,24 +341,46 @@ mod tests {
         let c = m.clone();
         let (x, y) = toy_data();
         let mut opt = Sgd::new(0.5);
-        let before = c.params();
-        m.train_batch(&x, &y, &mut opt);
+        let before = c.params().to_vec();
+        ce_step(&mut m, &x, &y, &mut opt);
         assert_eq!(
             c.params(),
-            before,
+            &before[..],
             "training the original must not affect the clone"
         );
-        assert_ne!(m.params(), before);
+        assert_ne!(m.params(), &before[..]);
     }
 
     #[test]
-    fn grads_have_param_length() {
+    fn zero_grad_clears_accumulated_grads() {
         let mut m = tiny_model(3);
         let (x, y) = toy_data();
-        m.compute_grads(&x, &y);
-        assert_eq!(m.grads().len(), m.param_count());
+        m.input_gradient(&x, &y);
+        assert!(m.grads().iter().any(|&g| g != 0.0));
         m.zero_grad();
         assert!(m.grads().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn step_applies_the_optimizer_to_the_arena_in_place() {
+        // The step must equal the optimizer run over flat copies of the
+        // parameters and of the gradients the backward pass accumulated.
+        let mut a = tiny_model(10);
+        let mut b = a.clone();
+        let (x, y) = toy_data();
+        let mut ws = Workspace::new();
+        let mut oa = Sgd::new(0.5).with_momentum(0.9);
+        let mut ob = Sgd::new(0.5).with_momentum(0.9);
+        for _ in 0..5 {
+            let stats = b.train_batch_ws(&x, Loss::CrossEntropy(&y), &mut ob, &mut ws);
+            let (_, expect) = a.input_gradient(&x, &y);
+            assert_eq!(stats.loss.to_bits(), expect.loss.to_bits());
+            let mut params = a.params().to_vec();
+            oa.step(&mut params, a.grads());
+            a.set_params(&params);
+            let bits = |m: &Sequential| m.params().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+        }
     }
 
     #[test]
@@ -470,37 +400,27 @@ mod tests {
         let (x, y) = toy_data();
         let mut opt = Sgd::new(0.5);
         for _ in 0..100 {
-            teacher.train_batch(&x, &y, &mut opt);
+            ce_step(&mut teacher, &x, &y, &mut opt);
         }
         let targets = teacher.predict_proba(&x);
         let mut student = tiny_model(6);
         let mut s_opt = Sgd::new(0.2);
-        let first = student.distill_batch(&x, &targets, 2.0, &mut s_opt).loss;
+        let mut ws = Workspace::new();
+        let distill = Loss::Distillation {
+            targets: &targets,
+            temperature: 2.0,
+        };
+        let first = student
+            .train_batch_ws(&x, distill, &mut s_opt, &mut ws)
+            .loss;
         let mut last = first;
         for _ in 0..100 {
-            last = student.distill_batch(&x, &targets, 2.0, &mut s_opt).loss;
+            last = student
+                .train_batch_ws(&x, distill, &mut s_opt, &mut ws)
+                .loss;
         }
         assert!(last < first, "distillation loss did not decrease");
         assert!(student.evaluate(&x, &y) > 0.9);
-    }
-
-    #[test]
-    fn ws_path_matches_plain_path_bitwise() {
-        let mut a = tiny_model(10);
-        let mut b = a.clone();
-        let (x, y) = toy_data();
-        let mut oa = Sgd::new(0.5);
-        let mut ob = Sgd::new(0.5);
-        let mut ws = crate::workspace::Workspace::new();
-        for _ in 0..5 {
-            let sa = a.train_batch(&x, &y, &mut oa);
-            let sb = b.train_batch_ws(&x, &y, &mut ob, &mut ws);
-            assert_eq!(sa.loss.to_bits(), sb.loss.to_bits());
-            assert_eq!(sa.accuracy, sb.accuracy);
-        }
-        for (u, v) in a.params().iter().zip(&b.params()) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes the tensor in place to `shape`, growing or shrinking the
     /// data buffer as needed. Existing capacity is reused — after the first
     /// call at a given size this never touches the allocator. Newly exposed

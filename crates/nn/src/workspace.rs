@@ -1,13 +1,14 @@
 //! Persistent training workspace for the allocation-free hot path.
 //!
-//! A [`Workspace`] owns every scratch buffer one SGD step needs — per-layer
-//! activations, the loss gradient, the two ping-pong backward buffers, and
-//! the flat parameter/gradient views handed to the optimizer. All buffers
-//! are grown on first use and reused verbatim afterwards, so
-//! [`crate::model::Sequential::train_batch_ws`] touches the allocator only
-//! during warm-up. One workspace serves one model at a time; it carries no
-//! model state between steps, so reusing it across models (as the federated
-//! per-worker arenas do) is safe.
+//! A [`Workspace`] owns the activation buffers one SGD step needs —
+//! per-layer outputs, the loss gradient and the two ping-pong backward
+//! buffers. Parameters and their gradients live in the model's own flat
+//! arenas ([`crate::model::Sequential`]), so a workspace holds activations
+//! only. All buffers are grown on first use and reused verbatim afterwards,
+//! so [`crate::model::Sequential::train_batch_ws`] touches the allocator
+//! only during warm-up. One workspace serves one model at a time; it carries
+//! no model state between steps, so reusing it across models (as the
+//! federated per-worker arenas do) is safe.
 
 use crate::tensor::Tensor;
 
@@ -23,21 +24,11 @@ pub struct Workspace {
     pub(crate) grad_a: Tensor,
     /// Backward ping-pong buffer B.
     pub(crate) grad_b: Tensor,
-    /// Flat parameter view passed to the optimizer.
-    pub(crate) params: Vec<f32>,
-    /// Flat gradient view passed to the optimizer.
-    pub(crate) grads: Vec<f32>,
 }
 
 impl Workspace {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The model output of the most recent `forward_ws`/`train_batch_ws`
-    /// call, if one has happened.
-    pub fn last_output(&self) -> Option<&Tensor> {
-        self.acts.last()
     }
 }

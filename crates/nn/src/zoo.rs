@@ -182,10 +182,15 @@ mod tests {
     #[test]
     fn identical_seeds_build_identical_models() {
         let spec = ModelSpec::mlp(6, &[5], 3);
-        let a = spec.build(&mut StdRng::seed_from_u64(9)).params();
-        let b = spec.build(&mut StdRng::seed_from_u64(9)).params();
+        let params = |seed| {
+            spec.build(&mut StdRng::seed_from_u64(seed))
+                .params()
+                .to_vec()
+        };
+        let a = params(9);
+        let b = params(9);
         assert_eq!(a, b);
-        let c = spec.build(&mut StdRng::seed_from_u64(10)).params();
+        let c = params(10);
         assert_ne!(a, c);
     }
 
@@ -215,8 +220,14 @@ mod tests {
         }
         let x = Tensor::from_vec(data, &[n, 1, 16, 16]);
         let mut opt = crate::optim::Sgd::new(0.05);
+        let mut ws = crate::workspace::Workspace::new();
         for _ in 0..30 {
-            m.train_batch(&x, &labels, &mut opt);
+            m.train_batch_ws(
+                &x,
+                crate::loss::Loss::CrossEntropy(&labels),
+                &mut opt,
+                &mut ws,
+            );
         }
         assert!(m.evaluate(&x, &labels) > 0.9);
     }

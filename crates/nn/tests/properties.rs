@@ -1,10 +1,11 @@
 //! Property-based tests for the NN substrate.
 
-use collapois_nn::layer::{Conv2d, Dense, Layer, MaxPool2d, ReLU};
+use collapois_nn::layer::{Conv2d, Dense, MaxPool2d, ReLU};
 use collapois_nn::loss::{cross_entropy, softmax};
 use collapois_nn::optim::{Optimizer, Sgd};
 use collapois_nn::tensor::Tensor;
 use collapois_nn::zoo::ModelSpec;
+use collapois_nn::Sequential;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,16 +23,13 @@ proptest! {
         output in 1usize..16,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut layer = Dense::new(&mut rng, input, output);
+        let mut model = Sequential::new().push(Box::new(Dense::new(&mut rng, input, output)));
         let x = Tensor::zeros(&[n, input]);
-        let y = layer.forward(&x, true);
+        let y = model.forward(&x, true);
         prop_assert_eq!(y.shape(), &[n, output]);
-        let gy = Tensor::zeros(&[n, output]);
-        let gx = layer.backward(&gy);
+        let (gx, _) = model.input_gradient(&x, &vec![0; n]);
         prop_assert_eq!(gx.shape(), &[n, input]);
-        let mut grads = vec![0.0; layer.param_count()];
-        layer.write_grads(&mut grads);
-        prop_assert_eq!(grads.len(), input * output + output);
+        prop_assert_eq!(model.grads().len(), input * output + output);
     }
 
     /// Conv output follows the valid-padding formula for arbitrary
@@ -47,7 +45,7 @@ proptest! {
     ) {
         let side = k + extra;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut conv = Conv2d::new(&mut rng, cin, cout, k);
+        let mut conv = Sequential::new().push(Box::new(Conv2d::new(&mut rng, cin, cout, k)));
         let x = Tensor::zeros(&[n, cin, side, side]);
         let y = conv.forward(&x, false);
         let o = side - k + 1;
@@ -60,7 +58,7 @@ proptest! {
     fn pool_selects_existing_values(
         xs in prop::collection::vec(-5.0f32..5.0, 36..=36),
     ) {
-        let mut pool = MaxPool2d::new(2);
+        let mut pool = Sequential::new().push(Box::new(MaxPool2d::new(2)));
         let x = Tensor::from_vec(xs.clone(), &[1, 1, 6, 6]);
         let y = pool.forward(&x, false);
         prop_assert_eq!(y.shape(), &[1, 1, 3, 3]);
@@ -72,7 +70,7 @@ proptest! {
     /// ReLU output is non-negative and idempotent.
     #[test]
     fn relu_non_negative_idempotent(xs in prop::collection::vec(-5.0f32..5.0, 1..32)) {
-        let mut relu = ReLU::new();
+        let mut relu = Sequential::new().push(Box::new(ReLU::new()));
         let n = xs.len();
         let x = Tensor::from_vec(xs, &[1, n]);
         let once = relu.forward(&x, false);
@@ -125,8 +123,8 @@ proptest! {
         let spec = ModelSpec::lenet(side, 10);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = spec.build(&mut rng);
-        let p = model.params();
+        let p = model.params().to_vec();
         model.set_params(&p);
-        prop_assert_eq!(model.params(), p);
+        prop_assert_eq!(model.params(), &p[..]);
     }
 }

@@ -2,7 +2,8 @@
 //! paths: after warm-up has grown every arena to its working size, further
 //! passes perform **zero** heap allocations — both for a single client's
 //! local-training inner loop and for the pooled multi-worker fan-out the
-//! server's round loop uses.
+//! server's round loop uses — and the Trojan's central training makes the
+//! same number of allocations however many epochs it runs.
 //!
 //! The test installs a counting `#[global_allocator]` (the same mechanism as
 //! the `bench-alloc` feature of the `rounds_throughput` benchmark) and runs
@@ -42,8 +43,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+use collapois_core::trojan::{train_trojan, TrojanConfig};
 use collapois_data::sample::Dataset;
-use collapois_fl::client::local_sgd_delta_prox_into;
+use collapois_data::trigger::PatchTrigger;
+use collapois_fl::client::{local_sgd_delta_into, Correction};
 use collapois_fl::config::FlConfig;
 use collapois_fl::monitor::ShiftDetector;
 use collapois_fl::ClientScratch;
@@ -92,19 +95,23 @@ fn serial_training_inner_loop() {
     cfg.batch_size = 16;
     let mut rng = StdRng::seed_from_u64(7);
     let model = spec.build(&mut rng);
-    let global = model.params();
+    let global = model.params().to_vec();
     let data = toy_data();
+    let prox = Correction::Prox {
+        mu: 0.01,
+        anchor: &global,
+    };
     let mut scratch = ClientScratch::for_model(&model);
 
     // Warm-up: grows every arena buffer (workspace activations, gradient
     // ping-pong, parameter views, minibatch tensors, delta) to working size.
     let mut train_rng = StdRng::seed_from_u64(11);
-    local_sgd_delta_prox_into(&mut train_rng, &mut scratch, &global, &data, &cfg, 0.01);
+    local_sgd_delta_into(&mut train_rng, &mut scratch, &global, &data, &cfg, prox);
 
     let counts = counting(|| {
         for round in 0..8u64 {
             let mut train_rng = StdRng::seed_from_u64(100 + round);
-            local_sgd_delta_prox_into(&mut train_rng, &mut scratch, &global, &data, &cfg, 0.01);
+            local_sgd_delta_into(&mut train_rng, &mut scratch, &global, &data, &cfg, prox);
         }
     });
     assert_zero("serial training", counts);
@@ -123,8 +130,12 @@ fn pooled_fanout_at_four_workers() {
     cfg.batch_size = 16;
     let mut rng = StdRng::seed_from_u64(7);
     let model = spec.build(&mut rng);
-    let global = model.params();
+    let global = model.params().to_vec();
     let data = toy_data();
+    let prox = Correction::Prox {
+        mu: 0.01,
+        anchor: &global,
+    };
 
     let pool = WorkerPool::new(4);
     let mut arenas: WorkerArenas<ClientScratch> = WorkerArenas::new();
@@ -142,7 +153,7 @@ fn pooled_fanout_at_four_workers() {
             |_, (cid, buf), scratch| {
                 scratch.delta = buf;
                 let mut train_rng = StdRng::seed_from_u64(200 + cid as u64);
-                local_sgd_delta_prox_into(&mut train_rng, scratch, &global, &data, &cfg, 0.01);
+                local_sgd_delta_into(&mut train_rng, scratch, &global, &data, &cfg, prox);
                 (cid, std::mem::take(&mut scratch.delta))
             },
         );
@@ -168,7 +179,7 @@ fn pooled_fanout_at_four_workers() {
         || ClientScratch::for_model(&model),
         |_, scratch| {
             let mut train_rng = StdRng::seed_from_u64(300);
-            local_sgd_delta_prox_into(&mut train_rng, scratch, &global, &data, &cfg, 0.01);
+            local_sgd_delta_into(&mut train_rng, scratch, &global, &data, &cfg, prox);
         },
     );
 
@@ -210,8 +221,42 @@ fn monitor_observe_steady_state() {
     assert_zero("monitor observe", counts);
 }
 
+/// The Trojan's central training loop (Eq. 1) runs on the same workspace
+/// step: once one run has warmed the thread-local kernel buffers, a run of
+/// 4 epochs must allocate exactly as often as a run of 2 — nothing per
+/// step.
+fn trojan_allocations_do_not_grow_with_epochs() {
+    let mut aux = Dataset::empty(&[1, 4, 4], 4);
+    for i in 0..48 {
+        let c = i % 4;
+        let row: Vec<f32> = (0..16).map(|p| ((p + c) % 4) as f32 * 0.25).collect();
+        aux.push(&row, c);
+    }
+    let trigger = PatchTrigger::badnets(4);
+    let spec = ModelSpec::mlp(16, &[12], 4);
+    let run = |epochs: usize| {
+        let cfg = TrojanConfig {
+            epochs,
+            batch_size: 8,
+            ..TrojanConfig::default()
+        };
+        counting(|| {
+            train_trojan(&spec, &aux, &trigger, &cfg);
+        })
+    };
+    run(1);
+    let (two, _) = run(2);
+    let (four, _) = run(4);
+    assert_eq!(
+        two, four,
+        "train_trojan allocated {two} times at 2 epochs but {four} at 4"
+    );
+    println!("alloc_steady_state: trojan training ok");
+}
+
 fn main() {
     serial_training_inner_loop();
     pooled_fanout_at_four_workers();
     monitor_observe_steady_state();
+    trojan_allocations_do_not_grow_with_epochs();
 }
