@@ -85,7 +85,7 @@ impl Personalization for MetaFed {
                 &mut scratch.x,
                 &mut scratch.y,
             );
-            let logits = teacher.forward_ws(&scratch.x, &mut scratch.ws, false);
+            let logits = teacher.forward_ws(&scratch.x, &mut scratch.ws);
             softmax_into(logits, &mut scratch.soft);
             let distill = Loss::Distillation {
                 targets: &scratch.soft,

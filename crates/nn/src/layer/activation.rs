@@ -4,60 +4,41 @@ use super::Layer;
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `max(0, x)` element-wise.
-#[derive(Debug, Clone, Default)]
-pub struct ReLU {
-    // Persistent mask buffer: `have_mask` gates validity so the heap
-    // allocation is reused across training minibatches.
-    mask: Vec<bool>,
-    have_mask: bool,
-    shape: Vec<usize>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReLU;
 
 impl ReLU {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for ReLU {
-    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&self, _params: &[f32], input: &Tensor, out: &mut Tensor) {
         out.copy_from(input);
-        if train {
-            self.mask.clear();
-            self.shape.clear();
-            self.shape.extend_from_slice(input.shape());
-        }
         for v in out.data_mut() {
             let active = *v > 0.0;
             if !active {
                 *v = 0.0;
             }
-            if train {
-                self.mask.push(active);
-            }
-        }
-        if train {
-            self.have_mask = true;
         }
     }
 
     fn backward_into(
-        &mut self,
+        &self,
         _params: &[f32],
         _grads: &mut [f32],
+        input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     ) {
-        assert!(
-            self.have_mask,
-            "relu backward called without a training forward"
-        );
-        self.have_mask = false;
-        assert_eq!(grad_out.len(), self.mask.len(), "relu grad shape mismatch");
-        grad_in.resize_to(&self.shape);
+        assert_eq!(grad_out.len(), input.len(), "relu grad shape mismatch");
+        grad_in.resize_to(input.shape());
         grad_in.data_mut().copy_from_slice(grad_out.data());
-        for (v, &active) in grad_in.data_mut().iter_mut().zip(&self.mask) {
+        for (v, &x) in grad_in.data_mut().iter_mut().zip(input.data()) {
+            let active = x > 0.0;
             if !active {
                 *v = 0.0;
             }
@@ -65,60 +46,48 @@ impl Layer for ReLU {
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self::new())
+        Box::new(*self)
     }
 }
 
 /// Hyperbolic tangent activation.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    // Persistent cache buffer, validity gated by `cached`.
-    cached_output: Tensor,
-    cached: bool,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tanh;
 
 impl Tanh {
     /// Creates a Tanh layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for Tanh {
-    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&self, _params: &[f32], input: &Tensor, out: &mut Tensor) {
         out.copy_from(input);
         for v in out.data_mut() {
             *v = v.tanh();
         }
-        if train {
-            self.cached_output.copy_from(out);
-            self.cached = true;
-        }
     }
 
     fn backward_into(
-        &mut self,
+        &self,
         _params: &[f32],
         _grads: &mut [f32],
+        _input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     ) {
-        assert!(
-            self.cached,
-            "tanh backward called without a training forward"
-        );
-        self.cached = false;
-        let y = &self.cached_output;
-        assert_eq!(grad_out.len(), y.len(), "tanh grad shape mismatch");
-        grad_in.resize_to(y.shape());
+        assert_eq!(grad_out.len(), output.len(), "tanh grad shape mismatch");
+        grad_in.resize_to(output.shape());
         grad_in.data_mut().copy_from_slice(grad_out.data());
-        for (gv, &yv) in grad_in.data_mut().iter_mut().zip(y.data()) {
+        for (gv, &yv) in grad_in.data_mut().iter_mut().zip(output.data()) {
             *gv *= 1.0 - yv * yv;
         }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self::new())
+        Box::new(*self)
     }
 }
 
@@ -129,47 +98,42 @@ mod tests {
 
     #[test]
     fn relu_forward_and_backward() {
-        let mut relu = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.5], &[1, 4]);
-        let out = forward(&mut relu, &[], &x, true);
+        let out = forward(&ReLU, &[], &x);
         assert_eq!(out.data(), &[0.0, 0.0, 2.0, 0.0]);
         let g = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 4]);
-        let gx = backward(&mut relu, &[], &mut [], &g);
+        let gx = backward(&ReLU, &[], &mut [], &x, &g);
         assert_eq!(gx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn tanh_gradient_matches_derivative() {
-        let mut tanh = Tanh::new();
         let x = Tensor::from_vec(vec![0.5, -0.3], &[1, 2]);
-        let out = forward(&mut tanh, &[], &x, true);
+        let out = forward(&Tanh, &[], &x);
         assert!((out.data()[0] - 0.5f32.tanh()).abs() < 1e-6);
         let g = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let gx = backward(&mut tanh, &[], &mut [], &g);
+        let gx = backward(&Tanh, &[], &mut [], &x, &g);
         let expect = 1.0 - 0.5f32.tanh().powi(2);
         assert!((gx.data()[0] - expect).abs() < 1e-6);
     }
 
     #[test]
     fn relu_has_no_params() {
-        let mut relu = ReLU::new();
-        assert_eq!(relu.param_count(), 0);
-        assert!(relu.take_init_params().is_empty());
+        assert_eq!(ReLU.param_count(), 0);
+        assert!(ReLU.take_init_params().is_empty());
     }
 
     #[test]
-    fn relu_reuses_buffers_and_matches_fresh_layer() {
-        let mut a = ReLU::new();
+    fn relu_reuses_buffers_and_matches_fresh_ones() {
         let mut out = Tensor::default();
         let mut gin = Tensor::default();
         for scale in [1.0f32, -2.0, 0.5] {
-            let mut b = ReLU::new();
             let x = Tensor::from_vec(vec![-scale, 0.0, 2.0 * scale], &[1, 3]);
-            a.forward_into(&[], &x, &mut out, true);
-            assert_eq!(out, forward(&mut b, &[], &x, true));
+            ReLU.forward_into(&[], &x, &mut out);
+            assert_eq!(out, forward(&ReLU, &[], &x));
             let g = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-            a.backward_into(&[], &mut [], &g, &mut gin);
-            assert_eq!(gin, backward(&mut b, &[], &mut [], &g));
+            ReLU.backward_into(&[], &mut [], &x, &out, &g, &mut gin);
+            assert_eq!(gin, backward(&ReLU, &[], &mut [], &x, &g));
         }
     }
 }

@@ -16,9 +16,6 @@ pub struct Conv2d {
     kw: usize,
     /// Initial weights then bias, until the model takes them.
     init: Vec<f32>,
-    // Persistent cache buffer, validity gated by `cached`.
-    cached_input: Tensor,
-    cached: bool,
 }
 
 impl Conv2d {
@@ -46,8 +43,6 @@ impl Conv2d {
             kh: kernel,
             kw: kernel,
             init: params,
-            cached_input: Tensor::default(),
-            cached: false,
         }
     }
 
@@ -67,7 +62,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward_into(&mut self, params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "conv expects [N, C, H, W], got {shape:?}");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -110,25 +105,18 @@ impl Layer for Conv2d {
                 }
             }
         }
-        if train {
-            self.cached_input.copy_from(input);
-            self.cached = true;
-        }
     }
 
     fn backward_into(
-        &mut self,
+        &self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     ) {
-        assert!(
-            self.cached,
-            "conv backward called without a training forward"
-        );
-        self.cached = false;
-        let shape = self.cached_input.shape();
+        let shape = input.shape();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = self.out_hw(h, w);
         assert_eq!(
@@ -138,7 +126,7 @@ impl Layer for Conv2d {
         );
         let weight = &params[..self.weight_len()];
         let (grad_weight, grad_bias) = grads.split_at_mut(self.weight_len());
-        let x = self.cached_input.data();
+        let x = input.data();
         let g = grad_out.data();
         let in_plane = h * w;
         let out_plane = oh * ow;
@@ -192,11 +180,7 @@ impl Layer for Conv2d {
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            cached_input: Tensor::default(),
-            cached: false,
-            ..self.clone()
-        })
+        Box::new(self.clone())
     }
 }
 
@@ -249,7 +233,7 @@ mod tests {
             .map(|i| ((i * 31 % 17) as f32 - 8.0) * 0.1)
             .collect();
         let t = Tensor::from_vec(x.clone(), &[2, 2, 6, 6]);
-        let out = forward(&mut conv, &params, &t, false);
+        let out = forward(&conv, &params, &t);
         let (w, b) = params.split_at(2 * 3 * 9);
         let reference = reference_conv(&x, w, b, (2, 2, 6, 6), (3, 3));
         assert_eq!(out.shape(), &[2, 3, 4, 4]);
@@ -264,21 +248,18 @@ mod tests {
         let mut conv = Conv2d::new(&mut rng, 1, 2, 2);
         let params = conv.take_init_params();
         let x = Tensor::from_vec((0..16).map(|i| 0.05 * i as f32).collect(), &[1, 1, 4, 4]);
-        let out = forward(&mut conv, &params, &x, true);
-        let ones = Tensor::from_vec(vec![1.0; out.len()], out.shape());
+        let ones = Tensor::from_vec(vec![1.0; 18], &[1, 2, 3, 3]);
         let mut grads = vec![0.0; conv.param_count()];
-        let gx = backward(&mut conv, &params, &mut grads, &ones);
+        let gx = backward(&conv, &params, &mut grads, &x, &ones);
 
-        let sum_at = |conv: &mut Conv2d, p: &[f32], x: &Tensor| -> f32 {
-            forward(conv, p, x, false).data().iter().sum()
-        };
+        let sum_at = |p: &[f32], x: &Tensor| -> f32 { forward(&conv, p, x).data().iter().sum() };
         let eps = 1e-3;
         for idx in 0..conv.param_count() {
             let mut hi = params.clone();
             hi[idx] += eps;
             let mut lo = params.clone();
             lo[idx] -= eps;
-            let fd = (sum_at(&mut conv, &hi, &x) - sum_at(&mut conv, &lo, &x)) / (2.0 * eps);
+            let fd = (sum_at(&hi, &x) - sum_at(&lo, &x)) / (2.0 * eps);
             assert!(
                 (fd - grads[idx]).abs() < 1e-2,
                 "param {idx}: fd={fd} vs {}",
@@ -288,10 +269,9 @@ mod tests {
         // Spot-check an input gradient.
         let mut x_hi = x.clone();
         x_hi.data_mut()[5] += eps;
-        let mut x_lo = x.clone();
+        let mut x_lo = x;
         x_lo.data_mut()[5] -= eps;
-        let fd =
-            (sum_at(&mut conv, &params, &x_hi) - sum_at(&mut conv, &params, &x_lo)) / (2.0 * eps);
+        let fd = (sum_at(&params, &x_hi) - sum_at(&params, &x_lo)) / (2.0 * eps);
         assert!((fd - gx.data()[5]).abs() < 1e-2);
     }
 
@@ -301,6 +281,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut conv = Conv2d::new(&mut rng, 1, 1, 5);
         let params = conv.take_init_params();
-        let _ = forward(&mut conv, &params, &Tensor::zeros(&[1, 1, 3, 3]), false);
+        let _ = forward(&conv, &params, &Tensor::zeros(&[1, 1, 3, 3]));
     }
 }

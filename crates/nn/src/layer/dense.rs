@@ -14,10 +14,6 @@ pub struct Dense {
     out_dim: usize,
     /// Initial weights then bias, until the model takes them.
     init: Vec<f32>,
-    // Persistent cache buffer: `cached` gates validity so the heap
-    // allocation survives (and is reused by) every training forward.
-    cached_input: Tensor,
-    cached: bool,
 }
 
 impl Dense {
@@ -40,8 +36,6 @@ impl Dense {
             in_dim,
             out_dim,
             init: params,
-            cached_input: Tensor::default(),
-            cached: false,
         }
     }
 
@@ -55,15 +49,14 @@ impl Dense {
         self.out_dim
     }
 
-    /// `dW += gᵀ x ; db[o] += Σ_batch g[o]` from the cached input; returns
-    /// the batch size.
-    fn accumulate_param_grads(&mut self, grads: &mut [f32], grad_out: &Tensor) -> usize {
-        assert!(
-            self.cached,
-            "dense backward called without a training forward"
-        );
-        self.cached = false;
-        let n = self.cached_input.batch();
+    /// `dW += gᵀ x ; db[o] += Σ_batch g[o]`; returns the batch size.
+    fn accumulate_param_grads(
+        &self,
+        grads: &mut [f32],
+        input: &Tensor,
+        grad_out: &Tensor,
+    ) -> usize {
+        let n = input.batch();
         assert_eq!(
             grad_out.len(),
             n * self.out_dim,
@@ -71,14 +64,7 @@ impl Dense {
         );
         let g = grad_out.data();
         let (grad_weight, grad_bias) = grads.split_at_mut(self.in_dim * self.out_dim);
-        kernels::matmul_transa_acc(
-            g,
-            self.cached_input.data(),
-            grad_weight,
-            n,
-            self.out_dim,
-            self.in_dim,
-        );
+        kernels::matmul_transa_acc(g, input.data(), grad_weight, n, self.out_dim, self.in_dim);
         for gb in g.chunks_exact(self.out_dim) {
             for (db, &go) in grad_bias.iter_mut().zip(gb) {
                 *db += go;
@@ -89,7 +75,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward_into(&mut self, params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) {
         let n = input.batch();
         assert_eq!(
             input.len(),
@@ -98,33 +84,36 @@ impl Layer for Dense {
             self.in_dim,
             input.shape()
         );
-        let x = input.data();
         let (weight, bias) = params.split_at(self.in_dim * self.out_dim);
         // y = x Wᵀ, then add the bias per row. The matmul kernel fully
         // overwrites `out`, so stale contents from a previous minibatch are
         // harmless.
         out.resize_to(&[n, self.out_dim]);
-        kernels::matmul_transb(x, weight, out.data_mut(), n, self.in_dim, self.out_dim);
+        kernels::matmul_transb(
+            input.data(),
+            weight,
+            out.data_mut(),
+            n,
+            self.in_dim,
+            self.out_dim,
+        );
         for oi in out.data_mut().chunks_exact_mut(self.out_dim) {
             for (o, b) in oi.iter_mut().zip(bias) {
                 *o += b;
             }
         }
-        if train {
-            self.cached_input.resize_to(&[n, self.in_dim]);
-            self.cached_input.data_mut().copy_from_slice(x);
-            self.cached = true;
-        }
     }
 
     fn backward_into(
-        &mut self,
+        &self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     ) {
-        let n = self.accumulate_param_grads(grads, grad_out);
+        let n = self.accumulate_param_grads(grads, input, grad_out);
         // dX = g W.
         grad_in.resize_to(&[n, self.in_dim]);
         kernels::matmul(
@@ -138,16 +127,18 @@ impl Layer for Dense {
     }
 
     fn backward_head_into(
-        &mut self,
+        &self,
         _params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         _scratch: &mut Tensor,
     ) {
         // Parameter gradients only — identical ops to `backward_into`; the
         // dX matmul (the single largest matmul of a first-layer backward)
         // is skipped because nothing consumes it.
-        self.accumulate_param_grads(grads, grad_out);
+        self.accumulate_param_grads(grads, input, grad_out);
     }
 
     fn param_count(&self) -> usize {
@@ -159,11 +150,7 @@ impl Layer for Dense {
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            cached_input: Tensor::default(),
-            cached: false,
-            ..self.clone()
-        })
+        Box::new(self.clone())
     }
 }
 
@@ -176,12 +163,12 @@ mod tests {
 
     #[test]
     fn forward_shape_and_bias() {
-        let mut l = Dense::new(&mut StdRng::seed_from_u64(0), 3, 2);
+        let l = Dense::new(&mut StdRng::seed_from_u64(0), 3, 2);
         // Zero weights, set bias: output must equal the bias per row.
         let mut p = vec![0.0; 8];
         p[6] = 1.5;
         p[7] = -0.5;
-        let out = forward(&mut l, &p, &Tensor::zeros(&[4, 3]), false);
+        let out = forward(&l, &p, &Tensor::zeros(&[4, 3]));
         assert_eq!(out.shape(), &[4, 2]);
         for i in 0..4 {
             assert_eq!(out.row(i), &[1.5, -0.5]);
@@ -195,21 +182,18 @@ mod tests {
         let params = l.take_init_params();
         let x = Tensor::from_vec((0..8).map(|i| 0.1 * i as f32).collect(), &[2, 4]);
         // Loss = sum(outputs); dL/dout = 1.
-        let out = forward(&mut l, &params, &x, true);
-        let ones = Tensor::from_vec(vec![1.0; out.len()], out.shape());
+        let ones = Tensor::from_vec(vec![1.0; 6], &[2, 3]);
         let mut grads = vec![0.0; l.param_count()];
-        let gx = backward(&mut l, &params, &mut grads, &ones);
+        let gx = backward(&l, &params, &mut grads, &x, &ones);
 
-        let sum_at = |l: &mut Dense, p: &[f32], x: &Tensor| -> f32 {
-            forward(l, p, x, false).data().iter().sum()
-        };
+        let sum_at = |p: &[f32], x: &Tensor| -> f32 { forward(&l, p, x).data().iter().sum() };
         let eps = 1e-3;
         for idx in [0usize, 5, 11, 12, 14] {
             let mut p_hi = params.clone();
             p_hi[idx] += eps;
             let mut p_lo = params.clone();
             p_lo[idx] -= eps;
-            let fd = (sum_at(&mut l, &p_hi, &x) - sum_at(&mut l, &p_lo, &x)) / (2.0 * eps);
+            let fd = (sum_at(&p_hi, &x) - sum_at(&p_lo, &x)) / (2.0 * eps);
             assert!(
                 (fd - grads[idx]).abs() < 1e-2,
                 "param {idx}: fd={fd} analytic={}",
@@ -219,9 +203,9 @@ mod tests {
         // Input gradient via finite differences on one coordinate.
         let mut x_hi = x.clone();
         x_hi.data_mut()[2] += eps;
-        let mut x_lo = x.clone();
+        let mut x_lo = x;
         x_lo.data_mut()[2] -= eps;
-        let fd = (sum_at(&mut l, &params, &x_hi) - sum_at(&mut l, &params, &x_lo)) / (2.0 * eps);
+        let fd = (sum_at(&params, &x_hi) - sum_at(&params, &x_lo)) / (2.0 * eps);
         assert!((fd - gx.data()[2]).abs() < 1e-2);
     }
 
@@ -235,32 +219,19 @@ mod tests {
     #[test]
     fn head_backward_matches_full_backward_param_grads() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut full = Dense::new(&mut rng, 5, 3);
-        let params = full.take_init_params();
-        let mut head = full.clone();
+        let mut l = Dense::new(&mut rng, 5, 3);
+        let params = l.take_init_params();
         let x = Tensor::from_vec((0..10).map(|i| 0.3 * i as f32 - 1.0).collect(), &[2, 5]);
         let g = Tensor::from_vec((0..6).map(|i| 0.1 * i as f32 - 0.2).collect(), &[2, 3]);
-        let mut scratch = Tensor::default();
-        let mut gf = vec![0.0; full.param_count()];
-        let mut gh = vec![0.0; head.param_count()];
-
-        full.forward_into(&params, &x, &mut scratch, true);
-        full.backward_into(&params, &mut gf, &g, &mut Tensor::default());
-        head.forward_into(&params, &x, &mut scratch, true);
-        head.backward_head_into(&params, &mut gh, &g, &mut scratch);
-
+        let out = forward(&l, &params, &x);
+        let mut gf = vec![0.0; l.param_count()];
+        let mut gh = vec![0.0; l.param_count()];
+        l.backward_into(&params, &mut gf, &x, &out, &g, &mut Tensor::default());
+        l.backward_head_into(&params, &mut gh, &x, &out, &g, &mut Tensor::default());
         assert_eq!(
             gf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             gh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "head backward must accumulate bitwise-identical parameter grads"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "without a training forward")]
-    fn backward_requires_forward() {
-        let mut l = Dense::new(&mut StdRng::seed_from_u64(0), 3, 2);
-        let params = vec![0.0; 8];
-        let _ = backward(&mut l, &params, &mut [0.0; 8], &Tensor::zeros(&[1, 2]));
     }
 }

@@ -4,47 +4,39 @@ use super::Layer;
 use crate::tensor::Tensor;
 
 /// Flattens all non-batch dimensions.
-#[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    in_shape: Vec<usize>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for Flatten {
-    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
+    fn forward_into(&self, _params: &[f32], input: &Tensor, out: &mut Tensor) {
         let n = input.batch();
         let rest: usize = input.shape()[1..].iter().product();
-        if train {
-            self.in_shape.clear();
-            self.in_shape.extend_from_slice(input.shape());
-        }
         out.resize_to(&[n, rest]);
         out.data_mut().copy_from_slice(input.data());
     }
 
     fn backward_into(
-        &mut self,
+        &self,
         _params: &[f32],
         _grads: &mut [f32],
+        input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     ) {
-        assert!(
-            !self.in_shape.is_empty(),
-            "flatten backward called without a training forward"
-        );
-        grad_in.resize_to(&self.in_shape);
+        grad_in.resize_to(input.shape());
         grad_in.data_mut().copy_from_slice(grad_out.data());
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self::new())
+        Box::new(*self)
     }
 }
 
@@ -55,11 +47,10 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 4]);
-        let out = forward(&mut f, &[], &x, true);
+        let out = forward(&Flatten, &[], &x);
         assert_eq!(out.shape(), &[2, 48]);
-        let back = backward(&mut f, &[], &mut [], &out);
+        let back = backward(&Flatten, &[], &mut [], &x, &out);
         assert_eq!(back.shape(), &[2, 3, 4, 4]);
     }
 }

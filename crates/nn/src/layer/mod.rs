@@ -21,32 +21,28 @@ use crate::tensor::Tensor;
 
 /// A differentiable layer.
 ///
-/// A layer owns no parameters: [`crate::model::Sequential`] keeps every
-/// layer's parameters in one flat arena and its gradients in a second one,
-/// and hands each layer its own range of both (weights row-major, then
-/// bias). Every pass writes into caller-owned buffers, resized as needed
-/// so their heap allocations are reused across minibatches.
-///
-/// `forward_into` caches whatever the subsequent backward pass needs; the
-/// backward pass consumes the cache, **accumulates** parameter gradients
-/// into its range of the gradient arena, and writes the gradient with
-/// respect to the layer input.
+/// A layer owns no parameters and no forward state: [`crate::model::Sequential`]
+/// keeps every layer's parameters in one flat arena and its gradients in a
+/// second one, and hands each layer its own range of both (weights
+/// row-major, then bias). The backward pass receives the tensors the
+/// forward pass read and wrote, which the model's workspace still holds,
+/// so nothing is cached or copied between the two. Every pass writes into
+/// caller-owned buffers, resized as needed so their heap allocations are
+/// reused across minibatches.
 pub trait Layer: std::fmt::Debug + Send + Sync {
-    /// Forward pass: writes the layer output into `out`. `params` is this
-    /// layer's parameter range; `train` controls caching (inference skips
-    /// it).
-    fn forward_into(&mut self, params: &[f32], input: &Tensor, out: &mut Tensor, train: bool);
+    /// Forward pass: writes the layer output for `input` into `out`.
+    /// `params` is this layer's parameter range.
+    fn forward_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor);
 
-    /// Backward pass: accumulates parameter gradients into `grads` and
-    /// writes the gradient w.r.t. the forward input into `grad_in`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if called before a `forward_into(.., true)`.
+    /// Backward pass of the forward pass that read `input` and wrote
+    /// `output`: **accumulates** parameter gradients into `grads` and writes
+    /// the gradient w.r.t. `input` into `grad_in`.
     fn backward_into(
-        &mut self,
+        &self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     );
@@ -62,13 +58,15 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// it. Parameter gradients are identical either way, so skipping is
     /// invisible to training results.
     fn backward_head_into(
-        &mut self,
+        &self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         scratch: &mut Tensor,
     ) {
-        self.backward_into(params, grads, grad_out, scratch);
+        self.backward_into(params, grads, input, output, grad_out, scratch);
     }
 
     /// Number of trainable parameters.
@@ -83,7 +81,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         Vec::new()
     }
 
-    /// Clones the layer (caches excluded).
+    /// Clones the layer.
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
@@ -99,22 +97,25 @@ pub(crate) mod testing {
     use super::Layer;
     use crate::tensor::Tensor;
 
-    pub fn forward(layer: &mut dyn Layer, params: &[f32], x: &Tensor, train: bool) -> Tensor {
+    pub fn forward(layer: &dyn Layer, params: &[f32], x: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        layer.forward_into(params, x, &mut out, train);
+        layer.forward_into(params, x, &mut out);
         out
     }
 
-    /// Returns the input gradient; parameter gradients accumulate into
+    /// Runs the forward pass on `x`, then the backward pass of `grad_out`;
+    /// returns the input gradient. Parameter gradients accumulate into
     /// `grads`.
     pub fn backward(
-        layer: &mut dyn Layer,
+        layer: &dyn Layer,
         params: &[f32],
         grads: &mut [f32],
+        x: &Tensor,
         grad_out: &Tensor,
     ) -> Tensor {
+        let out = forward(layer, params, x);
         let mut grad_in = Tensor::default();
-        layer.backward_into(params, grads, grad_out, &mut grad_in);
+        layer.backward_into(params, grads, x, &out, grad_out, &mut grad_in);
         grad_in
     }
 }

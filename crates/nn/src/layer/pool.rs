@@ -8,11 +8,6 @@ use crate::tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     size: usize,
-    // Persistent backward cache, validity gated by `cached`: the input
-    // shape and, per output element, its argmax index into the input.
-    in_shape: Vec<usize>,
-    argmax: Vec<usize>,
-    cached: bool,
 }
 
 impl MaxPool2d {
@@ -23,35 +18,28 @@ impl MaxPool2d {
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "pool size must be positive");
-        Self {
-            size,
-            in_shape: Vec::new(),
-            argmax: Vec::new(),
-            cached: false,
-        }
+        Self { size }
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward_into(&mut self, _params: &[f32], input: &Tensor, out: &mut Tensor, train: bool) {
+    /// Output shape `[N, C, H / size, W / size]` of `input`.
+    fn out_shape(&self, input: &Tensor) -> [usize; 4] {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "pool expects [N, C, H, W], got {shape:?}");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let s = self.size;
+        let (h, w, s) = (shape[2], shape[3], self.size);
         assert!(
             h >= s && w >= s,
             "pool input {h}x{w} smaller than window {s}"
         );
-        let oh = h / s;
-        let ow = w / s;
+        [shape[0], shape[1], h / s, w / s]
+    }
+
+    /// Calls `visit(o, max, arg)` for every window of `input` in output
+    /// order: `o` indexes the output, `arg` the window's (first) maximum in
+    /// the input.
+    fn for_each_window(&self, input: &Tensor, mut visit: impl FnMut(usize, f32, usize)) {
+        let [n, c, oh, ow] = self.out_shape(input);
+        let (h, w, s) = (input.shape()[2], input.shape()[3], self.size);
         let x = input.data();
-        out.resize_to(&[n, c, oh, ow]);
-        let out = out.data_mut();
-        if train {
-            self.in_shape.clear();
-            self.in_shape.extend_from_slice(shape);
-            self.argmax.resize(out.len(), 0);
-        }
         for bc in 0..n * c {
             let x_plane = &x[bc * h * w..(bc + 1) * h * w];
             for oy in 0..oh {
@@ -67,39 +55,40 @@ impl Layer for MaxPool2d {
                             }
                         }
                     }
-                    let o_idx = bc * oh * ow + oy * ow + ox;
-                    out[o_idx] = best;
-                    if train {
-                        self.argmax[o_idx] = best_idx;
-                    }
+                    visit(bc * oh * ow + oy * ow + ox, best, best_idx);
                 }
             }
         }
-        self.cached |= train;
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward_into(&self, _params: &[f32], input: &Tensor, out: &mut Tensor) {
+        out.resize_to(&self.out_shape(input));
+        let out = out.data_mut();
+        self.for_each_window(input, |o, best, _| out[o] = best);
     }
 
     fn backward_into(
-        &mut self,
+        &self,
         _params: &[f32],
         _grads: &mut [f32],
+        input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         grad_in: &mut Tensor,
     ) {
-        assert!(
-            self.cached,
-            "pool backward called without a training forward"
-        );
-        self.cached = false;
-        grad_in.resize_to(&self.in_shape);
+        // The gradient routes to each window's argmax, found again from the
+        // forward input.
+        grad_in.resize_to(input.shape());
         let grad_in = grad_in.data_mut();
         grad_in.fill(0.0);
-        for (&in_idx, &g) in self.argmax.iter().zip(grad_out.data()) {
-            grad_in[in_idx] += g;
-        }
+        let g = grad_out.data();
+        self.for_each_window(input, |o, _, arg| grad_in[arg] += g[o]);
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Self::new(self.size))
+        Box::new(self.clone())
     }
 }
 
@@ -110,7 +99,7 @@ mod tests {
 
     #[test]
     fn forward_picks_max() {
-        let mut pool = MaxPool2d::new(2);
+        let pool = MaxPool2d::new(2);
         #[rustfmt::skip]
         let x = Tensor::from_vec(vec![
             1.0, 2.0, 3.0, 4.0,
@@ -118,30 +107,29 @@ mod tests {
             9.0, 1.0, 2.0, 3.0,
             4.0, 5.0, 6.0, 7.0,
         ], &[1, 1, 4, 4]);
-        let out = forward(&mut pool, &[], &x, false);
+        let out = forward(&pool, &[], &x);
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
         assert_eq!(out.data(), &[6.0, 8.0, 9.0, 7.0]);
     }
 
     #[test]
     fn backward_routes_to_argmax() {
-        let mut pool = MaxPool2d::new(2);
+        let pool = MaxPool2d::new(2);
         #[rustfmt::skip]
         let x = Tensor::from_vec(vec![
             1.0, 2.0,
             3.0, 0.5,
         ], &[1, 1, 2, 2]);
-        let _ = forward(&mut pool, &[], &x, true);
         let g = Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]);
-        let gx = backward(&mut pool, &[], &mut [], &g);
+        let gx = backward(&pool, &[], &mut [], &x, &g);
         assert_eq!(gx.data(), &[0.0, 0.0, 10.0, 0.0]);
     }
 
     #[test]
     fn truncates_ragged_edges() {
-        let mut pool = MaxPool2d::new(2);
+        let pool = MaxPool2d::new(2);
         let x = Tensor::zeros(&[1, 1, 5, 5]);
-        let out = forward(&mut pool, &[], &x, false);
+        let out = forward(&pool, &[], &x);
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
     }
 }

@@ -107,47 +107,49 @@ impl Sequential {
     }
 
     /// Forward pass through all layers into a fresh output tensor.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    pub fn forward(&self, input: &Tensor) -> Tensor {
         let mut ws = Workspace::new();
-        self.forward_ws(input, &mut ws, train);
+        self.forward_ws(input, &mut ws);
         ws.acts.pop().expect("one activation per layer")
     }
 
     /// Forward pass writing every layer activation into the workspace's
-    /// persistent buffers; returns the final output by reference.
+    /// persistent buffers; returns the final output by reference. The
+    /// activations stay there for the backward pass.
     ///
     /// # Panics
     ///
     /// Panics on an empty model.
-    pub fn forward_ws<'w>(
-        &mut self,
-        input: &Tensor,
-        ws: &'w mut Workspace,
-        train: bool,
-    ) -> &'w Tensor {
+    pub fn forward_ws<'w>(&self, input: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
         let depth = self.layers.len();
         assert!(depth > 0, "forward_ws on an empty model");
         if ws.acts.len() != depth {
             ws.acts.resize_with(depth, Tensor::default);
         }
-        for (i, (layer, range)) in self.layers.iter_mut().zip(&self.ranges).enumerate() {
+        for (i, (layer, range)) in self.layers.iter().zip(&self.ranges).enumerate() {
             let params = &self.params[range.clone()];
             if i == 0 {
-                layer.forward_into(params, input, &mut ws.acts[0], train);
+                layer.forward_into(params, input, &mut ws.acts[0]);
             } else {
                 let (prev, rest) = ws.acts.split_at_mut(i);
-                layer.forward_into(params, &prev[i - 1], &mut rest[0], train);
+                layer.forward_into(params, &prev[i - 1], &mut rest[0]);
             }
         }
         &ws.acts[depth - 1]
     }
 
-    /// Backward pass from `ws.loss_grad` through every layer, accumulating
-    /// parameter gradients into the arena; ping-pongs between the
+    /// Backward pass from `ws.loss_grad` through every layer, after
+    /// [`Sequential::forward_ws`] on `input` filled `ws.acts`. Accumulates
+    /// parameter gradients into the arena, ping-ponging between the
     /// workspace's two gradient buffers. With `input_grad` the bottom layer
-    /// also writes the gradient w.r.t. the model input, which is returned;
-    /// without, it may skip that (discarded) computation.
-    fn backward_ws<'w>(&mut self, ws: &'w mut Workspace, input_grad: bool) -> &'w Tensor {
+    /// also writes the gradient w.r.t. `input`, which is returned; without,
+    /// it may skip that (discarded) computation.
+    fn backward_ws<'w>(
+        &mut self,
+        input: &Tensor,
+        ws: &'w mut Workspace,
+        input_grad: bool,
+    ) -> &'w Tensor {
         let depth = self.layers.len();
         for i in (0..depth).rev() {
             let (src, dst) = if i == depth - 1 {
@@ -157,12 +159,15 @@ impl Sequential {
             } else {
                 (&ws.grad_b, &mut ws.grad_a)
             };
+            let layer_in = if i == 0 { input } else { &ws.acts[i - 1] };
+            let layer_out = &ws.acts[i];
             let range = self.ranges[i].clone();
             let (params, grads) = (&self.params[range.clone()], &mut self.grads[range]);
+            let layer = &self.layers[i];
             if i == 0 && !input_grad {
-                self.layers[i].backward_head_into(params, grads, src, dst);
+                layer.backward_head_into(params, grads, layer_in, layer_out, src, dst);
             } else {
-                self.layers[i].backward_into(params, grads, src, dst);
+                layer.backward_into(params, grads, layer_in, layer_out, src, dst);
             }
         }
         if depth % 2 == 1 {
@@ -179,10 +184,10 @@ impl Sequential {
     pub fn input_gradient(&mut self, x: &Tensor, labels: &[usize]) -> (Tensor, BatchStats) {
         let mut ws = Workspace::new();
         self.zero_grad();
-        self.forward_ws(x, &mut ws, true);
+        self.forward_ws(x, &mut ws);
         let logits = ws.acts.last().expect("one activation per layer");
         let (loss, correct) = cross_entropy_into(logits, labels, &mut ws.loss_grad);
-        let gx = self.backward_ws(&mut ws, true).clone();
+        let gx = self.backward_ws(x, &mut ws, true).clone();
         (
             gx,
             BatchStats {
@@ -196,10 +201,10 @@ impl Sequential {
     /// evaluated through the workspace (no allocation after warm-up, no
     /// gradient accumulation). Bitwise identical to `forward` +
     /// [`crate::loss::cross_entropy`].
-    pub fn loss_ws(&mut self, x: &Tensor, labels: &[usize], ws: &mut Workspace) -> (f64, usize) {
-        self.forward_ws(x, ws, false);
-        let depth = self.layers.len();
-        cross_entropy_into(&ws.acts[depth - 1], labels, &mut ws.loss_grad)
+    pub fn loss_ws(&self, x: &Tensor, labels: &[usize], ws: &mut Workspace) -> (f64, usize) {
+        self.forward_ws(x, ws);
+        let logits = ws.acts.last().expect("one activation per layer");
+        cross_entropy_into(logits, labels, &mut ws.loss_grad)
     }
 
     /// One optimizer step on a batch: forward through the workspace, the
@@ -216,10 +221,10 @@ impl Sequential {
         ws: &mut Workspace,
     ) -> BatchStats {
         self.zero_grad();
-        self.forward_ws(x, ws, true);
+        self.forward_ws(x, ws);
         let logits = ws.acts.last().expect("one activation per layer");
         let (loss, correct) = loss.eval_into(logits, &mut ws.loss_grad);
-        self.backward_ws(ws, false);
+        self.backward_ws(x, ws, false);
         optimizer.step(&mut self.params, &self.grads);
         BatchStats {
             loss,
@@ -228,20 +233,20 @@ impl Sequential {
     }
 
     /// Predicted class for every sample in the batch.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let logits = self.forward(x, false);
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
+        let logits = self.forward(x);
         let n = logits.batch();
         (0..n).map(|i| argmax(logits.row(i))).collect()
     }
 
     /// Class-probability rows (softmax outputs) for the batch.
-    pub fn predict_proba(&mut self, x: &Tensor) -> Tensor {
-        let logits = self.forward(x, false);
+    pub fn predict_proba(&self, x: &Tensor) -> Tensor {
+        let logits = self.forward(x);
         softmax(&logits)
     }
 
     /// Classification accuracy on a labelled batch.
-    pub fn evaluate(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
+    pub fn evaluate(&self, x: &Tensor, labels: &[usize]) -> f64 {
         if labels.is_empty() {
             return 0.0;
         }
@@ -385,7 +390,7 @@ mod tests {
 
     #[test]
     fn predict_proba_rows_sum_to_one() {
-        let mut m = tiny_model(4);
+        let m = tiny_model(4);
         let (x, _) = toy_data();
         let p = m.predict_proba(&x);
         for i in 0..x.batch() {
@@ -425,7 +430,7 @@ mod tests {
 
     #[test]
     fn evaluate_empty_labels_is_zero() {
-        let mut m = tiny_model(7);
+        let m = tiny_model(7);
         assert_eq!(m.evaluate(&Tensor::zeros(&[0, 2]), &[]), 0.0);
     }
 
@@ -443,11 +448,11 @@ mod tests {
             let mut lo = x.clone();
             lo.data_mut()[idx] -= eps;
             let l_hi = {
-                let logits = m.forward(&hi, false);
+                let logits = m.forward(&hi);
                 crate::loss::cross_entropy(&logits, &labels).loss
             };
             let l_lo = {
-                let logits = m.forward(&lo, false);
+                let logits = m.forward(&lo);
                 crate::loss::cross_entropy(&logits, &labels).loss
             };
             let fd = (l_hi - l_lo) / (2.0 * eps as f64);
@@ -470,7 +475,7 @@ mod tests {
         for (xv, g) in x.data_mut().iter_mut().zip(gx.data()) {
             *xv -= 0.5 * g;
         }
-        let logits = m.forward(&x, false);
+        let logits = m.forward(&x);
         let after = crate::loss::cross_entropy(&logits, &labels).loss;
         assert!(after < before.loss, "{after} !< {}", before.loss);
     }

@@ -162,8 +162,8 @@ mod tests {
     fn mlp_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let spec = ModelSpec::mlp(10, &[16, 8], 4);
-        let mut m = spec.build(&mut rng);
-        let out = m.forward(&Tensor::zeros(&[3, 10]), false);
+        let m = spec.build(&mut rng);
+        let out = m.forward(&Tensor::zeros(&[3, 10]));
         assert_eq!(out.shape(), &[3, 4]);
         assert_eq!(spec.classes(), 4);
         assert_eq!(spec.input_shape(), vec![10]);
@@ -173,8 +173,8 @@ mod tests {
     fn lenet_shapes_28() {
         let mut rng = StdRng::seed_from_u64(1);
         let spec = ModelSpec::lenet(28, 10);
-        let mut m = spec.build(&mut rng);
-        let out = m.forward(&Tensor::zeros(&[2, 1, 28, 28]), false);
+        let m = spec.build(&mut rng);
+        let out = m.forward(&Tensor::zeros(&[2, 1, 28, 28]));
         assert_eq!(out.shape(), &[2, 10]);
         assert_eq!(spec.input_shape(), vec![1, 28, 28]);
     }

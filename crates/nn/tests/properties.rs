@@ -25,7 +25,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = Sequential::new().push(Box::new(Dense::new(&mut rng, input, output)));
         let x = Tensor::zeros(&[n, input]);
-        let y = model.forward(&x, true);
+        let y = model.forward(&x);
         prop_assert_eq!(y.shape(), &[n, output]);
         let (gx, _) = model.input_gradient(&x, &vec![0; n]);
         prop_assert_eq!(gx.shape(), &[n, input]);
@@ -45,9 +45,9 @@ proptest! {
     ) {
         let side = k + extra;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut conv = Sequential::new().push(Box::new(Conv2d::new(&mut rng, cin, cout, k)));
+        let conv = Sequential::new().push(Box::new(Conv2d::new(&mut rng, cin, cout, k)));
         let x = Tensor::zeros(&[n, cin, side, side]);
-        let y = conv.forward(&x, false);
+        let y = conv.forward(&x);
         let o = side - k + 1;
         prop_assert_eq!(y.shape(), &[n, cout, o, o]);
     }
@@ -58,9 +58,9 @@ proptest! {
     fn pool_selects_existing_values(
         xs in prop::collection::vec(-5.0f32..5.0, 36..=36),
     ) {
-        let mut pool = Sequential::new().push(Box::new(MaxPool2d::new(2)));
+        let pool = Sequential::new().push(Box::new(MaxPool2d::new(2)));
         let x = Tensor::from_vec(xs.clone(), &[1, 1, 6, 6]);
-        let y = pool.forward(&x, false);
+        let y = pool.forward(&x);
         prop_assert_eq!(y.shape(), &[1, 1, 3, 3]);
         for &v in y.data() {
             prop_assert!(xs.contains(&v));
@@ -70,12 +70,12 @@ proptest! {
     /// ReLU output is non-negative and idempotent.
     #[test]
     fn relu_non_negative_idempotent(xs in prop::collection::vec(-5.0f32..5.0, 1..32)) {
-        let mut relu = Sequential::new().push(Box::new(ReLU::new()));
+        let relu = Sequential::new().push(Box::new(ReLU::new()));
         let n = xs.len();
         let x = Tensor::from_vec(xs, &[1, n]);
-        let once = relu.forward(&x, false);
+        let once = relu.forward(&x);
         prop_assert!(once.data().iter().all(|&v| v >= 0.0));
-        let twice = relu.forward(&once, false);
+        let twice = relu.forward(&once);
         prop_assert_eq!(once.data(), twice.data());
     }
 

@@ -264,8 +264,8 @@ mod backdoor_arms {
             let ds = client_data(&mut rng, n, 3);
             let region = SemanticRegion::fit(&ds, 1, 0, member_fraction, seed ^ 0xABCD);
             let spec = ModelSpec::mlp(4, &[6], 3);
-            let mut model = spec.build(&mut rng);
-            let mut asr = |d: &Dataset| -> (usize, f64) {
+            let model = spec.build(&mut rng);
+            let asr = |d: &Dataset| -> (usize, f64) {
                 let eval = region.eval_set(d);
                 if eval.is_empty() {
                     return (0, 0.0);
