@@ -55,11 +55,6 @@ pub(crate) fn poisoned_local_delta(
     for _ in 0..cfg.steps {
         scratch.train_step(rng, data, cfg.batch_size, &mut opt);
     }
-    scratch
-        .model
-        .params()
-        .iter()
-        .zip(global)
-        .map(|(l, g)| l - g)
-        .collect()
+    scratch.store_delta(global);
+    std::mem::take(&mut scratch.delta)
 }

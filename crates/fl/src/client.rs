@@ -99,15 +99,7 @@ pub fn local_sgd_delta_into<R: Rng + ?Sized>(
     correction: Correction<'_>,
 ) {
     local_sgd(rng, scratch, global, data, cfg, correction);
-    scratch.delta.clear();
-    scratch.delta.extend(
-        scratch
-            .model
-            .params()
-            .iter()
-            .zip(global)
-            .map(|(l, g)| l - g),
-    );
+    scratch.store_delta(global);
 }
 
 #[cfg(test)]

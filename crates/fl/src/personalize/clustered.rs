@@ -147,16 +147,11 @@ impl Personalization for Clustered {
             cfg,
             Correction::None,
         );
-        let trained = scratch.model.params();
-        scratch.delta.clear();
-        scratch
-            .delta
-            .extend(trained.iter().zip(global).map(|(t, g)| t - g));
-        let trained = trained.to_vec();
+        scratch.store_delta(global);
         LocalOutcome {
             delta: std::mem::take(&mut scratch.delta),
             commit: StateCommit {
-                cluster: Some((cluster, trained)),
+                cluster: Some((cluster, scratch.model.params().to_vec())),
                 ..StateCommit::none()
             },
         }

@@ -99,15 +99,11 @@ impl Personalization for MetaFed {
         for _ in 0..cfg.local_steps {
             scratch.train_step(rng, data, cfg.batch_size, &mut opt);
         }
-        let personal = scratch.model.params();
-        scratch.delta.clear();
-        scratch
-            .delta
-            .extend(personal.iter().zip(global).map(|(p, g)| p - g));
+        scratch.store_delta(global);
         LocalOutcome {
             delta: std::mem::take(&mut scratch.delta),
             commit: StateCommit {
-                personal: Some(personal.to_vec()),
+                personal: Some(scratch.model.params().to_vec()),
                 ..StateCommit::none()
             },
         }

@@ -59,6 +59,14 @@ impl ClientScratch {
         Self::new(template.clone())
     }
 
+    /// Writes `θ − global` into `delta`, reading θ straight off the
+    /// model's parameter arena.
+    pub fn store_delta(&mut self, global: &[f32]) {
+        self.delta.clear();
+        self.delta
+            .extend(self.model.params().iter().zip(global).map(|(l, g)| l - g));
+    }
+
     /// Draws a `batch`-sample minibatch of `data` into the arena and takes
     /// one cross-entropy SGD step on `model`.
     pub fn train_step<R: Rng + ?Sized>(

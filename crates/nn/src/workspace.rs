@@ -1,8 +1,9 @@
 //! Persistent training workspace for the allocation-free hot path.
 //!
 //! A [`Workspace`] owns the activation buffers one SGD step needs —
-//! per-layer outputs, the loss gradient and the two ping-pong backward
-//! buffers. Parameters and their gradients live in the model's own flat
+//! per-layer outputs (which the backward pass reads back as each layer's
+//! forward input and output), the loss gradient and the two ping-pong
+//! backward buffers. Parameters and their gradients live in the model's own flat
 //! arenas ([`crate::model::Sequential`]), so a workspace holds activations
 //! only. All buffers are grown on first use and reused verbatim afterwards,
 //! so [`crate::model::Sequential::train_batch_ws`] touches the allocator
