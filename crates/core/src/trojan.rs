@@ -82,7 +82,7 @@ pub fn train_trojan(
     }
 
     let (cx, cy) = aux.as_batch();
-    let model = &mut scratch.model;
+    let model = &scratch.model;
     let clean_accuracy = model.evaluate(&cx, &cy);
     let (px, py) = poisoned.as_batch();
     let trigger_success = model.evaluate(&px, &py);
