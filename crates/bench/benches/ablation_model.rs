@@ -5,15 +5,14 @@
 //! parameter vector); this ablation confirms the attack dynamics hold on the
 //! conv path too.
 
-use collapois_bench::{pct, Scale, Table};
 use collapois_core::scenario::{AttackKind, ScenarioConfig, ScenarioModel};
+use collapois_grid::table::{pct, Table};
 
 fn main() {
-    let scale = Scale::from_env();
     let mut table = Table::new(&["model", "attack", "benign ac", "attack sr", "params"]);
     for model_kind in [ScenarioModel::Mlp, ScenarioModel::Cnn] {
         for attack in [AttackKind::None, AttackKind::CollaPois] {
-            let mut cfg = scale.apply(ScenarioConfig::quick_image(0.1, 0.05));
+            let mut cfg = ScenarioConfig::quick_image(0.1, 0.05);
             cfg.model_kind = model_kind;
             cfg.attack = attack;
             // Conv forward/backward is an order of magnitude slower; trim

@@ -5,15 +5,14 @@
 //! shrink malicious magnitudes into the benign band (lower 3σ flag rate) at
 //! the cost of pull strength per round.
 
-use collapois_bench::{pct, Scale, Table};
 use collapois_core::analysis::split_updates;
 use collapois_core::collapois::CollaPoisConfig;
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_core::stealth::stealth_battery;
+use collapois_grid::table::{pct, Table};
 
 fn run(collapois: CollaPoisConfig) -> (f64, f64, f64) {
-    let scale = Scale::from_env();
-    let mut cfg = scale.apply(ScenarioConfig::quick_image(0.1, 0.05));
+    let mut cfg = ScenarioConfig::quick_image(0.1, 0.05);
     cfg.attack = AttackKind::CollaPois;
     cfg.collapois = collapois;
     cfg.collect_updates = true;

@@ -1,7 +1,6 @@
 //! Ablation — the §VI "semi-ready" targeted variant: duty-cycled or delayed
 //! activation trades attack speed for an even smaller poisoning footprint.
 
-use collapois_bench::{pct, Scale, Table};
 use collapois_core::scenario::{auxiliary_data, Scenario, ScenarioConfig};
 use collapois_core::targeted::{ActivationPolicy, TargetedCollaPois};
 use collapois_core::trojan::train_trojan;
@@ -10,13 +9,13 @@ use collapois_fl::config::FlConfig;
 use collapois_fl::metrics::{evaluate_clients, population};
 use collapois_fl::personalize::NoPersonalization;
 use collapois_fl::server::FlServer;
+use collapois_grid::table::{pct, Table};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let base = scale.apply(ScenarioConfig::quick_image(0.1, 0.05));
+    let base = ScenarioConfig::quick_image(0.1, 0.05);
     let spec = base.model_spec();
     let trigger = base.build_trigger();
 

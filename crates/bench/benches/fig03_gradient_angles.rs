@@ -8,12 +8,11 @@
 //! shrinks — scattered gradients — while CollaPois' coordinated updates stay
 //! nearly parallel at every α.
 
-use collapois_bench::{num, Scale, Table};
 use collapois_core::analysis::pooled_mean_angles_deg;
 use collapois_core::scenario::{AttackKind, FlAlgo, ScenarioConfig};
+use collapois_grid::table::{num, Table};
 
 fn main() {
-    let scale = Scale::from_env();
     let alphas = [0.01, 0.1, 1.0, 10.0, 100.0];
     for algo in [FlAlgo::FedAvg, FlAlgo::FedDc] {
         let mut table = Table::new(&[
@@ -23,7 +22,7 @@ fn main() {
             "dpois malicious (deg)",
         ]);
         for &alpha in &alphas {
-            let mut collapois_cfg = scale.apply(ScenarioConfig::quick_image(alpha, 0.1));
+            let mut collapois_cfg = ScenarioConfig::quick_image(alpha, 0.1);
             collapois_cfg.attack = AttackKind::CollaPois;
             collapois_cfg.algo = algo;
             collapois_cfg.collect_updates = true;

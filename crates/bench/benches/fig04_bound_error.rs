@@ -16,15 +16,14 @@
 //! can the attacker estimate the diversity statistics, and how does α
 //! affect it?*
 
-use collapois_bench::{num, pct, Scale, Table};
 use collapois_core::analysis::split_updates;
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_core::theory::theorem1::{estimate_angle_stats, theorem1_bound};
+use collapois_grid::table::{num, pct, Table};
 use collapois_stats::geometry::{angles_to_reference, mean_vector};
 use collapois_stats::hoeffding;
 
 fn main() {
-    let scale = Scale::from_env();
     let alphas = [0.01, 0.1, 1.0, 10.0, 100.0];
     let mut table = Table::new(&[
         "alpha",
@@ -35,7 +34,7 @@ fn main() {
         "hoeffding eps (deg)",
     ]);
     for &alpha in &alphas {
-        let mut cfg = scale.apply(ScenarioConfig::quick_image(alpha, 0.1));
+        let mut cfg = ScenarioConfig::quick_image(alpha, 0.1);
         cfg.attack = AttackKind::CollaPois;
         cfg.collect_updates = true;
         cfg.rounds = cfg.rounds.max(30);

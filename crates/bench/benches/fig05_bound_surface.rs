@@ -4,8 +4,8 @@
 //! paper's shape: the required fraction of compromised clients decreases
 //! monotonically as either the mean angle μ_α or its spread σ grows.
 
-use collapois_bench::{num, Table};
 use collapois_core::theory::theorem1_bound;
+use collapois_grid::table::{num, Table};
 
 fn main() {
     let (a, b) = (0.9, 1.0);

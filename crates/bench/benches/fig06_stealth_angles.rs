@@ -6,16 +6,15 @@
 //! blend into the benign clients' — the two groups are "blended and
 //! modestly different".
 
-use collapois_bench::{num, Scale, Table};
 use collapois_core::analysis::split_updates;
 use collapois_core::collapois::CollaPoisConfig;
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_core::stealth::gradient_features;
+use collapois_grid::table::{num, Table};
 use collapois_stats::descriptive::Summary;
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut cfg = scale.apply(ScenarioConfig::quick_image(0.1, 0.1));
+    let mut cfg = ScenarioConfig::quick_image(0.1, 0.1);
     cfg.attack = AttackKind::CollaPois;
     // The paper's stealth configuration: narrow psi plus clipping into the
     // benign magnitude range.

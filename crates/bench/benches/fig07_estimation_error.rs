@@ -7,18 +7,17 @@
 //! deltas to the constant τ = 2 — the paper's "error stabilizes at a
 //! controlled lower bound" after convergence.
 
-use collapois_bench::{num, Scale, Table};
 use collapois_core::analysis::split_updates;
 use collapois_core::collapois::CollaPoisConfig;
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_core::theory::theorem3::{estimation_error, lower_bound};
+use collapois_grid::table::{num, Table};
 
 fn main() {
-    let scale = Scale::from_env();
     let fracs = [0.01, 0.05, 0.1];
     let mut table = Table::new(&["frac", "round", "||X' - X||", "theorem 3 lower bound"]);
     for &frac in &fracs {
-        let mut cfg = scale.apply(ScenarioConfig::quick_image(0.1, frac));
+        let mut cfg = ScenarioConfig::quick_image(0.1, frac);
         cfg.attack = AttackKind::CollaPois;
         cfg.collapois = CollaPoisConfig {
             min_norm: Some(2.0),

@@ -5,12 +5,12 @@
 //! reports the L∞/L2 perturbation across warp strengths, contrasted with the
 //! (visible) BadNets patch and DBA patterns.
 
-use collapois_bench::{num, Table};
 use collapois_core::scenario::IMAGE_SIDE;
 use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
 use collapois_data::trigger::{
     l2_perturbation, linf_perturbation, DbaTrigger, PatchTrigger, Trigger, WaNetTrigger,
 };
+use collapois_grid::table::{num, Table};
 
 fn ascii(image: &[f32], side: usize) -> String {
     let ramp: &[u8] = b" .:-=+*#%@";

@@ -9,7 +9,6 @@
 //! * Neural Cleanse — whether the target class is flagged by the MAD rule.
 //! * Fine-Pruning — Attack SR remaining after pruning 30 % of hidden units.
 
-use collapois_bench::{num, pct, Table};
 use collapois_core::trojan::{train_trojan, TrojanConfig};
 use collapois_data::poison::stamp_only;
 use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
@@ -17,6 +16,7 @@ use collapois_data::trigger::{PatchTrigger, Trigger, WaNetTrigger};
 use collapois_defense::fine_pruning::fine_prune;
 use collapois_defense::neural_cleanse::{neural_cleanse, CleanseConfig};
 use collapois_defense::strip::{strip_screen, StripConfig};
+use collapois_grid::table::{num, pct, Table};
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

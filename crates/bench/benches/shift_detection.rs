@@ -7,12 +7,11 @@
 //! MRepl) with a robust median/MAD baseline. The clean run calibrates the
 //! false-positive reference.
 
-use collapois_bench::{pct, Scale, Table};
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_fl::monitor::ShiftDetector;
+use collapois_grid::table::{pct, Table};
 
 fn main() {
-    let scale = Scale::from_env();
     let mut table = Table::new(&[
         "attack",
         "rounds flagged",
@@ -26,7 +25,7 @@ fn main() {
         AttackKind::DPois,
         AttackKind::MRepl,
     ] {
-        let mut cfg = scale.apply(ScenarioConfig::quick_image(0.1, 0.05));
+        let mut cfg = ScenarioConfig::quick_image(0.1, 0.05);
         cfg.attack = attack;
         cfg.eval_every = 1; // per-round utility series
         cfg.rounds = cfg.rounds.min(40);

@@ -7,17 +7,16 @@
 //! Paper numbers: no significant difference on any test and only a ~3.5 %
 //! chance a malicious gradient is flagged as an outlier.
 
-use collapois_bench::{num, pct, Scale, Table};
 use collapois_core::analysis::split_updates;
 use collapois_core::collapois::CollaPoisConfig;
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_core::stealth::stealth_battery;
 use collapois_fl::aggregate::StatFilter;
 use collapois_fl::update::ClientUpdate;
+use collapois_grid::table::{num, pct, Table};
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut cfg = scale.apply(ScenarioConfig::quick_image(0.1, 0.1));
+    let mut cfg = ScenarioConfig::quick_image(0.1, 0.1);
     cfg.attack = AttackKind::CollaPois;
     cfg.collapois = CollaPoisConfig {
         psi_low: 0.95,

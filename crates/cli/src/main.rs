@@ -8,6 +8,7 @@
 //! collapois sweep [CELL FLAGS] [--workers W] — alpha sweep
 //! collapois grid  SCENARIOS.toml [--out REPORT.jsonl] [--workers W]
 //!                 [--fresh true] [--limit N] [--list true] — scenario matrix
+//! collapois report REPORT.jsonl — a grid report's figure tables
 //! collapois bound [--a 0.9] [--b 1.0] [--clients N] — Theorem 1 table
 //! collapois trace --file RUN.jsonl — inspect a structured run trace
 //! collapois help   (or -h / --help anywhere on the command line)
@@ -24,11 +25,13 @@
 //! mlp|cnn; quant f32|f16|int8; cohort auto|eager|lazy.
 
 mod args;
+mod report;
 
 use args::Args;
 use collapois_core::scenario::{DatasetKind, RunOptions, Scenario, ScenarioReport};
 use collapois_core::theory::theorem1_bound;
 use collapois_fl::server::round_records_from_events;
+use collapois_grid::report::CellReport;
 use collapois_grid::runner::{run_grid, CellStatus, GridRunOptions};
 use collapois_grid::schema::{CellSpec, GridCell, GridSpec, SCHEMA_VERSION};
 use collapois_grid::toml::{self, TomlTable, TomlValue};
@@ -56,15 +59,16 @@ fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(argv.iter().map(String::as_str))?;
-    // `grid` takes the scenario file as a positional; every other command
-    // takes none.
-    if args.command.as_deref() != Some("grid") {
+    // `grid` and `report` take their file as a positional; every other
+    // command takes none.
+    if !matches!(args.command.as_deref(), Some("grid" | "report")) {
         args.expect_no_positionals()?;
     }
     match args.command.as_deref() {
         Some("run") => cmd_run(&args),
         Some("sweep") => cmd_sweep(&args),
         Some("grid") => cmd_grid(&args),
+        Some("report") => cmd_report(&args),
         Some("bound") => cmd_bound(&args),
         Some("trace") => cmd_trace(&args),
         Some("help") | None => {
@@ -82,6 +86,7 @@ fn print_help() {
          \u{20}  run    run one scenario (attack x defense x FL algorithm)\n\
          \u{20}  sweep  sweep the Dirichlet alpha for a fixed configuration\n\
          \u{20}  grid   run a declarative scenario matrix from a TOML file\n\
+         \u{20}  report print a grid report's figure tables (collapois report REPORT.jsonl)\n\
          \u{20}  bound  print Theorem 1's |C| lower-bound table\n\
          \u{20}  trace  inspect a structured run trace (--file RUN.jsonl)\n\
          \u{20}  help   this message (also -h / --help anywhere)\n\n\
@@ -471,6 +476,29 @@ fn cmd_grid(args: &Args) -> Result<(), String> {
     if !outcome.complete() {
         println!("rerun the same command to continue (completed cells are skipped)");
     }
+    Ok(())
+}
+
+/// `collapois report REPORT.jsonl`: reads every row and prints the figure
+/// tables. It takes no options and writes nothing.
+fn cmd_report(args: &Args) -> Result<(), String> {
+    if let Some(k) = args.unknown_key(&[]) {
+        return Err(format!("unknown option --{k}"));
+    }
+    args.expect_at_most_positionals(1)?;
+    let path = args
+        .positional(0)
+        .ok_or("report requires a grid report: collapois report REPORT.jsonl")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let rows = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| CellReport::from_json(line).map_err(|e| format!("{path}:{}: {e}", i + 1)))
+        .collect::<Result<Vec<_>, _>>()?;
+    print!(
+        "{}",
+        report::render(&rows).map_err(|e| format!("{path}: {e}"))?
+    );
     Ok(())
 }
 
@@ -889,6 +917,25 @@ mod tests {
         .unwrap();
         let e = run(&["grid".to_string(), bad.to_string_lossy().into_owned()]).unwrap_err();
         assert!(e.contains("bad.toml") && e.contains("alpha"), "{e}");
+    }
+
+    #[test]
+    fn report_command_validates_input() {
+        let e = run(&argv("report")).unwrap_err();
+        assert!(e.contains("REPORT.jsonl"), "{e}");
+        let e = run(&argv("report /nonexistent/r.jsonl")).unwrap_err();
+        assert!(e.contains("cannot read"), "{e}");
+        let e = run(&argv("report a.jsonl b.jsonl")).unwrap_err();
+        assert!(e.contains("b.jsonl"), "{e}");
+        let e = run(&argv("report a.jsonl --out x")).unwrap_err();
+        assert!(e.contains("--out"), "{e}");
+        // A row the reader cannot take is named by file and line.
+        let dir = std::env::temp_dir().join("collapois-cli-report-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("old.jsonl");
+        std::fs::write(&bad, "{\"schema_version\":1}\n").unwrap();
+        let e = run(&["report".to_string(), bad.to_string_lossy().into_owned()]).unwrap_err();
+        assert!(e.contains("old.jsonl:1") && e.contains("version 1"), "{e}");
     }
 
     #[test]

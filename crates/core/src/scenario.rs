@@ -676,9 +676,11 @@ pub struct ScenarioReport {
     /// Number of trace events folded into `event_hash`.
     pub event_count: u64,
     /// Residency counters of the lazy cohort backing (`None` on eager
-    /// runs). Hit/miss/eviction tallies depend on access order only, so
-    /// they are as deterministic as the run itself; `resident_bytes` is
-    /// what the cohort-scale budget test asserts against.
+    /// runs). Hit/miss/eviction tallies depend on the order clients touch
+    /// their shards, which at more than one worker is the lanes' schedule:
+    /// they are diagnostics, not part of the run's deterministic output
+    /// (DESIGN.md §14). `resident_bytes` is what the cohort-scale budget
+    /// test asserts against.
     pub shard_stats: Option<ShardStats>,
 }
 

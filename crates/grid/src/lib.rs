@@ -11,7 +11,9 @@
 //! *any* worker count produce byte-identical reports, which is what lets
 //! CI pin the whole attack/defense conformance surface with a handful of
 //! golden hash fixtures, and lets a killed grid resume by skipping every
-//! cell whose row already matches.
+//! cell whose row already matches. `collapois report` reads a report back
+//! ([`CellReport::from_json`](report::CellReport::from_json)) and prints
+//! its figure tables through the shared [`table`] printer.
 //!
 //! ```no_run
 //! use collapois_grid::runner::{run_grid, GridRunOptions};
@@ -34,4 +36,5 @@
 pub mod report;
 pub mod runner;
 pub mod schema;
+pub mod table;
 pub mod toml;

@@ -4,14 +4,15 @@
 //! engine. One JSONL row is appended (and flushed) per completed cell, so
 //! a killed run loses at most the in-flight cell. On restart the runner
 //! re-reads the report file and keeps the longest prefix of lines that
-//! verbatim-match the expected cells (same id, same `config_hash`); a torn
-//! final line, a stale row from an edited scenario file, or any
-//! out-of-order row truncates the file back to the end of the valid prefix
-//! before execution continues. Because every cell is deterministic, the
-//! concatenation of a killed-and-resumed run is byte-identical to an
-//! uninterrupted one — a property the conformance tests assert directly.
+//! match the expected cells (same id, same `config_hash`, same row layout
+//! [`ROW_VERSION`]); a torn final line, a stale row from an edited scenario
+//! file or an older build, or any out-of-order row truncates the file back
+//! to the end of the valid prefix before execution continues. Because
+//! every cell is deterministic, the concatenation of a killed-and-resumed
+//! run is byte-identical to an uninterrupted one — a property the
+//! conformance tests assert directly.
 
-use crate::report::CellReport;
+use crate::report::{CellReport, ROW_VERSION};
 use crate::schema::{GridCell, GridSpec};
 use collapois_core::scenario::{RunOptions, Scenario, ScenarioReport};
 use collapois_runtime::json::{self, Obj};
@@ -66,7 +67,8 @@ impl GridOutcome {
 /// Splits existing report text into the longest valid prefix.
 ///
 /// Returns `(byte_len, line_count)` of the prefix to keep: complete lines,
-/// in expansion order, each matching its expected cell id and config hash.
+/// in expansion order, each matching its expected cell id and config hash
+/// and written in this build's row layout.
 fn valid_prefix(existing: &str, cells: &[GridCell]) -> (usize, usize) {
     let mut offset = 0usize;
     let mut kept = 0usize;
@@ -77,8 +79,11 @@ fn valid_prefix(existing: &str, cells: &[GridCell]) -> (usize, usize) {
         };
         let row = json::parse(&rest[..nl]).unwrap_or(json::Value::Null);
         let hash = format!("{:#018x}", cell.config_hash);
-        if row.get_str("cell") != Ok(&cell.id) || row.get_str("config_hash") != Ok(&hash) {
-            break; // malformed, stale or foreign row: rerun from this cell on
+        if row.get_str("cell") != Ok(&cell.id)
+            || row.get_str("config_hash") != Ok(&hash)
+            || row.get_int("schema_version") != Ok(ROW_VERSION)
+        {
+            break; // malformed, stale, old-layout or foreign row: rerun from here
         }
         offset += nl + 1;
         kept += 1;
@@ -352,6 +357,23 @@ defense = ["none", "median"]
         .unwrap();
         let o = run_grid(&edited, &out, &GridRunOptions::default(), |_, _| {}).unwrap();
         assert_eq!((o.skipped, o.executed), (0, 2));
+    }
+
+    #[test]
+    fn rows_of_an_older_layout_are_rerun() {
+        let spec = fast_spec();
+        let out = tmp("old-layout.jsonl");
+        let _ = std::fs::remove_file(&out);
+        run_grid(&spec, &out, &GridRunOptions::default(), |_, _| {}).unwrap();
+        let full = std::fs::read_to_string(&out).unwrap();
+        // The same cells under the version-1 layout: the row version alone
+        // must stop resume from appending new-layout rows after them.
+        let v2 = format!(r#""schema_version":{ROW_VERSION},"#);
+        assert_eq!(full.matches(&v2).count(), 2);
+        std::fs::write(&out, full.replacen(&v2, r#""schema_version":1,"#, 1)).unwrap();
+        let o = run_grid(&spec, &out, &GridRunOptions::default(), |_, _| {}).unwrap();
+        assert_eq!((o.skipped, o.executed), (0, 2));
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), full);
     }
 
     #[test]

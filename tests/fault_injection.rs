@@ -59,8 +59,11 @@ fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("collapois-fault-{tag}-{}", std::process::id()))
 }
 
+/// A fault event flattened to a comparable tuple.
+type FaultEvent = (String, usize, usize, String, f64);
+
 /// Fault events of a trace, flattened to comparable tuples.
-fn fault_events(events: &[TraceEvent]) -> Vec<(String, usize, usize, String, f64)> {
+fn fault_events(events: &[TraceEvent]) -> Vec<FaultEvent> {
     events
         .iter()
         .filter_map(|e| match e {
@@ -90,7 +93,6 @@ fn faulted_run_completes_and_trace_matches_derived_schedule() {
         deadline_ms: 10.0,
         corrupt: 0.3,
         checkpoint_fail: 0.5,
-        ..FaultPlan::none()
     };
     let trace_path = tmp_path("schedule.jsonl");
     let ckpt_dir = tmp_path("schedule-ckpt");
@@ -292,7 +294,7 @@ fn fault_schedule_and_result_are_worker_count_invariant() {
         corrupt: 0.2,
         ..FaultPlan::none()
     };
-    let mut baseline: Option<(Vec<(String, usize, usize, String, f64)>, u64)> = None;
+    let mut baseline: Option<(Vec<FaultEvent>, u64)> = None;
     for workers in [1usize, 4] {
         let trace_path = tmp_path(&format!("invariance-w{workers}.jsonl"));
         let _ = std::fs::remove_file(&trace_path);

@@ -234,8 +234,8 @@ mod backdoor_arms {
             let mut s = Scaffold::new();
             s.init(n_clients, global.len());
             for _ in 0..rounds {
-                for cid in 0..n_clients {
-                    let out = s.local_train(cid, &global, &data[cid], &cfg, &mut scratch, &mut rng);
+                for (cid, shard) in data.iter().enumerate() {
+                    let out = s.local_train(cid, global, shard, &cfg, &mut scratch, &mut rng);
                     s.commit(cid, out.commit);
                 }
             }
