@@ -428,6 +428,110 @@ mod tests {
             .sum()
     }
 
+    /// `generate_client` over the per-value reference renderers, which
+    /// draw one polar variate inside each value's step.
+    fn generate_client_reference(spec: &ShardSpec, client_id: usize) -> ClientData {
+        let mut rng = shard_rng(spec.seed, client_id);
+        let classes = spec.source.num_classes();
+        let dir = Dirichlet::symmetric(spec.alpha, classes.max(2)).expect("validated parameters");
+        let mut mix = dir.sample(&mut rng);
+        mix.truncate(classes);
+        let total: f64 = mix.iter().map(|w| w.max(1e-12)).sum();
+        let mut cdf = Vec::with_capacity(classes);
+        let mut acc = 0.0;
+        for w in &mix {
+            acc += w.max(1e-12) / total;
+            cdf.push(acc);
+        }
+        let shape = spec.source.sample_shape();
+        let per: usize = shape.iter().product();
+        let mut features = vec![0.0f32; spec.samples_per_client * per];
+        let mut labels = Vec::with_capacity(spec.samples_per_client);
+        for sample in features.chunks_exact_mut(per) {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let class = cdf.partition_point(|&c| c < u).min(classes - 1);
+            match &spec.source {
+                ShardSource::Image(g) => g.render_sample_reference(&mut rng, class, sample),
+                ShardSource::Text(g) => g.render_sample_reference(&mut rng, class, sample),
+            }
+            labels.push(class);
+        }
+        let ds = Dataset::from_parts(features, labels, &shape, classes);
+        let (train, test, val) = ds.split(&mut rng, spec.train_frac, spec.test_frac);
+        ClientData { train, test, val }
+    }
+
+    fn assert_bitwise(got: &Dataset, want: &Dataset, what: &str) {
+        assert_eq!(got.sample_shape(), want.sample_shape(), "{what}: shape");
+        assert_eq!(got.labels(), want.labels(), "{what}: labels");
+        for i in 0..want.len() {
+            let bits = |ds: &Dataset| -> Vec<u32> {
+                ds.features_of(i).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(got), bits(want), "{what}: sample {i}");
+        }
+    }
+
+    #[test]
+    fn block_rendering_matches_the_per_value_reference_bitwise() {
+        let mut sources = Vec::new();
+        for side in [4, 12, 28] {
+            for max_shift in [0, 1, 2] {
+                for noise in [0.0, 0.05] {
+                    let cfg = SyntheticImageConfig {
+                        side,
+                        classes: 4,
+                        samples: 9,
+                        noise,
+                        max_shift,
+                        seed: side as u64 * 10 + max_shift as u64,
+                    };
+                    sources.push(ShardSource::Image(SyntheticImage::new(cfg)));
+                }
+            }
+        }
+        for dim in [16, 32] {
+            for noise in [0.0, 0.05] {
+                let cfg = SyntheticTextConfig {
+                    dim,
+                    classes: 2,
+                    clusters_per_class: 3,
+                    samples: 9,
+                    noise,
+                    seed: dim as u64,
+                };
+                sources.push(ShardSource::Text(SyntheticText::new(cfg)));
+            }
+        }
+        for source in sources {
+            let (what, pooled, reference) = match &source {
+                ShardSource::Image(g) => (
+                    format!("{:?}", g.config()),
+                    g.generate(),
+                    g.generate_reference(),
+                ),
+                ShardSource::Text(g) => (
+                    format!("{:?}", g.config()),
+                    g.generate(),
+                    g.generate_reference(),
+                ),
+            };
+            assert_bitwise(&pooled, &reference, &format!("generate {what}"));
+            let spec = ShardSpec::new(source, 12, 0.5, 5);
+            for id in 0..3 {
+                let got = spec.generate_client(id);
+                let want = generate_client_reference(&spec, id);
+                for (split, g, w) in [
+                    ("train", &got.train, &want.train),
+                    ("test", &got.test, &want.test),
+                    ("val", &got.val, &want.val),
+                ] {
+                    assert_bitwise(g, w, &format!("client {id} {split} {what}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn shards_carry_no_capacity_slack() {
         use crate::federated::FederatedDataset;

@@ -8,7 +8,7 @@
 //! class are correlated — the property the paper's non-IID analysis needs.
 
 use crate::sample::Dataset;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,7 +95,8 @@ impl SyntheticImage {
         ds
     }
 
-    /// Renders one sample of `class` into `out` (length `side²`). Shared by
+    /// Renders one sample of `class` into `out` (length `side²`): the
+    /// shifted prototype, then pixel noise drawn in blocks. Shared by
     /// [`SyntheticImage::generate`] and the per-client shard generator.
     pub(crate) fn render_sample<R: Rng + ?Sized>(
         &self,
@@ -120,8 +121,58 @@ impl SyntheticImage {
             for x in 0..s {
                 let sx = (x + dx).clamp(0, s - 1);
                 let sy = (y + dy).clamp(0, s - 1);
-                let v = proto[(sy * s + sx) as usize]
-                    + (self.config.noise * standard_normal(rng)) as f32;
+                out[(y * s + x) as usize] = proto[(sy * s + sx) as usize];
+            }
+        }
+        for_each_standard_normal(rng, out, |v, z| {
+            *v = (*v + (self.config.noise * z) as f32).clamp(0.0, 1.0);
+        });
+    }
+}
+
+#[cfg(test)]
+impl SyntheticImage {
+    /// [`SyntheticImage::generate`] over [`Self::render_sample_reference`]:
+    /// the reference the block-sampled renderer must reproduce bit for bit.
+    pub(crate) fn generate_reference(&self) -> Dataset {
+        let cfg = &self.config;
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x5EED));
+        let mut ds = Dataset::empty(&[1, cfg.side, cfg.side], cfg.classes);
+        let mut buf = vec![0.0f32; cfg.side * cfg.side];
+        for i in 0..cfg.samples {
+            let class = i % cfg.classes;
+            self.render_sample_reference(&mut rng, class, &mut buf);
+            ds.push(&buf, class);
+        }
+        ds
+    }
+
+    /// The per-pixel renderer: one polar draw inside each pixel's step.
+    pub(crate) fn render_sample_reference<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        class: usize,
+        out: &mut [f32],
+    ) {
+        let s = self.config.side as isize;
+        let max = self.config.max_shift as isize;
+        let dx = if max > 0 {
+            rng.gen_range(-max..=max)
+        } else {
+            0
+        };
+        let dy = if max > 0 {
+            rng.gen_range(-max..=max)
+        } else {
+            0
+        };
+        let proto = &self.prototypes[class];
+        for y in 0..s {
+            for x in 0..s {
+                let sx = (x + dx).clamp(0, s - 1);
+                let sy = (y + dy).clamp(0, s - 1);
+                let z = collapois_stats::distribution::standard_normal(rng);
+                let v = proto[(sy * s + sx) as usize] + (self.config.noise * z) as f32;
                 out[(y * s + x) as usize] = v.clamp(0.0, 1.0);
             }
         }

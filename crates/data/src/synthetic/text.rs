@@ -8,7 +8,7 @@
 //! cluster centers per class) keeps the task from being linearly trivial.
 
 use crate::sample::Dataset;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,9 +66,9 @@ impl SyntheticText {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let centers = (0..config.classes * config.clusters_per_class)
             .map(|_| {
-                (0..config.dim)
-                    .map(|_| standard_normal(&mut rng) as f32)
-                    .collect::<Vec<f32>>()
+                let mut center = vec![0.0f32; config.dim];
+                for_each_standard_normal(&mut rng, &mut center, |c, z| *c = z as f32);
+                center
             })
             .collect();
         Self { config, centers }
@@ -104,10 +104,40 @@ impl SyntheticText {
     }
 
     /// Renders one sample of `class` into `out` (length `dim`): a random
-    /// sub-topic center plus isotropic noise. Shared by
-    /// [`SyntheticText::generate`] and the per-client shard generator; draws
-    /// from `rng` in exactly the sequence the inlined `generate` loop did.
+    /// sub-topic center plus isotropic noise drawn in blocks. Shared by
+    /// [`SyntheticText::generate`] and the per-client shard generator.
     pub(crate) fn render_sample<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        class: usize,
+        out: &mut [f32],
+    ) {
+        let cfg = &self.config;
+        let cluster = rng.gen_range(0..cfg.clusters_per_class);
+        out.copy_from_slice(self.center(class, cluster));
+        for_each_standard_normal(rng, out, |b, z| *b += (cfg.noise * z) as f32);
+    }
+}
+
+#[cfg(test)]
+impl SyntheticText {
+    /// [`SyntheticText::generate`] over [`Self::render_sample_reference`]:
+    /// the reference the block-sampled renderer must reproduce bit for bit.
+    pub(crate) fn generate_reference(&self) -> Dataset {
+        let cfg = &self.config;
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xBEEF));
+        let mut ds = Dataset::empty(&[cfg.dim], cfg.classes);
+        let mut buf = vec![0.0f32; cfg.dim];
+        for i in 0..cfg.samples {
+            let class = i % cfg.classes;
+            self.render_sample_reference(&mut rng, class, &mut buf);
+            ds.push(&buf, class);
+        }
+        ds
+    }
+
+    /// The per-dimension renderer: one polar draw inside each value's step.
+    pub(crate) fn render_sample_reference<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         class: usize,
@@ -117,7 +147,7 @@ impl SyntheticText {
         let cluster = rng.gen_range(0..cfg.clusters_per_class);
         let center = self.center(class, cluster);
         for (b, &c) in out.iter_mut().zip(center) {
-            *b = c + (cfg.noise * standard_normal(rng)) as f32;
+            *b = c + (cfg.noise * collapois_stats::distribution::standard_normal(rng)) as f32;
         }
     }
 }

@@ -7,7 +7,7 @@
 //! into the features.
 
 use super::Trigger;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,7 +34,8 @@ impl TextTrigger {
         assert!(magnitude > 0.0, "magnitude must be positive");
         assert!(blend > 0.0 && blend <= 1.0, "blend must be in (0,1]");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut offset: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng) as f32).collect();
+        let mut offset = vec![0.0f32; dim];
+        for_each_standard_normal(&mut rng, &mut offset, |o, z| *o = z as f32);
         collapois_stats::geometry::rescale_to_norm(&mut offset, magnitude);
         Self { offset, blend }
     }

@@ -9,7 +9,7 @@
 use super::Aggregator;
 use crate::update::{mean_delta, ClientUpdate};
 use collapois_nn::kernels;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 
 /// CRFL: FedAvg + global-model parameter clipping + noising.
@@ -50,9 +50,7 @@ impl Aggregator for Crfl {
             kernels::scale(global, (self.param_bound / norm) as f32);
         }
         if self.noise_std > 0.0 {
-            for v in global.iter_mut() {
-                *v += (self.noise_std * standard_normal(rng)) as f32;
-            }
+            for_each_standard_normal(rng, global, |v, z| *v += (self.noise_std * z) as f32);
         }
     }
 }

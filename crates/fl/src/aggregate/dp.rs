@@ -6,7 +6,7 @@
 
 use super::Aggregator;
 use crate::update::{mean_delta, ClientUpdate};
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
 
@@ -58,9 +58,7 @@ impl Aggregator for DpAggregator {
         let mut agg = mean_delta(&clipped, dim);
         if self.noise_multiplier > 0.0 && !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.clip / updates.len() as f64) as f32;
-            for v in &mut agg {
-                *v += sigma * standard_normal(rng) as f32;
-            }
+            for_each_standard_normal(rng, &mut agg, |v, z| *v += sigma * z as f32);
         }
         agg
     }

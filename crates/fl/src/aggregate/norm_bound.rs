@@ -5,7 +5,7 @@ use super::Aggregator;
 use crate::update::{tree_reduce_into, tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK};
 use collapois_nn::kernels;
 use collapois_runtime::pool::WorkerPool;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 
 /// NormBound defense: per-update l2 clipping plus optional noise.
@@ -79,9 +79,7 @@ impl NormBound {
     /// must consume `rng` in coordinate order regardless of worker count).
     fn add_noise(&self, out: &mut [f32], rng: &mut StdRng) {
         if self.noise_std > 0.0 {
-            for v in out.iter_mut() {
-                *v += (self.noise_std * standard_normal(rng)) as f32;
-            }
+            for_each_standard_normal(rng, out, |v, z| *v += (self.noise_std * z) as f32);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use super::Aggregator;
 use crate::update::{mean_delta, ClientUpdate};
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
 
@@ -73,9 +73,7 @@ impl Aggregator for UserLevelDp {
         let mut agg = mean_delta(&clipped, dim);
         if !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.sensitivity / updates.len() as f64) as f32;
-            for v in &mut agg {
-                *v += sigma * standard_normal(rng) as f32;
-            }
+            for_each_standard_normal(rng, &mut agg, |v, z| *v += sigma * z as f32);
             // One Gaussian release at multiplier z.
             self.rho += 1.0 / (2.0 * self.noise_multiplier * self.noise_multiplier);
         }

@@ -1,6 +1,6 @@
 //! Weight initialization schemes.
 
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::for_each_standard_normal;
 use rand::Rng;
 
 /// Initialization scheme for layer weights.
@@ -28,9 +28,7 @@ impl Init {
         match self {
             Init::HeNormal => {
                 let std = (2.0 / fan_in.max(1) as f64).sqrt();
-                for w in out {
-                    *w = (standard_normal(rng) * std) as f32;
-                }
+                for_each_standard_normal(rng, out, |w, z| *w = (z * std) as f32);
             }
             Init::XavierUniform => {
                 let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();

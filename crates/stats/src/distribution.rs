@@ -67,21 +67,81 @@ impl Normal {
         self.mean + self.std * standard_normal(rng)
     }
 
-    /// Draws `n` samples.
+    /// Draws `n` samples: the values of `n` successive [`Normal::sample`]
+    /// calls.
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
+        let mut xs = vec![0.0; n];
+        fill_standard_normal(rng, &mut xs);
+        for x in &mut xs {
+            *x = self.mean + self.std * *x;
+        }
+        xs
     }
 }
 
-/// One standard-normal variate (Marsaglia polar method).
+/// Outputs per block of the polar walk: [`fill_standard_normal`] and
+/// [`for_each_standard_normal`] keep one block of candidates on the stack.
+const POLAR_BLOCK: usize = 64;
+
+/// One standard-normal variate (Marsaglia polar method): the one-element
+/// case of [`fill_standard_normal`].
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
+    let mut z = [0.0];
+    polar_block(rng, &mut z, &mut [0.0]);
+    z[0]
+}
+
+/// Fills `out` with standard-normal variates (Marsaglia polar method).
+///
+/// Consumes exactly the draws, and writes exactly the bits, of `out.len()`
+/// successive [`standard_normal`] calls, and draws nothing beyond them, so
+/// the generator is left where those calls would leave it. The work runs in
+/// blocks of up to 64 outputs: the accept/reject walk first fills a block
+/// with accepted candidates, then the block is transformed, so no
+/// data-dependent branch sits between two logarithms.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    let mut s = [0.0; POLAR_BLOCK];
+    for block in out.chunks_mut(POLAR_BLOCK) {
+        polar_block(rng, block, &mut s);
+    }
+}
+
+/// Calls `f(item, z)` for every item of `out` in order, `z` being the value
+/// [`fill_standard_normal`] would write in its place: the same draws and
+/// bits, through one block on the stack, with no allocation.
+pub fn for_each_standard_normal<R, T, F>(rng: &mut R, out: &mut [T], mut f: F)
+where
+    R: Rng + ?Sized,
+    F: FnMut(&mut T, f64),
+{
+    let (mut z, mut s) = ([0.0; POLAR_BLOCK], [0.0; POLAR_BLOCK]);
+    for chunk in out.chunks_mut(POLAR_BLOCK) {
+        let z = &mut z[..chunk.len()];
+        polar_block(rng, z, &mut s);
+        for (item, &z) in chunk.iter_mut().zip(z.iter()) {
+            f(item, z);
+        }
+    }
+}
+
+/// The polar method over one block of `out` (`s` holds at least
+/// `out.len()` slots). The walk draws a candidate pair `(u, v)` into slot
+/// `i` and advances `i` by its acceptance bit, so a rejected pair is
+/// overwritten by the next; once every slot holds an accepted pair, each
+/// becomes `u · √(−2 ln s / s)`.
+fn polar_block<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64], s: &mut [f64]) {
+    let s = &mut s[..out.len()];
+    let mut i = 0;
+    while i < out.len() {
         let u: f64 = rng.gen_range(-1.0..1.0);
         let v: f64 = rng.gen_range(-1.0..1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
+        let sq = u * u + v * v;
+        out[i] = u;
+        s[i] = sq;
+        i += usize::from((sq > 0.0) & (sq < 1.0));
+    }
+    for (z, &s) in out.iter_mut().zip(s.iter()) {
+        *z *= (-2.0 * s.ln() / s).sqrt();
     }
 }
 
@@ -505,5 +565,124 @@ mod tests {
         let e = Normal::new(0.0, -1.0).unwrap_err();
         assert!(!format!("{e}").is_empty());
         assert!(!format!("{e:?}").is_empty());
+    }
+}
+
+/// The block sampler against the one-variate-at-a-time polar loop it
+/// replaced: the same bits, the same draws consumed, nothing read ahead.
+#[cfg(test)]
+mod block_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The polar loop as written before block sampling: one branch per
+    /// candidate pair.
+    fn polar_reference<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+        loop {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                return u * (-2.0 * s.ln() / s).sqrt();
+            }
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The three block entry points over `rng`, each from a fresh copy:
+    /// `fill_standard_normal`, `for_each_standard_normal` and `n` calls of
+    /// `standard_normal`, with the generator each leaves behind.
+    fn block_paths<R: Rng + Clone>(rng: &R, n: usize) -> [(Vec<f64>, R); 3] {
+        let mut fill = rng.clone();
+        let mut zs = vec![0.0; n];
+        fill_standard_normal(&mut fill, &mut zs);
+        let mut each = rng.clone();
+        let mut each_zs = vec![0.0; n];
+        for_each_standard_normal(&mut each, &mut each_zs, |x, z| *x = z);
+        let mut one = rng.clone();
+        let one_zs = (0..n).map(|_| standard_normal(&mut one)).collect();
+        [(zs, fill), (each_zs, each), (one_zs, one)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lengths 0–200 cross the 64-output block edge up to three times.
+        #[test]
+        fn block_sampler_matches_the_polar_loop_bitwise(
+            seed in 0u64..u64::MAX,
+            n in 0usize..=200,
+        ) {
+            let start = StdRng::seed_from_u64(seed);
+            let mut reference = start.clone();
+            let want: Vec<f64> = (0..n).map(|_| polar_reference(&mut reference)).collect();
+            for (path, (zs, rng)) in block_paths(&start, n).into_iter().enumerate() {
+                prop_assert_eq!(bits(&zs), bits(&want), "path {}, n = {}", path, n);
+                prop_assert_eq!(&rng, &reference, "path {}, n = {}", path, n);
+            }
+        }
+    }
+
+    /// Replays a fixed script of 64-bit draws and panics past its end, so
+    /// a walk that reads ahead fails.
+    #[derive(Clone)]
+    struct Scripted {
+        draws: Vec<u64>,
+        next: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let draw = *self.draws.get(self.next).expect("read past the script");
+            self.next += 1;
+            draw
+        }
+    }
+
+    /// `u = 0, v = 0`: `s == 0`, rejected.
+    const ZERO_PAIR: [u64; 2] = [1 << 63, 1 << 63];
+    /// `u = −1, v = 0`: `s == 1`, rejected.
+    const UNIT_PAIR: [u64; 2] = [0, 1 << 63];
+    /// `u = −1, v = −0.5`: `s > 1`, rejected.
+    const OUTER_PAIR: [u64; 2] = [0, 1 << 62];
+
+    #[test]
+    fn forced_rejections_cost_draws_but_no_slot() {
+        const N: usize = 130;
+        // (slot, rejected pairs drawn before its accepted one): the first
+        // slot, inside the first block, three in a row on the first
+        // block's last slot, both edges of the second block, the last slot.
+        let rejections = [(0, 1), (5, 2), (63, 3), (64, 1), (127, 1), (129, 1)];
+        let kinds = [ZERO_PAIR, UNIT_PAIR, OUTER_PAIR];
+        let mut draws = Vec::new();
+        let mut rejected = 0;
+        for k in 0..N {
+            let count = rejections.iter().find(|r| r.0 == k).map_or(0, |r| r.1);
+            for _ in 0..count {
+                draws.extend(kinds[rejected % kinds.len()]);
+                rejected += 1;
+            }
+            // Accepted: u ≈ −0.5, v ≈ 0.5, s ≈ 0.5.
+            let k = k as u64;
+            draws.extend([(1 << 62) + (k << 20), (3 << 62) - (k << 20)]);
+        }
+        let script = Scripted { draws, next: 0 };
+
+        let mut reference = script.clone();
+        let want: Vec<f64> = (0..N).map(|_| polar_reference(&mut reference)).collect();
+        assert_eq!(reference.next, script.draws.len(), "script of N variates");
+        for (path, (zs, rng)) in block_paths(&script, N).into_iter().enumerate() {
+            assert_eq!(bits(&zs), bits(&want), "path {path}");
+            assert_eq!(rng.next, script.draws.len(), "path {path}: draws consumed");
+        }
     }
 }

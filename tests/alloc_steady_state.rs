@@ -2,8 +2,9 @@
 //! paths: after warm-up has grown every arena to its working size, further
 //! passes perform **zero** heap allocations — both for a single client's
 //! local-training inner loop and for the pooled multi-worker fan-out the
-//! server's round loop uses — and the Trojan's central training makes the
-//! same number of allocations however many epochs it runs.
+//! server's round loop uses, and for the noisy aggregation steps — and the
+//! Trojan's central training makes the same number of allocations however
+//! many epochs it runs.
 //!
 //! The test installs a counting `#[global_allocator]` (the same mechanism as
 //! the `bench-alloc` feature of the `rounds_throughput` benchmark) and runs
@@ -46,10 +47,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use collapois_core::trojan::{train_trojan, TrojanConfig};
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::PatchTrigger;
+use collapois_fl::aggregate::{Crfl, NormBound};
 use collapois_fl::client::{local_sgd_delta_into, Correction};
 use collapois_fl::config::FlConfig;
 use collapois_fl::monitor::ShiftDetector;
-use collapois_fl::ClientScratch;
+use collapois_fl::update::ClientUpdate;
+use collapois_fl::{Aggregator, ClientScratch};
 use collapois_nn::zoo::ModelSpec;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
 use rand::rngs::StdRng;
@@ -221,6 +224,40 @@ fn monitor_observe_steady_state() {
     assert_zero("monitor observe", counts);
 }
 
+/// The noisy aggregation steps draw their Gaussians through a block on the
+/// stack: once NormBound's reduction scratch is at size, a noisy
+/// `aggregate_into` and a noisy CRFL `post_process` must not touch the
+/// allocator, over a dimension that is no multiple of the block.
+fn noisy_aggregation_steady_state() {
+    const DIM: usize = 1000;
+    let updates: Vec<ClientUpdate> = (0..6)
+        .map(|i| {
+            let delta = (0..DIM).map(|j| ((i * 7 + j) as f32).sin()).collect();
+            ClientUpdate::new(i, delta, 10)
+        })
+        .collect();
+    let mut out = vec![0.0f32; DIM];
+    let mut rng = StdRng::seed_from_u64(5);
+
+    let mut norm_bound = NormBound::new(1.0).with_noise(0.01);
+    // Warm-up: grows the reduction tree's partial-accumulator matrix.
+    norm_bound.aggregate_into(&updates, &mut out, &mut rng);
+    let counts = counting(|| {
+        for _ in 0..8 {
+            norm_bound.aggregate_into(&updates, &mut out, &mut rng);
+        }
+    });
+    assert_zero("noisy NormBound aggregate_into", counts);
+
+    let mut crfl = Crfl::new(5.0, 0.01);
+    let counts = counting(|| {
+        for _ in 0..8 {
+            crfl.post_process(&mut out, &mut rng);
+        }
+    });
+    assert_zero("noisy CRFL post_process", counts);
+}
+
 /// The Trojan's central training loop (Eq. 1) runs on the same workspace
 /// step: once one run has warmed the thread-local kernel buffers, a run of
 /// 4 epochs must allocate exactly as often as a run of 2 — nothing per
@@ -258,5 +295,6 @@ fn main() {
     serial_training_inner_loop();
     pooled_fanout_at_four_workers();
     monitor_observe_steady_state();
+    noisy_aggregation_steady_state();
     trojan_allocations_do_not_grow_with_epochs();
 }
