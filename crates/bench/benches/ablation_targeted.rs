@@ -6,7 +6,7 @@ use collapois_core::targeted::{ActivationPolicy, TargetedCollaPois};
 use collapois_core::trojan::train_trojan;
 use collapois_data::federated::FederatedDataset;
 use collapois_fl::config::FlConfig;
-use collapois_fl::metrics::{evaluate_clients, population};
+use collapois_fl::metrics::population;
 use collapois_fl::personalize::NoPersonalization;
 use collapois_fl::server::FlServer;
 use collapois_grid::table::{pct, Table};
@@ -71,11 +71,8 @@ fn main() {
         for _ in 0..base.rounds {
             server.run_round(Some(&mut adv));
         }
-        let global = server.global().to_vec();
-        let metrics = evaluate_clients(
-            server.dataset(),
+        let metrics = server.evaluate_clients(
             &spec,
-            |_| global.clone(),
             &collapois_data::poison::TriggerBackdoor(trigger.as_ref()),
             base.trojan.target_class,
             &compromised,

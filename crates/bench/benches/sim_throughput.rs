@@ -28,6 +28,7 @@
 
 use collapois_fl::sim::SyntheticSim;
 use collapois_nn::kernels;
+use collapois_runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use collapois_runtime::fault::FaultPlan;
 use collapois_runtime::sim::{ArrivalProcess, ChurnPlan, SimDriver, SimPlan};
 use collapois_runtime::trace::TraceLog;
@@ -54,14 +55,9 @@ struct WorkerRow {
 
 /// FNV-1a over the parameter bit patterns (the golden-fixture idiom).
 fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    params.iter().fold(FNV_OFFSET, |h, v| {
+        fnv1a_extend(h, &v.to_bits().to_le_bytes())
+    })
 }
 
 fn plan(num_clients: usize) -> SimPlan {

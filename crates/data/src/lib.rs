@@ -15,9 +15,9 @@
 //!   (`Dir(α)`, §II-A: small α ⇒ highly non-IID clients).
 //! * [`labels`] — label histograms and the cumulative label distribution
 //!   `P_CL` with its cosine similarity (Eq. 9, the client-risk metric).
-//! * [`trigger`] — backdoor triggers: WaNet-style image warping [25],
-//!   BadNets corner patches, DBA's four distributed sub-patterns [8], and
-//!   the fixed-term text trigger [36].
+//! * [`trigger`] — backdoor triggers: WaNet-style image warping \[25\],
+//!   BadNets corner patches, DBA's four distributed sub-patterns \[8\], and
+//!   the fixed-term text trigger \[36\].
 //! * [`poison`] — applying a trigger plus target-label relabelling to build
 //!   `D^Troj` sets.
 //! * [`federated`] — per-client 70/15/15 train/test/validation splits and

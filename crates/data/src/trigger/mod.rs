@@ -1,9 +1,9 @@
 //! Backdoor triggers.
 //!
 //! A trigger is a deterministic transformation stamped onto a sample's
-//! features. The paper uses the WaNet warping trigger [25] for images
+//! features. The paper uses the WaNet warping trigger \[25\] for images
 //! ("almost identical" to clean samples — Fig. 14), a fixed term for text
-//! [36], and — for the DBA baseline [8] — four distributed sub-patterns that
+//! \[36\], and — for the DBA baseline \[8\] — four distributed sub-patterns that
 //! only compose into the full trigger at inference time.
 
 mod dba;

@@ -8,7 +8,7 @@
 //! * [`strip`] — STRIP [Gao et al., ACSAC 2019]: superimpose clean samples
 //!   onto the input and measure prediction entropy; trigger-dominated inputs
 //!   keep a low entropy under perturbation.
-//! * [`neural_cleanse`] — Neural Cleanse [Wang et al., S&P 2019]: for each
+//! * [`neural_cleanse`](mod@neural_cleanse) — Neural Cleanse [Wang et al., S&P 2019]: for each
 //!   class, optimize a minimal additive pattern + mask that flips all inputs
 //!   to that class; an anomalously small pattern norm flags a backdoored
 //!   class (detected via the median-absolute-deviation outlier rule).

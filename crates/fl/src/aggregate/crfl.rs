@@ -7,8 +7,9 @@
 //! [`Aggregator::post_process`].
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_nn::kernels;
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 
@@ -40,8 +41,14 @@ impl Aggregator for Crfl {
         "crfl"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        mean_delta(updates, dim)
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
+        mean_delta_pooled_into(updates, out, &mut Vec::new(), pool);
     }
 
     fn post_process(&mut self, global: &mut [f32], rng: &mut StdRng) {

@@ -5,7 +5,8 @@
 //! `z·S/|S_t|` where `z` is the noise multiplier (user-level DP accounting).
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::for_each_standard_normal;
 use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
@@ -46,7 +47,13 @@ impl Aggregator for DpAggregator {
         "dp"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
         let clipped: Vec<ClientUpdate> = updates
             .iter()
             .map(|u| {
@@ -55,12 +62,11 @@ impl Aggregator for DpAggregator {
                 ClientUpdate::new(u.client_id, delta, u.num_samples)
             })
             .collect();
-        let mut agg = mean_delta(&clipped, dim);
+        mean_delta_pooled_into(&clipped, out, &mut Vec::new(), pool);
         if self.noise_multiplier > 0.0 && !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.clip / updates.len() as f64) as f32;
-            for_each_standard_normal(rng, &mut agg, |v, z| *v += sigma * z as f32);
+            for_each_standard_normal(rng, out, |v, z| *v += sigma * z as f32);
         }
-        agg
     }
 }
 

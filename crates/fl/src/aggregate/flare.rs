@@ -31,31 +31,11 @@ impl Flare {
         Self { sharpness }
     }
 
-    /// Trust scores (softmax weights, sum to 1) for the given updates.
-    pub fn trust_scores(&self, updates: &[ClientUpdate]) -> Vec<f64> {
-        self.trust_scores_with(updates, |us| {
-            let deltas: Vec<&[f32]> = us.iter().map(|u| u.delta.as_slice()).collect();
-            kernels::pairwise_sq_distances(&deltas)
-        })
-    }
-
-    /// [`Flare::trust_scores`] with the distance triangle sharded over
-    /// `pool`'s lanes ([`pairwise_sq_distances_pooled`]); bitwise equal to
-    /// the serial scores at every worker count.
-    pub(crate) fn trust_scores_pooled(
-        &self,
-        updates: &[ClientUpdate],
-        pool: &WorkerPool,
-    ) -> Vec<f64> {
-        self.trust_scores_with(updates, |us| pairwise_sq_distances_pooled(us, pool))
-    }
-
-    /// Trust scores from the pairwise squared-distance matrix `pairwise`
-    /// builds (one evaluation per unordered pair).
-    fn trust_scores_with<P>(&self, updates: &[ClientUpdate], pairwise: P) -> Vec<f64>
-    where
-        P: FnOnce(&[ClientUpdate]) -> Vec<f64>,
-    {
+    /// Trust scores (softmax weights, sum to 1) for the given updates,
+    /// from the pairwise squared distances (one evaluation per unordered
+    /// pair, the triangle sharded over `pool`'s lanes; bitwise equal at
+    /// every worker count).
+    pub fn trust_scores(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
         let n = updates.len();
         if n == 0 {
             return Vec::new();
@@ -64,7 +44,7 @@ impl Flare {
             return vec![1.0];
         }
         // Mean distance of each update to all others.
-        let d2 = pairwise(updates);
+        let d2 = pairwise_sq_distances_pooled(updates, pool);
         let mut mean_dist = vec![0.0f64; n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -95,12 +75,6 @@ impl Aggregator for Flare {
         "flare"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        trust_weighted_sum(updates, &self.trust_scores(updates), &mut out);
-        out
-    }
-
     fn aggregate_pooled(
         &mut self,
         updates: &[ClientUpdate],
@@ -108,19 +82,15 @@ impl Aggregator for Flare {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        trust_weighted_sum(updates, &self.trust_scores_pooled(updates, pool), out);
-    }
-}
-
-/// `out = Σ trustᵢ·Δθᵢ`, accumulated in `f64` in update order (zeros when
-/// `updates` is empty).
-fn trust_weighted_sum(updates: &[ClientUpdate], trust: &[f64], out: &mut [f32]) {
-    let mut acc = vec![0.0f64; out.len()];
-    for (u, &w) in updates.iter().zip(trust) {
-        kernels::acc_scaled(&mut acc, &u.delta, w);
-    }
-    for (o, a) in out.iter_mut().zip(acc) {
-        *o = a as f32;
+        // `out = Σ trustᵢ·Δθᵢ`, accumulated in `f64` in update order.
+        let trust = self.trust_scores(updates, pool);
+        let mut acc = vec![0.0f64; out.len()];
+        for (u, &w) in updates.iter().zip(&trust) {
+            kernels::acc_scaled(&mut acc, &u.delta, w);
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a as f32;
+        }
     }
 }
 
@@ -134,7 +104,7 @@ mod tests {
     fn outlier_receives_low_trust() {
         let agg = Flare::new(4.0);
         let us = updates(&[&[0.0, 0.0], &[0.1, 0.0], &[0.0, 0.1], &[50.0, 50.0]]);
-        let trust = agg.trust_scores(&us);
+        let trust = agg.trust_scores(&us, &WorkerPool::new(1));
         assert!(trust[3] < 0.05, "outlier trust {}", trust[3]);
         assert!((trust.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -152,14 +122,39 @@ mod tests {
     fn identical_updates_get_uniform_trust() {
         let agg = Flare::new(4.0);
         let us = updates(&[&[1.0], &[1.0], &[1.0]]);
-        let trust = agg.trust_scores(&us);
+        let trust = agg.trust_scores(&us, &WorkerPool::new(1));
         for t in trust {
             assert!((t - 1.0 / 3.0).abs() < 1e-9);
         }
     }
 
+    /// FLARE trust from the serial distance kernel: softmax over each
+    /// update's negative mean distance to the others, scaled by the mean.
+    fn reference_trust(updates: &[ClientUpdate], sharpness: f64) -> Vec<f64> {
+        let n = updates.len();
+        if n == 1 {
+            return vec![1.0];
+        }
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let d2 = kernels::pairwise_sq_distances(&deltas);
+        let mut mean = vec![0.0f64; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                mean[i] += d2[i * n + j].sqrt();
+                mean[j] += d2[i * n + j].sqrt();
+            }
+        }
+        let mean: Vec<f64> = mean.iter().map(|m| m / (n - 1) as f64).collect();
+        let scale = (mean.iter().sum::<f64>() / n as f64).max(1e-12);
+        let logits: Vec<f64> = mean.iter().map(|&d| -sharpness * d / scale).collect();
+        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
+        let sum: f64 = exps.iter().sum();
+        exps.iter().map(|e| e / sum).collect()
+    }
+
     #[test]
-    fn pooled_trust_and_aggregate_match_serial_bitwise() {
+    fn trust_and_aggregate_match_the_serial_kernel_reference() {
         let mut rng = StdRng::seed_from_u64(5);
         for n in [1, 2, 5, 13, 40] {
             let us: Vec<ClientUpdate> = (0..n)
@@ -169,25 +164,30 @@ mod tests {
                     ClientUpdate::new(i, delta, 10)
                 })
                 .collect();
-            let mut agg = Flare::new(4.0);
-            let trust: Vec<u64> = agg.trust_scores(&us).iter().map(|v| v.to_bits()).collect();
-            let serial: Vec<u32> = agg
-                .aggregate(&us, 11, &mut rng)
-                .iter()
-                .map(|v| v.to_bits())
+            let trust = reference_trust(&us, 4.0);
+            let expected: Vec<u32> = (0..11)
+                .map(|j| {
+                    let sum = us
+                        .iter()
+                        .zip(&trust)
+                        .fold(0.0f64, |acc, (u, &w)| acc + w * u.delta[j] as f64);
+                    (sum as f32).to_bits()
+                })
                 .collect();
+            let trust: Vec<u64> = trust.iter().map(|v| v.to_bits()).collect();
             for workers in [1, 2, 4, 8] {
                 let pool = WorkerPool::new(workers);
+                let mut agg = Flare::new(4.0);
                 let pooled: Vec<u64> = agg
-                    .trust_scores_pooled(&us, &pool)
+                    .trust_scores(&us, &pool)
                     .iter()
                     .map(|v| v.to_bits())
                     .collect();
-                assert_eq!(trust, pooled, "trust diverges: n={n} workers={workers}");
+                assert_eq!(pooled, trust, "trust: n={n} workers={workers}");
                 let mut out = vec![0.0f32; 11];
                 agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
                 let out: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(serial, out, "aggregate diverges: n={n} workers={workers}");
+                assert_eq!(out, expected, "aggregate: n={n} workers={workers}");
             }
         }
     }

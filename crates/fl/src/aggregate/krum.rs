@@ -8,7 +8,9 @@
 //! substantial drops in Benign AC").
 
 use super::Aggregator;
-use crate::update::{pairwise_sq_distances_pooled, tree_reduce_into, ClientUpdate, MEAN_CHUNK};
+use crate::update::{
+    pairwise_sq_distances_pooled, tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK,
+};
 use collapois_nn::kernels;
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
@@ -46,26 +48,14 @@ impl Krum {
 
     /// Krum scores for each update (lower = more central).
     ///
-    /// The pairwise squared distances are computed once per unordered pair
-    /// through the kernel layer and mirrored; each score sorts its row and
-    /// sums the `k` nearest in ascending order, so scores are exactly
-    /// stable under client reordering.
-    pub fn scores(&self, updates: &[ClientUpdate]) -> Vec<f64> {
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        self.score_rows(&kernels::pairwise_sq_distances(&deltas), updates.len())
-    }
-
-    /// [`Krum::scores`] with the distance triangle sharded over `pool`'s
-    /// lanes, each unordered pair computed once (DESIGN.md §9). The matrix
-    /// is bitwise the serial one, so the scores are too.
-    pub fn scores_pooled(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
-        self.score_rows(&pairwise_sq_distances_pooled(updates, pool), updates.len())
-    }
-
-    /// Scores the rows of a finished `n × n` distance matrix: each row's
-    /// off-diagonal entries sorted ascending, the `k` nearest summed in
-    /// that order.
-    fn score_rows(&self, d2: &[f64], n: usize) -> Vec<f64> {
+    /// The pairwise squared distances are computed once per unordered pair,
+    /// the triangle sharded over `pool`'s lanes (DESIGN.md §9), and
+    /// mirrored; each score sorts its row's off-diagonal entries and sums
+    /// the `k` nearest in ascending order, so scores are exactly stable
+    /// under client reordering and bitwise equal at every worker count.
+    pub fn scores(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
+        let n = updates.len();
+        let d2 = pairwise_sq_distances_pooled(updates, pool);
         let k = self.neighbours(n);
         let mut scores = Vec::with_capacity(n);
         let mut dists = Vec::with_capacity(n.saturating_sub(1));
@@ -92,15 +82,21 @@ impl Krum {
 
     /// Selection order (ascending score, stable) and the mean of the best
     /// `select` updates via the fixed-shape reduction tree.
-    fn select_and_average(&self, updates: &[ClientUpdate], scores: &[f64], out: &mut [f32]) {
+    fn select_and_average(
+        &self,
+        updates: &[ClientUpdate],
+        scores: &[f64],
+        out: &mut [f32],
+        pool: &WorkerPool,
+    ) {
         let mut order: Vec<usize> = (0..updates.len()).collect();
         order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
         order.truncate(self.select.min(updates.len()));
         let chosen = order.as_slice();
-        let mut acc = Vec::new();
-        tree_reduce_into(chosen.len(), out, &mut acc, |c, row| {
+        let n = chosen.len();
+        tree_reduce_pooled_into(n, n.max(1) as f64, out, &mut Vec::new(), pool, |c, row| {
             let lo = c * MEAN_CHUNK;
-            let hi = (lo + MEAN_CHUNK).min(chosen.len());
+            let hi = (lo + MEAN_CHUNK).min(n);
             for &idx in &chosen[lo..hi] {
                 kernels::acc_add(row, &updates[idx].delta);
             }
@@ -115,19 +111,6 @@ impl Aggregator for Krum {
         } else {
             "multi-krum"
         }
-    }
-
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        if updates.is_empty() {
-            return vec![0.0; dim];
-        }
-        if updates.len() == 1 {
-            return updates[0].delta.clone();
-        }
-        let scores = self.scores(updates);
-        let mut out = vec![0.0f32; dim];
-        self.select_and_average(updates, &scores, &mut out);
-        out
     }
 
     fn aggregate_pooled(
@@ -145,8 +128,8 @@ impl Aggregator for Krum {
             out.copy_from_slice(&updates[0].delta);
             return;
         }
-        let scores = self.scores_pooled(updates, pool);
-        self.select_and_average(updates, &scores, out);
+        let scores = self.scores(updates, pool);
+        self.select_and_average(updates, &scores, out, pool);
     }
 }
 
@@ -205,8 +188,24 @@ mod tests {
         assert_eq!(out, vec![0.5, 0.5]);
     }
 
+    /// Krum scores from the serial distance kernel: each row's
+    /// off-diagonal entries sorted ascending, the `k` nearest summed.
+    fn reference_scores(updates: &[ClientUpdate], f: usize) -> Vec<f64> {
+        let n = updates.len();
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let d2 = kernels::pairwise_sq_distances(&deltas);
+        let k = n.saturating_sub(f + 2).max(1).min(n - 1);
+        (0..n)
+            .map(|i| {
+                let mut row: Vec<f64> = (0..n).filter(|&j| j != i).map(|j| d2[i * n + j]).collect();
+                row.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                row.iter().take(k).sum()
+            })
+            .collect()
+    }
+
     #[test]
-    fn pooled_scores_and_aggregate_match_serial_bitwise() {
+    fn scores_and_selection_match_the_serial_kernel_reference() {
         // Sizes cover the tiny-dispatch inline path, 4-wide column groups
         // with and without tails, and a many-row triangle that lanes steal.
         let mut rng = StdRng::seed_from_u64(3);
@@ -217,22 +216,23 @@ mod tests {
                     ClientUpdate::new(i, delta, 10)
                 })
                 .collect();
-            for mut agg in [Krum::new(1), Krum::multi(2, 3)] {
-                let serial_scores = agg.scores(&us);
-                let serial = agg.aggregate(&us, 9, &mut rng);
-                for workers in [1, 2, 4, 8] {
-                    let pool = WorkerPool::new(workers);
-                    let pooled_scores = agg.scores_pooled(&us, &pool);
-                    let s: Vec<u64> = serial_scores.iter().map(|v| v.to_bits()).collect();
-                    let p: Vec<u64> = pooled_scores.iter().map(|v| v.to_bits()).collect();
-                    let what = format!("{} n={n} workers={workers}", agg.name());
-                    assert_eq!(s, p, "scores diverge: {what}");
-                    let mut out = vec![0.0f32; 9];
-                    agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
-                    let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-                    let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b, "aggregate diverges: {what}");
-                }
+            let expected: Vec<u64> = reference_scores(&us, 1)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let best = (0..n)
+                .min_by(|&a, &b| {
+                    f64::from_bits(expected[a]).total_cmp(&f64::from_bits(expected[b]))
+                })
+                .unwrap();
+            for workers in [1, 2, 4, 8] {
+                let pool = WorkerPool::new(workers);
+                let mut agg = Krum::new(1);
+                let scores: Vec<u64> = agg.scores(&us, &pool).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(scores, expected, "n={n} workers={workers}");
+                let mut out = vec![0.0f32; 9];
+                agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+                assert_eq!(out, us[best].delta, "n={n} workers={workers}");
             }
         }
     }

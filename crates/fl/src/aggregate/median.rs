@@ -1,6 +1,6 @@
 //! Coordinate-wise median [Yin et al., ICML 2018].
 
-use super::{coordinate_shard, fill_coordinate, Aggregator, COORD_SHARD};
+use super::{coordinate_shard, Aggregator, COORD_SHARD};
 use crate::update::ClientUpdate;
 use collapois_nn::kernels;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
@@ -11,13 +11,12 @@ use rand::rngs::StdRng;
 /// Each coordinate is gathered into a reusable scratch buffer and reduced
 /// by [`kernels::median_inplace`] (partial select instead of a full sort;
 /// even lengths interpolate the two middle order statistics in `f64`,
-/// matching `collapois_stats::descriptive::median`). The pooled path
-/// shards the coordinate loop into fixed-width column blocks with per-lane
-/// gather buffers — bitwise exact because coordinates are independent.
+/// matching `collapois_stats::descriptive::median`). The coordinate loop
+/// is sharded into fixed-width column blocks with per-lane gather buffers —
+/// bitwise exact because coordinates are independent.
 #[derive(Debug, Default)]
 pub struct CoordinateMedian {
-    scratch: Vec<f32>,
-    /// Per-lane gather buffers for the sharded path.
+    /// Per-lane gather buffers, one per column-shard lane.
     arenas: WorkerArenas<Vec<f32>>,
 }
 
@@ -31,23 +30,6 @@ impl CoordinateMedian {
 impl Aggregator for CoordinateMedian {
     fn name(&self) -> &'static str {
         "median"
-    }
-
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], _rng: &mut StdRng) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        for (c, slot) in out.iter_mut().enumerate() {
-            fill_coordinate(updates, c, &mut self.scratch);
-            *slot = kernels::median_inplace(&mut self.scratch);
-        }
     }
 
     fn aggregate_pooled(
@@ -115,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_shards_match_serial_bitwise() {
+    fn column_shards_match_the_per_coordinate_reference() {
         let dim = 520;
         let us: Vec<ClientUpdate> = (0..9)
             .map(|i| {
@@ -123,16 +105,20 @@ mod tests {
                 ClientUpdate::new(i, delta, 10)
             })
             .collect();
+        let expected: Vec<u32> = (0..dim)
+            .map(|j| {
+                let mut col: Vec<f32> = us.iter().map(|u| u.delta[j]).collect();
+                kernels::median_inplace(&mut col).to_bits()
+            })
+            .collect();
         let mut agg = CoordinateMedian::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, dim, &mut rng);
         for workers in [1, 2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut out = vec![0.0f32; dim];
             agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "workers={workers}");
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "workers={workers}");
         }
     }
 }

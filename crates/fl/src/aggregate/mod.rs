@@ -38,53 +38,46 @@ use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// A server-side aggregation rule.
+///
+/// Each rule has one body, [`Aggregator::aggregate_pooled`]; the serial
+/// entry points are defaults that run it on a one-lane pool, so every
+/// entry point and every worker count produce the same bits.
 pub trait Aggregator: std::fmt::Debug + Send {
     /// Short name for report tables.
     fn name(&self) -> &'static str;
 
-    /// Aggregates the round's updates into one delta of length `dim`.
-    /// Must return a zero vector when `updates` is empty.
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32>;
-
-    /// In-place aggregation: writes the aggregated delta into `out`
-    /// (whose length is the parameter dimension). The default forwards to
-    /// [`Aggregator::aggregate`] and copies; rules on the steady-state hot
-    /// path (FedAvg) override this to reuse internal accumulators and write
-    /// straight into the borrowed slice. Both paths must produce bitwise
-    /// identical results.
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], rng: &mut StdRng) {
-        let v = self.aggregate(updates, out.len(), rng);
-        out.copy_from_slice(&v);
+    /// Aggregates the round's updates into a fresh delta of length `dim`
+    /// ([`Aggregator::aggregate_into`] on a zeroed vector).
+    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
+        let mut out = vec![0.0f32; dim];
+        self.aggregate_into(updates, &mut out, rng);
+        out
     }
 
-    /// Parallel [`Aggregator::aggregate_into`]: rules with shardable inner
-    /// loops (FedAvg's reduction tree, NormBound's clip-average, Krum's and
-    /// FLARE's distance triangle, trimmed-mean/median's coordinate shards)
-    /// fan them out over `pool`. Implementations must keep shard boundaries
-    /// a function of the update count and dimension only — never the worker
-    /// count — so the result stays **bitwise identical** to the serial
-    /// path. The default ignores the pool and runs serially.
+    /// [`Aggregator::aggregate_pooled`] on `WorkerPool::new(1)`, which
+    /// holds no thread and allocates nothing.
+    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], rng: &mut StdRng) {
+        self.aggregate_pooled(updates, out, rng, &WorkerPool::new(1));
+    }
+
+    /// The rule itself: writes the aggregated delta into `out` (whose
+    /// length is the parameter dimension), zeros when `updates` is empty.
+    /// Shardable inner loops (the mean's reduction tree, Krum's and
+    /// FLARE's distance triangle, the coordinate rules' column shards) fan
+    /// out over `pool`. Shard boundaries must be a function of the update
+    /// count and dimension only — never the worker count — so the result
+    /// is **bitwise identical** at every worker count.
     fn aggregate_pooled(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
         rng: &mut StdRng,
-        _pool: &WorkerPool,
-    ) {
-        self.aggregate_into(updates, out, rng);
-    }
+        pool: &WorkerPool,
+    );
 
     /// Optional transformation of the global model after the delta has been
     /// applied (e.g. CRFL's parameter clipping + noising).
     fn post_process(&mut self, _global: &mut [f32], _rng: &mut StdRng) {}
-}
-
-/// Refills `out` with the per-coordinate values across updates so the
-/// scratch-buffer aggregators (median/trimmed-mean) can reuse one buffer
-/// across all `dim` coordinates.
-pub(crate) fn fill_coordinate(updates: &[ClientUpdate], coord: usize, out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(updates.iter().map(|u| u.delta[coord]));
 }
 
 /// Coordinates per column shard for the per-coordinate aggregators
@@ -95,8 +88,8 @@ pub(crate) fn fill_coordinate(updates: &[ClientUpdate], coord: usize, out: &mut 
 pub(crate) const COORD_SHARD: usize = 256;
 
 /// Reduces one column shard: `chunk` is the output slice for coordinates
-/// `shard·COORD_SHARD ..`, each gathered into `scratch` and collapsed by
-/// `reduce`.
+/// `shard·COORD_SHARD ..`, each gathered across updates into `scratch` and
+/// collapsed by `reduce`.
 pub(crate) fn coordinate_shard<R>(
     updates: &[ClientUpdate],
     shard: usize,
@@ -113,6 +106,13 @@ pub(crate) fn coordinate_shard<R>(
     }
 }
 
+/// Refills `out` with coordinate `coord` of every update, so the
+/// coordinate rules reuse one buffer across all coordinates.
+fn fill_coordinate(updates: &[ClientUpdate], coord: usize, out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(updates.iter().map(|u| u.delta[coord]));
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::ClientUpdate;
@@ -123,5 +123,140 @@ pub(crate) mod testutil {
             .enumerate()
             .map(|(i, v)| ClientUpdate::new(i, v.to_vec(), 10))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// Deterministic updates mixing exact zeros (sign votes), every
+    /// seventh client boosted 500× (clipping, screening), magnitudes spread
+    /// over 2^±15, and ±2^40 in every fifth coordinate of clients 0, 9, 18
+    /// and 27: pairs that cancel exactly across tree leaves, so the leaves'
+    /// rounding, and with it any change to the tree's shape, shows in the
+    /// mean's `f32` bits.
+    fn sample_updates(n: usize, dim: usize) -> Vec<ClientUpdate> {
+        let mut rng = StdRng::seed_from_u64((n * 1000 + dim) as u64);
+        (0..n)
+            .map(|i| {
+                let boost = if i % 7 == 3 { 500.0 } else { 1.0 };
+                let delta = (0..dim)
+                    .map(|j| {
+                        let v: f32 = rng.gen_range(-1.0..1.0);
+                        let exp = ((i * 7 + j * 3) % 31) as i32 - 15;
+                        if (i + j) % 11 == 0 {
+                            0.0
+                        } else if i % 9 == 0 && j % 5 == 0 {
+                            if i % 18 == 0 {
+                                2f32.powi(40)
+                            } else {
+                                -(2f32.powi(40))
+                            }
+                        } else {
+                            v * boost * 2f32.powi(exp)
+                        }
+                    })
+                    .collect();
+                ClientUpdate::new(i, delta, 10)
+            })
+            .collect()
+    }
+
+    /// The entry point a run drives: `aggregate`, `aggregate_into`, or
+    /// `aggregate_pooled` at a worker count.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Fresh,
+        Into,
+        Pooled(usize),
+    }
+
+    /// Two rounds through one rule instance via `entry` (the output buffer
+    /// starts as NaN, so every coordinate must be written): the output
+    /// bits of both rounds, the next draw of the RNG, and the rule state.
+    fn run<A, S>(
+        make: &impl Fn() -> A,
+        state: &impl Fn(&A) -> S,
+        updates: &[ClientUpdate],
+        dim: usize,
+        entry: Entry,
+    ) -> (Vec<u32>, u64, S)
+    where
+        A: Aggregator,
+    {
+        let mut rule = make();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut bits = Vec::new();
+        for _ in 0..2 {
+            let out = match entry {
+                Entry::Fresh => rule.aggregate(updates, dim, &mut rng),
+                Entry::Into => {
+                    let mut out = vec![f32::NAN; dim];
+                    rule.aggregate_into(updates, &mut out, &mut rng);
+                    out
+                }
+                Entry::Pooled(workers) => {
+                    let mut out = vec![f32::NAN; dim];
+                    rule.aggregate_pooled(updates, &mut out, &mut rng, &WorkerPool::new(workers));
+                    out
+                }
+            };
+            bits.extend(out.iter().map(|v| v.to_bits()));
+        }
+        (bits, rng.next_u64(), state(&rule))
+    }
+
+    /// Every entry point at every worker count must give the bits, RNG
+    /// position and rule state of `aggregate`, at update counts that make
+    /// one tree leaf, two leaves, and several leaves with a ragged tail,
+    /// and at dimensions below and past one `COORD_SHARD`.
+    fn check<A, S>(name: &str, make: impl Fn() -> A, state: impl Fn(&A) -> S)
+    where
+        A: Aggregator,
+        S: PartialEq + std::fmt::Debug,
+    {
+        for n in [1, 2, 9, 33] {
+            for dim in [1, 300] {
+                let updates = sample_updates(n, dim);
+                let expected = run(&make, &state, &updates, dim, Entry::Fresh);
+                let entries = [1, 2, 4, 8].map(Entry::Pooled);
+                for entry in std::iter::once(Entry::Into).chain(entries) {
+                    let got = run(&make, &state, &updates, dim, entry);
+                    assert!(
+                        got == expected,
+                        "{name}: n={n} dim={dim} {entry:?} diverges from `aggregate`"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_rule_has_one_body_at_every_entry_point_and_worker_count() {
+        check("fedavg", FedAvg::new, |_| ());
+        check("norm-bound", || NormBound::new(1.0), |_| ());
+        check(
+            "noisy norm-bound",
+            || NormBound::new(1.0).with_noise(0.05),
+            |_| (),
+        );
+        check("krum", || Krum::new(1), |_| ());
+        check("multi-krum", || Krum::multi(2, 3), |_| ());
+        check("flare", || Flare::new(4.0), |_| ());
+        check("trimmed-mean", || TrimmedMean::new(0.2), |_| ());
+        check("median", CoordinateMedian::new, |_| ());
+        check("dp", || DpAggregator::new(1.0, 0.0), |_| ());
+        check("noisy dp", || DpAggregator::new(1.0, 1.0), |_| ());
+        check(
+            "user-dp",
+            || UserLevelDp::new(1.0, 0.5),
+            |a| a.rho().to_bits(),
+        );
+        check("crfl", || Crfl::new(10.0, 0.1), |_| ());
+        check("rlr", || RobustLearningRate::new(2), |_| ());
+        check("signsgd", || SignSgd::new(0.01), |_| ());
+        check("stat-filter", StatFilter::new, |a| a.excluded_total());
     }
 }

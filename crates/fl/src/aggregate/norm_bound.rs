@@ -2,7 +2,7 @@
 //! optionally add Gaussian noise.
 
 use super::Aggregator;
-use crate::update::{tree_reduce_into, tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK};
+use crate::update::{tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK};
 use collapois_nn::kernels;
 use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::for_each_standard_normal;
@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 /// NormBound defense: per-update l2 clipping plus optional noise.
 ///
 /// The clip-average runs through the same fixed-shape reduction tree as
-/// FedAvg (each leaf chunk clips and accumulates its own updates), so the
-/// serial and pooled paths are bitwise identical — and with a bound no
+/// FedAvg (each leaf chunk clips and accumulates its own updates), so it
+/// is bitwise identical at every worker count — and with a bound no
 /// update exceeds, NormBound degenerates to exactly FedAvg's sum.
 #[derive(Debug, Clone)]
 pub struct NormBound {
@@ -74,35 +74,9 @@ fn clip_leaf(updates: &[ClientUpdate], bound: f64, c: usize, row: &mut [f64]) {
     }
 }
 
-impl NormBound {
-    /// Adds the optional Gaussian perturbation (serial — the noise stream
-    /// must consume `rng` in coordinate order regardless of worker count).
-    fn add_noise(&self, out: &mut [f32], rng: &mut StdRng) {
-        if self.noise_std > 0.0 {
-            for_each_standard_normal(rng, out, |v, z| *v += (self.noise_std * z) as f32);
-        }
-    }
-}
-
 impl Aggregator for NormBound {
     fn name(&self) -> &'static str {
         "norm-bound"
-    }
-
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], rng: &mut StdRng) {
-        let bound = self.bound;
-        let mut acc = std::mem::take(&mut self.acc);
-        tree_reduce_into(updates.len(), out, &mut acc, |c, row| {
-            clip_leaf(updates, bound, c, row);
-        });
-        self.acc = acc;
-        self.add_noise(out, rng);
     }
 
     fn aggregate_pooled(
@@ -113,12 +87,15 @@ impl Aggregator for NormBound {
         pool: &WorkerPool,
     ) {
         let bound = self.bound;
-        let mut acc = std::mem::take(&mut self.acc);
-        tree_reduce_pooled_into(updates.len(), out, &mut acc, pool, |c, row| {
+        let n = updates.len();
+        tree_reduce_pooled_into(n, n.max(1) as f64, out, &mut self.acc, pool, |c, row| {
             clip_leaf(updates, bound, c, row);
         });
-        self.acc = acc;
-        self.add_noise(out, rng);
+        // Serial: the noise stream consumes `rng` in coordinate order at
+        // every worker count.
+        if self.noise_std > 0.0 {
+            for_each_standard_normal(rng, out, |v, z| *v += (self.noise_std * z) as f32);
+        }
     }
 }
 
@@ -153,32 +130,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(agg.aggregate(&us, 2, &mut rng), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn pooled_clip_average_matches_serial_bitwise() {
-        // Mix of clipped and unclipped updates across several tree leaves.
-        let us: Vec<ClientUpdate> = (0..21)
-            .map(|i| {
-                let scale = if i % 3 == 0 { 10.0 } else { 0.1 };
-                let delta: Vec<f32> = (0..7)
-                    .map(|j| ((i * 11 + j * 3) as f32).sin() * scale)
-                    .collect();
-                ClientUpdate::new(i, delta, 10)
-            })
-            .collect();
-        let mut agg = NormBound::new(1.5);
-        let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, 7, &mut rng);
-        for workers in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let mut out = vec![0.0f32; 7];
-            let mut rng = StdRng::seed_from_u64(0);
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "workers={workers}");
-        }
     }
 
     #[test]

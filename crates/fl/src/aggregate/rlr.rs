@@ -8,7 +8,8 @@
 //! Benign-AC drop.
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// RLR defense: sign-agreement-gated learning-rate flipping.
@@ -35,12 +36,19 @@ impl Aggregator for RobustLearningRate {
         "rlr"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
         if updates.is_empty() {
-            return vec![0.0; dim];
+            out.fill(0.0);
+            return;
         }
-        let mut agg = mean_delta(updates, dim);
-        for (c, v) in agg.iter_mut().enumerate() {
+        mean_delta_pooled_into(updates, out, &mut Vec::new(), pool);
+        for (c, v) in out.iter_mut().enumerate() {
             let sign_sum: i64 = updates
                 .iter()
                 .map(|u| {
@@ -58,7 +66,6 @@ impl Aggregator for RobustLearningRate {
                 *v = -*v;
             }
         }
-        agg
     }
 }
 

@@ -2,6 +2,7 @@
 
 use super::Aggregator;
 use crate::update::ClientUpdate;
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// SignSGD: the aggregated delta is the per-coordinate majority sign times a
@@ -28,33 +29,38 @@ impl Aggregator for SignSgd {
         "signsgd"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        _pool: &WorkerPool,
+    ) {
         if updates.is_empty() {
-            return vec![0.0; dim];
+            out.fill(0.0);
+            return;
         }
         let step = self.step as f32;
-        (0..dim)
-            .map(|c| {
-                let vote: i64 = updates
-                    .iter()
-                    .map(|u| {
-                        let d = u.delta[c];
-                        if d > 0.0 {
-                            1
-                        } else if d < 0.0 {
-                            -1
-                        } else {
-                            0
-                        }
-                    })
-                    .sum();
-                match vote.cmp(&0) {
-                    std::cmp::Ordering::Greater => step,
-                    std::cmp::Ordering::Less => -step,
-                    std::cmp::Ordering::Equal => 0.0,
-                }
-            })
-            .collect()
+        for (c, o) in out.iter_mut().enumerate() {
+            let vote: i64 = updates
+                .iter()
+                .map(|u| {
+                    let d = u.delta[c];
+                    if d > 0.0 {
+                        1
+                    } else if d < 0.0 {
+                        -1
+                    } else {
+                        0
+                    }
+                })
+                .sum();
+            *o = match vote.cmp(&0) {
+                std::cmp::Ordering::Greater => step,
+                std::cmp::Ordering::Less => -step,
+                std::cmp::Ordering::Equal => 0.0,
+            };
+        }
     }
 }
 

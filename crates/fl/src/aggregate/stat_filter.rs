@@ -10,7 +10,8 @@
 //! while naive boosted attacks (MRepl) are filtered out.
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta, mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::descriptive::median;
 use collapois_stats::geometry::{cosine_similarity, l2_norm};
 use rand::rngs::StdRng;
@@ -79,8 +80,14 @@ impl Aggregator for StatFilter {
         "stat-filter"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        let flagged = Self::flagged(updates, dim);
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
+        let flagged = Self::flagged(updates, out.len());
         self.excluded_total += flagged.len();
         let kept: Vec<ClientUpdate> = updates
             .iter()
@@ -88,10 +95,7 @@ impl Aggregator for StatFilter {
             .filter(|(i, _)| !flagged.contains(i))
             .map(|(_, u)| u.clone())
             .collect();
-        if kept.is_empty() {
-            return vec![0.0; dim];
-        }
-        mean_delta(&kept, dim)
+        mean_delta_pooled_into(&kept, out, &mut Vec::new(), pool);
     }
 }
 

@@ -1,6 +1,6 @@
 //! α-trimmed mean [Yin et al., ICML 2018].
 
-use super::{coordinate_shard, fill_coordinate, Aggregator, COORD_SHARD};
+use super::{coordinate_shard, Aggregator, COORD_SHARD};
 use crate::update::ClientUpdate;
 use collapois_nn::kernels;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
@@ -13,14 +13,13 @@ use rand::rngs::StdRng;
 /// by [`kernels::trimmed_mean_inplace`], which partial-selects the trim
 /// boundaries instead of fully sorting and sums the kept middle in
 /// ascending order — so the result is independent of client order. The
-/// pooled path shards the coordinate loop into fixed-width column blocks
-/// (coordinates are independent, so any sharding is bitwise exact), each
-/// lane gathering into its own persistent scratch buffer.
+/// coordinate loop is sharded into fixed-width column blocks (coordinates
+/// are independent, so any sharding is bitwise exact), each lane gathering
+/// into its own persistent scratch buffer.
 #[derive(Debug)]
 pub struct TrimmedMean {
     beta: f64,
-    scratch: Vec<f32>,
-    /// Per-lane gather buffers for the sharded path.
+    /// Per-lane gather buffers, one per column-shard lane.
     arenas: WorkerArenas<Vec<f32>>,
 }
 
@@ -34,7 +33,6 @@ impl TrimmedMean {
         assert!((0.0..0.5).contains(&beta), "beta must be in [0, 0.5)");
         Self {
             beta,
-            scratch: Vec::new(),
             arenas: WorkerArenas::new(),
         }
     }
@@ -48,24 +46,6 @@ impl TrimmedMean {
 impl Aggregator for TrimmedMean {
     fn name(&self) -> &'static str {
         "trimmed-mean"
-    }
-
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], _rng: &mut StdRng) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        let trim = self.trim(updates.len());
-        for (c, slot) in out.iter_mut().enumerate() {
-            fill_coordinate(updates, c, &mut self.scratch);
-            *slot = kernels::trimmed_mean_inplace(&mut self.scratch, trim);
-        }
     }
 
     fn aggregate_pooled(
@@ -146,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_shards_match_serial_bitwise() {
+    fn column_shards_match_the_per_coordinate_reference() {
         // Dimension far beyond one COORD_SHARD so several shards exist.
         let dim = 600;
         let us: Vec<ClientUpdate> = (0..11)
@@ -155,16 +135,21 @@ mod tests {
                 ClientUpdate::new(i, delta, 10)
             })
             .collect();
+        let trim = 2; // floor(11 · 0.2)
+        let expected: Vec<u32> = (0..dim)
+            .map(|j| {
+                let mut col: Vec<f32> = us.iter().map(|u| u.delta[j]).collect();
+                kernels::trimmed_mean_inplace(&mut col, trim).to_bits()
+            })
+            .collect();
         let mut agg = TrimmedMean::new(0.2);
         let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, dim, &mut rng);
         for workers in [1, 2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut out = vec![0.0f32; dim];
             agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "workers={workers}");
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "workers={workers}");
         }
     }
 }

@@ -8,7 +8,8 @@
 //! `ρ = 1/(2z²)`; `ε(δ) = ρ + 2√(ρ·ln(1/δ))`).
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::for_each_standard_normal;
 use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
@@ -61,7 +62,13 @@ impl Aggregator for UserLevelDp {
         "user-dp"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate_pooled(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
         let clipped: Vec<ClientUpdate> = updates
             .iter()
             .map(|u| {
@@ -70,14 +77,13 @@ impl Aggregator for UserLevelDp {
                 ClientUpdate::new(u.client_id, delta, u.num_samples)
             })
             .collect();
-        let mut agg = mean_delta(&clipped, dim);
+        mean_delta_pooled_into(&clipped, out, &mut Vec::new(), pool);
         if !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.sensitivity / updates.len() as f64) as f32;
-            for_each_standard_normal(rng, &mut agg, |v, z| *v += sigma * z as f32);
+            for_each_standard_normal(rng, out, |v, z| *v += sigma * z as f32);
             // One Gaussian release at multiplier z.
             self.rho += 1.0 / (2.0 * self.noise_multiplier * self.noise_multiplier);
         }
-        agg
     }
 }
 

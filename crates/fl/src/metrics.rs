@@ -10,12 +10,13 @@
 //!   (each excluding the preceding ones) with their Eq. 9 cumulative-label
 //!   cosine to the attacker's auxiliary data.
 
+use crate::scratch::ClientScratch;
 use collapois_data::federated::FederatedDataset;
 use collapois_data::labels::{cumulative_counts, cumulative_label_distribution};
 use collapois_data::poison::BackdoorEval;
 use collapois_data::sample::Dataset;
+use collapois_nn::loss::argmax;
 use collapois_nn::model::Sequential;
-use collapois_nn::zoo::ModelSpec;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
 use collapois_stats::geometry::cosine_similarity_f64;
 
@@ -68,93 +69,70 @@ pub fn population(metrics: &[ClientMetrics]) -> PopulationMetrics {
 /// `eval_params(client_id)` (the personalized model). Clients in
 /// `excluded` (the compromised set) are skipped.
 ///
-/// Convenience wrapper around [`evaluate_clients_pooled`] that builds a
-/// machine-sized pool and throwaway scratch models per call; round loops
-/// should use the pooled entry point with persistent arenas instead.
-pub fn evaluate_clients<F>(
-    fed: &FederatedDataset,
-    model_spec: &ModelSpec,
-    eval_params: F,
-    backdoor: &dyn BackdoorEval,
-    target_class: usize,
-    excluded: &[usize],
-) -> Vec<ClientMetrics>
-where
-    F: Fn(usize) -> Vec<f32> + Sync,
-{
-    let pool = WorkerPool::auto();
-    let mut arenas = WorkerArenas::new();
-    evaluate_clients_pooled(
-        fed,
-        model_spec,
-        eval_params,
-        backdoor,
-        target_class,
-        excluded,
-        &pool,
-        &mut arenas,
-    )
-}
-
-/// [`evaluate_clients`] over a caller-owned [`WorkerPool`] with lane-pinned
-/// scratch models that persist across calls (so a round loop's periodic
-/// evaluation reuses the same buffers every pass instead of respawning
-/// threads and rebuilding models). Results are in ascending client order at
-/// any worker count — each client's metrics are a pure function of its id.
+/// Clients fan out over `pool` on the training lanes' arenas (built from
+/// `template` on first use): each lane loads a client's parameters into
+/// its model and predicts through its workspace, so periodic evaluation
+/// allocates no model and no workspace. Results are in ascending client
+/// order at any worker count — each client's metrics are a pure function
+/// of its id.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_clients_pooled<F>(
     fed: &FederatedDataset,
-    model_spec: &ModelSpec,
     eval_params: F,
     backdoor: &dyn BackdoorEval,
     target_class: usize,
     excluded: &[usize],
     pool: &WorkerPool,
-    arenas: &mut WorkerArenas<Sequential>,
+    arenas: &mut WorkerArenas<ClientScratch>,
+    template: &Sequential,
 ) -> Vec<ClientMetrics>
 where
     F: Fn(usize) -> Vec<f32> + Sync,
 {
-    let ids: Vec<usize> = (0..fed.num_clients())
+    let mut ids: Vec<usize> = (0..fed.num_clients())
         .filter(|id| !excluded.contains(id))
         .collect();
-    pool.map_with_arena(
+    let mut out = Vec::with_capacity(ids.len());
+    pool.map_with_arena_into(
         arenas,
-        ids,
-        || {
-            // Lane scratch model (seed irrelevant: params are always
-            // overwritten before use).
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-            model_spec.build(&mut rng)
-        },
-        |_, id, model| {
-            let params = eval_params(id);
-            model.set_params(&params);
+        &mut ids,
+        &mut out,
+        || ClientScratch::for_model(template),
+        |_, id, scratch| {
+            scratch.model.set_params(&eval_params(id));
             let test = &fed.client(id).test;
-            let benign_ac = if test.is_empty() {
-                0.0
-            } else {
-                let (x, y) = test.as_batch();
-                model.evaluate(&x, &y)
-            };
-            // An empty eval set (no test data, or no test sample inside a
-            // semantic region) reads as SR 0: nothing to attack.
-            let backdoored = backdoor.eval_set(test);
-            let attack_sr = if backdoored.is_empty() {
-                0.0
-            } else {
-                let (x, _) = backdoored.as_batch();
-                let preds = model.predict(&x);
-                preds.iter().filter(|&&p| p == target_class).count() as f64 / preds.len() as f64
-            };
             ClientMetrics {
                 client_id: id,
-                benign_ac,
-                attack_sr,
+                benign_ac: hit_rate(scratch, test, |pred, label| pred == label),
+                attack_sr: hit_rate(scratch, &backdoor.eval_set(test), |pred, _| {
+                    pred == target_class
+                }),
             }
         },
-    )
+    );
+    out
+}
+
+/// Share of `data`'s samples whose `(prediction, label)` pair `hit`
+/// accepts, predicting through the lane's model and workspace (`argmax`
+/// per logit row). An empty set reads as 0: no accuracy to measure, and
+/// for Attack SR (no test data, or no test sample inside a semantic
+/// region) nothing to attack.
+fn hit_rate<H>(scratch: &mut ClientScratch, data: &Dataset, hit: H) -> f64
+where
+    H: Fn(usize, usize) -> bool,
+{
+    if data.is_empty() {
+        return 0.0;
+    }
+    scratch.idx.clear();
+    scratch.idx.extend(0..data.len());
+    data.batch_into(&scratch.idx, &mut scratch.x, &mut scratch.y);
+    let logits = scratch.model.forward_ws(&scratch.x, &mut scratch.ws);
+    let hits = (0..logits.batch())
+        .filter(|&i| hit(argmax(logits.row(i)), scratch.y[i]))
+        .count();
+    hits as f64 / data.len() as f64
 }
 
 /// The top `k` percent of clients by Eq. 8 score, descending.
@@ -241,6 +219,7 @@ mod tests {
     use collapois_data::shard::{ShardSource, ShardSpec};
     use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
     use collapois_data::trigger::PatchTrigger;
+    use collapois_nn::zoo::ModelSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -396,60 +375,56 @@ mod tests {
     }
 
     #[test]
-    fn pooled_evaluation_is_worker_count_invariant() {
+    fn lane_evaluation_matches_the_model_reference_at_every_worker_count() {
         let f = fed();
         let spec = ModelSpec::mlp(64, &[16], 4);
         let mut rng = StdRng::seed_from_u64(1);
-        let params = spec.build(&mut rng).params().to_vec();
-        let trigger = PatchTrigger::badnets(8);
-        let serial = {
-            let pool = WorkerPool::new(1);
-            let mut arenas = WorkerArenas::new();
-            evaluate_clients_pooled(
-                &f,
-                &spec,
-                |_| params.clone(),
-                &trigger,
-                0,
-                &[],
-                &pool,
-                &mut arenas,
-            )
+        let template = spec.build(&mut rng);
+        // A distinct model per client, so a lane that served the wrong
+        // client's parameters would show.
+        let params = |id: usize| -> Vec<f32> {
+            let shift = id as f32 * 0.05;
+            template.params().iter().map(|p| p + shift).collect()
         };
-        for workers in [2, 4, 8] {
+        let trigger = PatchTrigger::badnets(8);
+        // Reference: a fresh model per client through `evaluate`/`predict`.
+        let expected: Vec<ClientMetrics> = (1..8)
+            .map(|id| {
+                let mut model = template.clone();
+                model.set_params(&params(id));
+                let (x, y) = f.client(id).test.as_batch();
+                let (bx, _) = trigger.eval_set(&f.client(id).test).as_batch();
+                let preds = model.predict(&bx);
+                ClientMetrics {
+                    client_id: id,
+                    benign_ac: model.evaluate(&x, &y),
+                    attack_sr: preds.iter().filter(|&&p| p == 0).count() as f64
+                        / preds.len() as f64,
+                }
+            })
+            .collect();
+        for m in &expected {
+            assert!((0.0..=1.0).contains(&m.benign_ac));
+            assert!((0.0..=1.0).contains(&m.attack_sr));
+        }
+        for workers in [1, 2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut arenas = WorkerArenas::new();
             // Two passes through the same arenas: results must not depend
             // on reuse.
             for pass in 0..2 {
-                let pooled = evaluate_clients_pooled(
+                let got = evaluate_clients_pooled(
                     &f,
-                    &spec,
-                    |_| params.clone(),
+                    params,
                     &trigger,
                     0,
-                    &[],
+                    &[0],
                     &pool,
                     &mut arenas,
+                    &template,
                 );
-                assert_eq!(pooled, serial, "workers={workers} pass={pass}");
+                assert_eq!(got, expected, "workers={workers} pass={pass}");
             }
-        }
-    }
-
-    #[test]
-    fn evaluate_clients_produces_sane_ranges() {
-        let f = fed();
-        let spec = ModelSpec::mlp(64, &[16], 4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let params = spec.build(&mut rng).params().to_vec();
-        let trigger = PatchTrigger::badnets(8);
-        let ms = evaluate_clients(&f, &spec, |_| params.clone(), &trigger, 0, &[0]);
-        assert_eq!(ms.len(), 7); // client 0 excluded
-        assert!(ms.iter().all(|m| m.client_id != 0));
-        for m in &ms {
-            assert!((0.0..=1.0).contains(&m.benign_ac));
-            assert!((0.0..=1.0).contains(&m.attack_sr));
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Per-worker training arena: every heap buffer one worker needs to run a
-//! client's local training, owned persistently so the steady-state round
-//! loop performs no allocation.
+//! client's local training or evaluation, owned persistently so the
+//! steady-state round loop performs no allocation.
 //!
-//! A [`ClientScratch`] is *stateless between jobs by contract*: every
-//! `local_train` starts by reloading the model from the current global
-//! parameters and fully overwrites each buffer it reads, so arena history
-//! can never leak between clients, rounds, or worker schedules — which is
-//! what keeps the pooled path bitwise identical to the historical
-//! clone-per-client path.
+//! A [`ClientScratch`] is *stateless between jobs by contract*: every job
+//! (a `local_train`, or a client evaluation in `metrics`) starts by
+//! reloading the model's parameters and fully overwrites each buffer it
+//! reads, so arena history can never leak between clients, rounds, phases
+//! or worker schedules — which is what keeps the pooled path bitwise
+//! identical to the historical clone-per-client path.
 
 use collapois_data::sample::Dataset;
 use collapois_nn::loss::Loss;

@@ -214,8 +214,9 @@ pub struct FlServer {
     round: usize,
     collect_updates: bool,
     workers: WorkerPool,
-    /// Per-worker training arenas, alive across rounds (and checkpoints —
-    /// they are pure scratch and never serialized).
+    /// Per-worker arenas for training and client evaluation, alive across
+    /// rounds (and checkpoints — they are pure scratch and never
+    /// serialized).
     arenas: WorkerArenas<ClientScratch>,
     /// Recycled delta buffers handed to benign training jobs and reclaimed
     /// after aggregation (unless update collection keeps them).
@@ -231,8 +232,6 @@ pub struct FlServer {
     updates_buf: Vec<ClientUpdate>,
     /// Reusable synchronous-round participant list for the cohort step.
     participant_buf: Vec<Completion>,
-    /// Lane-pinned scratch models for pooled client evaluation.
-    eval_arenas: WorkerArenas<Sequential>,
     /// Cumulative per-phase wall-clock, drained by
     /// [`FlServer::take_profile`].
     profile: PhaseProfile,
@@ -286,7 +285,6 @@ impl FlServer {
             outcome_buf: Vec::new(),
             updates_buf: Vec::new(),
             participant_buf: Vec::new(),
-            eval_arenas: WorkerArenas::new(),
             profile: PhaseProfile::default(),
             trace: TraceLog::in_memory(),
             monitor: None,
@@ -352,9 +350,14 @@ impl FlServer {
     }
 
     /// Evaluates every benign client (Benign AC + Attack SR) on the
-    /// persistent worker pool, reusing lane-pinned scratch models across
-    /// calls so periodic evaluation allocates nothing in steady state.
-    /// Wall-clock is accounted to the profile's `eval` phase.
+    /// persistent worker pool and the training lanes' arenas, so periodic
+    /// evaluation builds no model and no workspace. Wall-clock is accounted
+    /// to the profile's `eval` phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model_spec` is not the configured model: the lanes that
+    /// evaluate are the lanes that train.
     pub fn evaluate_clients(
         &mut self,
         model_spec: &ModelSpec,
@@ -362,18 +365,22 @@ impl FlServer {
         target_class: usize,
         excluded: &[usize],
     ) -> Vec<ClientMetrics> {
+        assert_eq!(
+            model_spec, &self.cfg.model,
+            "evaluation model differs from the configured model"
+        );
         let eval_start = Instant::now();
         let pers: &dyn Personalization = self.personalization.as_ref();
         let global = &self.global;
         let out = metrics::evaluate_clients_pooled(
             &self.fed,
-            model_spec,
             |id| pers.eval_params(id, global),
             backdoor,
             target_class,
             excluded,
             &self.workers,
-            &mut self.eval_arenas,
+            &mut self.arenas,
+            &self.scratch,
         );
         self.profile.eval_ms += eval_start.elapsed().as_secs_f64() * 1e3;
         let (wait_ns, dispatch_ns) = self.workers.take_sync_ns();
@@ -438,16 +445,6 @@ impl FlServer {
     /// Current global parameters.
     pub fn global(&self) -> &[f32] {
         self.global.as_slice()
-    }
-
-    /// Overwrites the global parameters (used to warm-start experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn set_global(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.global.len(), "global dimension mismatch");
-        self.global.copy_from_slice(params);
     }
 
     /// The configuration.
@@ -1021,12 +1018,6 @@ impl FlServer {
         });
     }
 
-    /// Writes a snapshot of the current run state to `path`, surfacing any
-    /// failure as a typed result instead of panicking.
-    pub fn write_checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.snapshot().save(path)
-    }
-
     /// Scheduled checkpoint write with bounded retry and exponential
     /// backoff. Failures (injected by the fault plan or real I/O errors)
     /// are traced and counted; exhausting every attempt skips this
@@ -1207,6 +1198,7 @@ mod tests {
     use crate::personalize::{Clustered, Ditto, NoPersonalization};
     use collapois_data::shard::{ShardSource, ShardSpec};
     use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
+    use collapois_data::trigger::PatchTrigger;
     use collapois_nn::zoo::ModelSpec;
     use collapois_runtime::trace::hash_canonical_events;
 
@@ -1253,6 +1245,36 @@ mod tests {
         fn name(&self) -> &'static str {
             "const"
         }
+    }
+
+    #[test]
+    fn evaluating_between_rounds_leaves_training_bitwise_unchanged() {
+        // Evaluation borrows the training lanes' arenas; what it leaves
+        // there must never reach the next round.
+        let trigger = PatchTrigger::badnets(8);
+        let mut plain = quick_server();
+        let mut evaluated = quick_server();
+        plain.set_workers(2);
+        evaluated.set_workers(2);
+        let spec = evaluated.config().model.clone();
+        for _ in 0..3 {
+            plain.run_round(None);
+            evaluated.run_round(None);
+            assert_eq!(
+                evaluated.evaluate_clients(&spec, &trigger, 0, &[]).len(),
+                10
+            );
+        }
+        let bits = |s: &FlServer| s.global().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(&evaluated));
+    }
+
+    #[test]
+    #[should_panic(expected = "evaluation model differs from the configured model")]
+    fn evaluation_rejects_a_model_other_than_the_configured_one() {
+        let mut server = quick_server();
+        let other = ModelSpec::mlp(64, &[8], 4);
+        let _ = server.evaluate_clients(&other, &PatchTrigger::badnets(8), 0, &[]);
     }
 
     #[test]

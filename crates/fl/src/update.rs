@@ -53,37 +53,24 @@ impl ClientUpdate {
     }
 }
 
-/// Uniform element-wise mean of the deltas (Eq. 2's `Σ Δθ / |S_t|`).
-/// Returns a zero vector of `dim` when `updates` is empty.
+/// Uniform element-wise mean of the deltas (Eq. 2's `Σ Δθ / |S_t|`):
+/// [`mean_delta_pooled_into`] on a one-lane pool. Returns a zero vector of
+/// `dim` when `updates` is empty.
 ///
 /// # Panics
 ///
 /// Panics if any update's dimension differs from `dim`.
 pub fn mean_delta(updates: &[ClientUpdate], dim: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; dim];
-    let mut acc = Vec::new();
-    mean_delta_into(updates, &mut out, &mut acc);
+    mean_delta_pooled_into(updates, &mut out, &mut Vec::new(), &WorkerPool::new(1));
     out
 }
 
-/// In-place [`mean_delta`]: writes the mean into `out` (length `dim`) using
-/// `acc` as a reusable f64 accumulator. Bitwise identical to the allocating
-/// path and to [`mean_delta_pooled_into`] at any worker count — all three
-/// share the fixed-shape reduction tree.
-///
-/// # Panics
-///
-/// Panics if any update's dimension differs from `out.len()`.
-pub fn mean_delta_into(updates: &[ClientUpdate], out: &mut [f32], acc: &mut Vec<f64>) {
-    tree_reduce_into(updates.len(), out, acc, |c, row| {
-        mean_leaf(updates, c, row);
-    });
-}
-
-/// Parallel [`mean_delta_into`]: leaf chunks of the reduction tree fan out
-/// over `pool`'s lanes. The tree shape is fixed by the update count (see
-/// [`MEAN_CHUNK`]), so the result is bitwise identical to the serial path
-/// at every worker count.
+/// Writes the uniform mean of the deltas into `out` (length `dim`), with
+/// `acc` as a reusable f64 accumulator and the leaf chunks of the
+/// fixed-shape reduction tree fanned out over `pool`'s lanes. The tree's
+/// shape is fixed by the update count (see `MEAN_CHUNK`), so the result is
+/// bitwise identical at every worker count.
 ///
 /// # Panics
 ///
@@ -94,20 +81,14 @@ pub fn mean_delta_pooled_into(
     acc: &mut Vec<f64>,
     pool: &WorkerPool,
 ) {
-    tree_reduce_pooled_into(updates.len(), out, acc, pool, |c, row| {
-        mean_leaf(updates, c, row);
+    let n = updates.len();
+    tree_reduce_pooled_into(n, n.max(1) as f64, out, acc, pool, |c, row| {
+        let hi = ((c + 1) * MEAN_CHUNK).min(n);
+        for u in &updates[c * MEAN_CHUNK..hi] {
+            assert_eq!(u.delta.len(), row.len(), "update dimension mismatch");
+            kernels::acc_add(row, &u.delta);
+        }
     });
-}
-
-/// Accumulates leaf chunk `c`'s updates into `row` (one tree leaf).
-fn mean_leaf(updates: &[ClientUpdate], c: usize, row: &mut [f64]) {
-    let dim = row.len();
-    let lo = c * MEAN_CHUNK;
-    let hi = (lo + MEAN_CHUNK).min(updates.len());
-    for u in &updates[lo..hi] {
-        assert_eq!(u.delta.len(), dim, "update dimension mismatch");
-        kernels::acc_add(row, &u.delta);
-    }
 }
 
 /// Weighted element-wise mean `Σ wᵢ·Δθᵢ / Σ wᵢ` through the same
@@ -136,67 +117,38 @@ pub fn weighted_mean_delta_pooled_into(
     );
     let wsum: f64 = weights.iter().sum();
     let denom = if wsum > 0.0 { wsum } else { 1.0 };
-    tree_reduce_scaled_pooled_into(updates.len(), out, acc, pool, denom, |c, row| {
-        weighted_leaf(updates, weights, c, row);
+    let n = updates.len();
+    tree_reduce_pooled_into(n, denom, out, acc, pool, |c, row| {
+        let (lo, hi) = (c * MEAN_CHUNK, ((c + 1) * MEAN_CHUNK).min(n));
+        for (u, &w) in updates[lo..hi].iter().zip(&weights[lo..hi]) {
+            assert_eq!(u.delta.len(), row.len(), "update dimension mismatch");
+            for (r, &d) in row.iter_mut().zip(&u.delta) {
+                *r += w * d as f64;
+            }
+        }
     });
 }
 
-/// Serial [`weighted_mean_delta_pooled_into`] (same tree, same bits).
-///
-/// # Panics
-///
-/// Panics if `weights.len() != updates.len()` or any update's dimension
-/// differs from `out.len()`.
-pub fn weighted_mean_delta_into(
-    updates: &[ClientUpdate],
-    weights: &[f64],
-    out: &mut [f32],
-    acc: &mut Vec<f64>,
-) {
-    assert_eq!(
-        weights.len(),
-        updates.len(),
-        "one weight per update required"
-    );
-    let wsum: f64 = weights.iter().sum();
-    let denom = if wsum > 0.0 { wsum } else { 1.0 };
-    let dim = out.len();
-    if dim == 0 {
-        return;
-    }
-    let nchunks = updates.len().div_ceil(MEAN_CHUNK).max(1);
-    acc.clear();
-    acc.resize(nchunks * dim, 0.0);
-    for (c, row) in acc.chunks_mut(dim).enumerate() {
-        weighted_leaf(updates, weights, c, row);
-    }
-    merge_and_scale(acc, nchunks, dim, denom, out);
-}
-
-/// Accumulates leaf chunk `c`'s weighted updates into `row`.
-fn weighted_leaf(updates: &[ClientUpdate], weights: &[f64], c: usize, row: &mut [f64]) {
-    let dim = row.len();
-    let lo = c * MEAN_CHUNK;
-    let hi = (lo + MEAN_CHUNK).min(updates.len());
-    for (u, &w) in updates[lo..hi].iter().zip(&weights[lo..hi]) {
-        assert_eq!(u.delta.len(), dim, "update dimension mismatch");
-        for (r, &d) in row.iter_mut().zip(&u.delta) {
-            *r += w * d as f64;
-        }
-    }
-}
-
-/// Serial fixed-shape tree reduction: `leaf(c, row)` accumulates leaf chunk
-/// `c` (update indices `c·MEAN_CHUNK ..`) into its borrowed `dim`-length
-/// partial-accumulator row; the rows are then merged by a deterministic
-/// pairwise (stride-doubling) tree and scaled by `1/n` into `out`.
+/// The fixed-shape reduction tree: `leaf(c, row)` accumulates leaf chunk
+/// `c` (update indices `c·MEAN_CHUNK ..` of `n`) into its borrowed
+/// `dim`-length partial-accumulator row, the leaves fanned out over
+/// `pool`; the rows are then merged by a deterministic pairwise
+/// (stride-doubling) tree on the dispatching thread and scaled into
+/// `out = root / denom`. The uniform mean passes `denom = max(n, 1)`,
+/// weighted means `Σ wᵢ`.
 ///
 /// The leaf must write a function of `(c, n)` only — never of which thread
 /// runs it — which together with the worker-count-independent chunking
-/// makes [`tree_reduce_pooled_into`] bitwise identical to this path.
-pub(crate) fn tree_reduce_into<L>(n: usize, out: &mut [f32], acc: &mut Vec<f64>, leaf: L)
-where
-    L: Fn(usize, &mut [f64]),
+/// makes the result bitwise identical at every worker count.
+pub(crate) fn tree_reduce_pooled_into<L>(
+    n: usize,
+    denom: f64,
+    out: &mut [f32],
+    acc: &mut Vec<f64>,
+    pool: &WorkerPool,
+    leaf: L,
+) where
+    L: Fn(usize, &mut [f64]) + Sync,
 {
     let dim = out.len();
     if dim == 0 {
@@ -205,23 +157,22 @@ where
     let nchunks = n.div_ceil(MEAN_CHUNK).max(1);
     acc.clear();
     acc.resize(nchunks * dim, 0.0);
-    for (c, row) in acc.chunks_mut(dim).enumerate() {
-        leaf(c, row);
+    pool.for_chunks_mut(acc, dim, |c, row| leaf(c, row));
+    let mut stride = 1usize;
+    while stride < nchunks {
+        let mut base = 0usize;
+        while base + stride < nchunks {
+            let (lo, hi) = acc.split_at_mut((base + stride) * dim);
+            for (d, s) in lo[base * dim..base * dim + dim].iter_mut().zip(&hi[..dim]) {
+                *d += s;
+            }
+            base += 2 * stride;
+        }
+        stride *= 2;
     }
-    merge_and_scale(acc, nchunks, dim, n.max(1) as f64, out);
-}
-
-/// [`tree_reduce_into`] with the leaf chunks fanned out over `pool`.
-pub(crate) fn tree_reduce_pooled_into<L>(
-    n: usize,
-    out: &mut [f32],
-    acc: &mut Vec<f64>,
-    pool: &WorkerPool,
-    leaf: L,
-) where
-    L: Fn(usize, &mut [f64]) + Sync,
-{
-    tree_reduce_scaled_pooled_into(n, out, acc, pool, n.max(1) as f64, leaf);
+    for (o, &a) in out.iter_mut().zip(acc.iter()) {
+        *o = (a / denom) as f32;
+    }
 }
 
 /// Pooled [`kernels::pairwise_sq_distances`] over the updates' deltas: the
@@ -249,54 +200,6 @@ pub(crate) fn pairwise_sq_distances_pooled(
     });
     kernels::mirror_upper_triangle(&mut d2, n);
     d2
-}
-
-/// [`tree_reduce_pooled_into`] with an arbitrary positive denominator:
-/// `out = root / denom`. The uniform mean is the `denom = max(n, 1)`
-/// special case; weighted means pass `Σ wᵢ`.
-pub(crate) fn tree_reduce_scaled_pooled_into<L>(
-    n: usize,
-    out: &mut [f32],
-    acc: &mut Vec<f64>,
-    pool: &WorkerPool,
-    denom: f64,
-    leaf: L,
-) where
-    L: Fn(usize, &mut [f64]) + Sync,
-{
-    let dim = out.len();
-    if dim == 0 {
-        return;
-    }
-    let nchunks = n.div_ceil(MEAN_CHUNK).max(1);
-    acc.clear();
-    acc.resize(nchunks * dim, 0.0);
-    pool.for_chunks_mut(acc, dim, |c, row| leaf(c, row));
-    merge_and_scale(acc, nchunks, dim, denom, out);
-}
-
-/// Pairwise stride-doubling merge of the `nchunks` partial rows in `acc`
-/// (row 0 absorbs the root), then `out = (root / denom) as f32`. Runs
-/// on the dispatching thread in both the serial and pooled paths, so the
-/// merge order is one fixed tree.
-fn merge_and_scale(acc: &mut [f64], nchunks: usize, dim: usize, denom: f64, out: &mut [f32]) {
-    let mut stride = 1usize;
-    while stride < nchunks {
-        let mut base = 0usize;
-        while base + stride < nchunks {
-            let (lo, hi) = acc.split_at_mut((base + stride) * dim);
-            let dst = &mut lo[base * dim..base * dim + dim];
-            let src = &hi[..dim];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-            base += 2 * stride;
-        }
-        stride *= 2;
-    }
-    for (o, &a) in out.iter_mut().zip(acc.iter()) {
-        *o = (a / denom) as f32;
-    }
 }
 
 #[cfg(test)]
@@ -329,31 +232,81 @@ mod tests {
         let _ = mean_delta(&[u1], 2);
     }
 
-    #[test]
-    fn pooled_mean_is_bitwise_identical_to_serial() {
-        // 37 updates spans several tree leaves plus a ragged tail; the
-        // pooled path must reproduce the serial tree exactly at every
-        // worker count.
-        let dim = 19;
-        let updates: Vec<ClientUpdate> = (0..37)
+    /// The reduction tree written out independently of the pool: leaves of
+    /// `MEAN_CHUNK` updates summed in order, merged pairwise by stride
+    /// doubling, the root divided by `Σ w` (or 1 when that is not positive).
+    fn reference_tree(updates: &[ClientUpdate], weights: &[f64], dim: usize) -> Vec<u32> {
+        let mut rows: Vec<Vec<f64>> = vec![vec![0.0; dim]];
+        for (c, chunk) in updates.chunks(MEAN_CHUNK).enumerate() {
+            if c > 0 {
+                rows.push(vec![0.0; dim]);
+            }
+            for (k, u) in chunk.iter().enumerate() {
+                let w = weights[c * MEAN_CHUNK + k];
+                for (r, &d) in rows[c].iter_mut().zip(&u.delta) {
+                    *r += w * d as f64;
+                }
+            }
+        }
+        let mut stride = 1;
+        while stride < rows.len() {
+            for base in (0..rows.len() - stride).step_by(2 * stride) {
+                let src = rows[base + stride].clone();
+                for (d, s) in rows[base].iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+            stride *= 2;
+        }
+        let wsum: f64 = weights.iter().sum();
+        let denom = if wsum > 0.0 { wsum } else { 1.0 };
+        rows[0]
+            .iter()
+            .map(|&a| ((a / denom) as f32).to_bits())
+            .collect()
+    }
+
+    fn sample_updates(n: usize, dim: usize) -> Vec<ClientUpdate> {
+        (0..n)
             .map(|i| {
                 let delta: Vec<f32> = (0..dim)
                     .map(|j| ((i * 31 + j * 7) as f32).sin() * 3.0)
                     .collect();
                 ClientUpdate::new(i, delta, 10)
             })
-            .collect();
-        let mut serial = vec![0.0f32; dim];
-        let mut acc = Vec::new();
-        mean_delta_into(&updates, &mut serial, &mut acc);
-        for workers in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let mut pooled = vec![0.0f32; dim];
-            let mut acc2 = Vec::new();
-            mean_delta_pooled_into(&updates, &mut pooled, &mut acc2, &pool);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = pooled.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "workers={workers}");
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn means_match_the_reference_tree_at_every_worker_count() {
+        // 37 updates span several tree leaves plus a ragged tail.
+        let dim = 19;
+        for n in [0, 1, 8, 9, 37] {
+            let updates = sample_updates(n, dim);
+            let unit = vec![1.0f64; n];
+            let weights: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64).sqrt()).collect();
+            for workers in [1, 2, 4, 8] {
+                let pool = WorkerPool::new(workers);
+                let mut out = vec![0.0f32; dim];
+                mean_delta_pooled_into(&updates, &mut out, &mut Vec::new(), &pool);
+                let expected = reference_tree(&updates, &unit, dim);
+                assert_eq!(bits(&out), expected, "mean n={n} workers={workers}");
+                weighted_mean_delta_pooled_into(&updates, &unit, &mut out, &mut Vec::new(), &pool);
+                assert_eq!(bits(&out), expected, "unit weights n={n} workers={workers}");
+                weighted_mean_delta_pooled_into(
+                    &updates,
+                    &weights,
+                    &mut out,
+                    &mut Vec::new(),
+                    &pool,
+                );
+                let expected = reference_tree(&updates, &weights, dim);
+                assert_eq!(bits(&out), expected, "weighted n={n} workers={workers}");
+            }
         }
     }
 
@@ -373,74 +326,26 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_with_unit_weights_matches_uniform_mean_bitwise() {
-        let dim = 17;
-        let updates: Vec<ClientUpdate> = (0..23)
-            .map(|i| {
-                let delta: Vec<f32> = (0..dim)
-                    .map(|j| ((i * 13 + j * 5) as f32).cos() * 2.0)
-                    .collect();
-                ClientUpdate::new(i, delta, 1)
-            })
-            .collect();
-        let weights = vec![1.0f64; updates.len()];
-        let mut uniform = vec![0.0f32; dim];
-        let mut acc = Vec::new();
-        mean_delta_into(&updates, &mut uniform, &mut acc);
-        let mut weighted = vec![0.0f32; dim];
-        let mut acc2 = Vec::new();
-        weighted_mean_delta_into(&updates, &weights, &mut weighted, &mut acc2);
-        let a: Vec<u32> = uniform.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = weighted.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "unit weights must degenerate to the uniform mean");
-    }
-
-    #[test]
-    fn pooled_weighted_mean_is_bitwise_identical_to_serial() {
-        let dim = 11;
-        let updates: Vec<ClientUpdate> = (0..37)
-            .map(|i| {
-                let delta: Vec<f32> = (0..dim).map(|j| ((i * 7 + j * 3) as f32).sin()).collect();
-                ClientUpdate::new(i, delta, 1)
-            })
-            .collect();
-        let weights: Vec<f64> = (0..updates.len())
-            .map(|i| 1.0 / (1.0 + i as f64).sqrt())
-            .collect();
-        let mut serial = vec![0.0f32; dim];
-        let mut acc = Vec::new();
-        weighted_mean_delta_into(&updates, &weights, &mut serial, &mut acc);
-        for workers in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let mut pooled = vec![0.0f32; dim];
-            let mut acc2 = Vec::new();
-            weighted_mean_delta_pooled_into(&updates, &weights, &mut pooled, &mut acc2, &pool);
-            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = pooled.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn weighted_mean_weights_the_updates() {
         let u1 = ClientUpdate::new(0, vec![1.0, 0.0], 1);
         let u2 = ClientUpdate::new(1, vec![0.0, 1.0], 1);
         let mut out = vec![0.0f32; 2];
-        let mut acc = Vec::new();
-        weighted_mean_delta_into(&[u1, u2], &[3.0, 1.0], &mut out, &mut acc);
+        let pool = WorkerPool::new(1);
+        weighted_mean_delta_pooled_into(&[u1, u2], &[3.0, 1.0], &mut out, &mut Vec::new(), &pool);
         assert!((out[0] - 0.75).abs() < 1e-7);
         assert!((out[1] - 0.25).abs() < 1e-7);
     }
 
     #[test]
     fn weighted_mean_of_empty_or_zero_weight_is_zero() {
+        let pool = WorkerPool::new(1);
         let mut out = vec![5.0f32; 2];
         let mut acc = Vec::new();
-        weighted_mean_delta_into(&[], &[], &mut out, &mut acc);
+        weighted_mean_delta_pooled_into(&[], &[], &mut out, &mut acc, &pool);
         assert_eq!(out, vec![0.0, 0.0]);
         let u = ClientUpdate::new(0, vec![1.0, 2.0], 1);
         let mut out2 = vec![5.0f32; 2];
-        weighted_mean_delta_into(&[u], &[0.0], &mut out2, &mut acc);
+        weighted_mean_delta_pooled_into(&[u], &[0.0], &mut out2, &mut acc, &pool);
         assert_eq!(out2, vec![0.0, 0.0]);
     }
 
@@ -448,12 +353,13 @@ mod tests {
     fn mean_into_reuses_buffers() {
         let u1 = ClientUpdate::new(0, vec![1.0, 2.0], 10);
         let u2 = ClientUpdate::new(1, vec![3.0, 4.0], 20);
+        let pool = WorkerPool::new(1);
         let mut out = vec![9.0f32; 2];
         let mut acc = vec![7.0f64; 5]; // stale contents must not leak through
-        mean_delta_into(&[u1.clone(), u2], &mut out, &mut acc);
+        mean_delta_pooled_into(&[u1.clone(), u2], &mut out, &mut acc, &pool);
         assert_eq!(out, vec![2.0, 3.0]);
         // Second call with different updates reuses the same buffers.
-        mean_delta_into(&[u1], &mut out, &mut acc);
+        mean_delta_pooled_into(&[u1], &mut out, &mut acc, &pool);
         assert_eq!(out, vec![1.0, 2.0]);
     }
 }

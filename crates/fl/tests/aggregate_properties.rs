@@ -19,6 +19,7 @@
 use collapois_fl::aggregate::{Aggregator, CoordinateMedian, FedAvg, Krum, NormBound, TrimmedMean};
 use collapois_fl::update::ClientUpdate;
 use collapois_nn::kernels;
+use collapois_runtime::pool::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,8 +114,9 @@ proptest! {
         let (shuffled, order) = permuted(&updates, seed ^ 0xc0de);
 
         let krum = Krum::new(f);
-        let base = krum.scores(&updates);
-        let perm = krum.scores(&shuffled);
+        let pool = WorkerPool::new(1);
+        let base = krum.scores(&updates, &pool);
+        let perm = krum.scores(&shuffled, &pool);
         // perm[pos] scored the update that sat at updates[order[pos]].
         for (pos, &orig) in order.iter().enumerate() {
             prop_assert_eq!(perm[pos], base[orig], "score moved under permutation");

@@ -41,6 +41,7 @@ use collapois_core::scenario::{
     AttackKind, CohortMode, DatasetKind, DefenseKind, FlAlgo, Quantization, ScenarioConfig,
     ScenarioModel, SimKnobs,
 };
+use collapois_runtime::checkpoint::fnv1a;
 use collapois_runtime::fault::FaultPlan;
 
 /// The schema revision this build reads and writes.
@@ -562,17 +563,6 @@ impl CellSpec {
     pub fn config_hash(&self) -> u64 {
         fnv1a(self.canonical_lines().as_bytes())
     }
-}
-
-/// FNV-1a (the same constants as the runtime's event hasher, so all digests
-/// in this workspace share one well-understood function).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One expanded grid cell, ready to execute.

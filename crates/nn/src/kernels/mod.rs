@@ -9,7 +9,7 @@
 //!   transposed-`B` packing, 8-wide unrolled axpy microkernels, 4-chain
 //!   `f64` reductions, partial-select order statistics, and a fused
 //!   softmax + cross-entropy that never materializes a probability tensor.
-//! * [`reference`] — the naive textbook formulations, kept alive forever as
+//! * [`reference`](mod@reference) — the naive textbook formulations, kept alive forever as
 //!   the differential-testing oracle (`tests/kernel_equivalence.rs` in the
 //!   workspace root pins one to the other).
 //! * [`simd`] — the explicit-SIMD tier (AVX2 on x86_64): the blocked
@@ -18,7 +18,7 @@
 //!   without AVX2 every entry point transparently delegates to [`blocked`].
 //!
 //! The free functions at this level are thin dispatchers. When the crate is
-//! built with the `reference` cargo feature they always call [`reference`]
+//! built with the `reference` cargo feature they always call [`reference`](mod@reference)
 //! (the whole stack swaps onto the oracle with `cargo test --features
 //! reference`; CI runs both). Otherwise the tier is chosen **once per
 //! process**: [`simd`] when the host supports it, [`blocked`] when it does

@@ -1,6 +1,6 @@
 //! Model architectures used by the paper's experiments.
 //!
-//! The paper adopts the configuration of Shamsian et al. [4]: a LeNet-based
+//! The paper adopts the configuration of Shamsian et al. \[4\]: a LeNet-based
 //! network (two convolution + two fully connected layers) for image clients
 //! and a small fully connected head over frozen BERT embeddings for the
 //! Sentiment dataset. [`ModelSpec`] captures an architecture as data so that

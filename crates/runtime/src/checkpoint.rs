@@ -35,14 +35,22 @@ const MAGIC: &[u8; 8] = b"CPOISNAP";
 /// Current snapshot wire-format version.
 pub const FORMAT_VERSION: u8 = 1;
 
-/// FNV-1a over a byte slice (also used for config hashing).
+/// The FNV-1a offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over a byte slice: the workspace's one digest, behind snapshot
+/// checksums, config and grid-cell hashes, and trace event hashes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash from `state` over `bytes`, so a digest can be
+/// folded piece by piece: `fnv1a_extend(fnv1a(a), b)` is `fnv1a` of `a`
+/// followed by `b`.
+pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Hashes a config's `Debug` representation. `Debug` output for the plain
@@ -341,6 +349,13 @@ pub fn latest_checkpoint(dir: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_folds_piece_by_piece() {
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
 
     fn sample() -> Snapshot {
         Snapshot {

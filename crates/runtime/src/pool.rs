@@ -1,7 +1,7 @@
 //! Deterministic persistent worker pool with a low-overhead round barrier.
 //!
-//! [`WorkerPool::map_with_arena`] fans independent jobs over up to
-//! `workers` threads and returns results **in input order**;
+//! [`WorkerPool::map_with_arena_into`] fans independent jobs over up to
+//! `workers` threads and writes results **in input order**;
 //! [`WorkerPool::for_chunks_mut`] does the same for fixed chunks of a
 //! mutable slice. Jobs must be independent (the closure takes `&self` state
 //! only through `Sync` captures); all order-sensitive effects belong in the
@@ -36,7 +36,7 @@
 //! produces: results are bitwise identical at any worker count, chunk size,
 //! and steal schedule.
 //!
-//! Dispatches of [`TINY_INLINE`] or fewer items run inline on the calling
+//! Dispatches of `TINY_INLINE` (two) or fewer items run inline on the calling
 //! thread — a tiny round is cheaper to run sequentially than to pay the
 //! epoch handoff.
 //!
@@ -500,15 +500,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine (`available_parallelism`, capped at 8 —
-    /// round fan-out saturates well before that for quick-scale runs).
-    pub fn auto() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(n.min(8))
-    }
-
     /// Number of concurrent jobs this pool runs.
     pub fn workers(&self) -> usize {
         self.workers
@@ -598,9 +589,10 @@ impl WorkerPool {
         }
     }
 
-    /// Applies `f` to every item, returning outputs in input order, and
-    /// hands each lane a persistent scratch arena from `arenas` (built on
-    /// demand with `init`, reused verbatim on subsequent calls).
+    /// Applies `f` to every item, draining `items` and writing one output
+    /// per item into `out` (cleared first) in input order, and hands each
+    /// lane a persistent scratch arena from `arenas` (built on demand with
+    /// `init`, reused verbatim on subsequent calls).
     ///
     /// `f` receives `(input_index, item, arena)`. With one worker (or a
     /// tiny input) this runs inline on the caller's thread; otherwise items
@@ -613,35 +605,9 @@ impl WorkerPool {
     /// job left behind. Under that contract the result is bitwise identical
     /// across worker counts.
     ///
-    /// # Panics
-    ///
-    /// Propagates panics from `f`. Unprocessed items leak (they are never
-    /// dropped) if a lane panics.
-    pub fn map_with_arena<A, T, U, F, I>(
-        &self,
-        arenas: &mut WorkerArenas<A>,
-        items: Vec<T>,
-        init: I,
-        f: F,
-    ) -> Vec<U>
-    where
-        A: Send,
-        T: Send,
-        U: Send,
-        F: Fn(usize, T, &mut A) -> U + Sync,
-        I: FnMut() -> A,
-    {
-        let mut items = items;
-        let mut out = Vec::new();
-        self.map_with_arena_into(arenas, &mut items, &mut out, init, f);
-        out
-    }
-
-    /// Zero-allocation [`WorkerPool::map_with_arena`]: drains `items` and
-    /// writes one output per item into `out` (cleared first), reusing both
-    /// buffers' capacity. In steady state — once `out` has grown to the
-    /// high-water item count and every arena exists — a call performs no
-    /// heap allocation at any worker count.
+    /// Both buffers' capacity is reused: in steady state — once `out` has
+    /// grown to the high-water item count and every arena exists — a call
+    /// performs no heap allocation at any worker count.
     ///
     /// # Panics
     ///
@@ -729,8 +695,8 @@ impl WorkerPool {
     }
 
     /// [`WorkerPool::for_chunks_mut`] with a persistent per-lane scratch
-    /// arena (same contract as [`WorkerPool::map_with_arena`]: outputs must
-    /// not depend on which arena served a chunk).
+    /// arena (same contract as [`WorkerPool::map_with_arena_into`]: outputs
+    /// must not depend on which arena served a chunk).
     ///
     /// # Panics
     ///
@@ -779,15 +745,41 @@ impl WorkerPool {
 mod tests {
     use super::*;
 
-    /// The arena-free fan-out most tests drive: `map_with_arena` over unit
-    /// arenas.
+    /// The fan-out most tests drive: `map_with_arena_into` over unit
+    /// arenas and fresh buffers.
     fn map<T, U, F>(pool: &WorkerPool, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
         U: Send,
         F: Fn(usize, T) -> U + Sync,
     {
-        pool.map_with_arena(&mut WorkerArenas::new(), items, || (), |i, x, _| f(i, x))
+        map_arenas(
+            pool,
+            &mut WorkerArenas::new(),
+            items,
+            || (),
+            |i, x, _| f(i, x),
+        )
+    }
+
+    /// `map_with_arena_into` over fresh item and output buffers.
+    fn map_arenas<A, T, U, F, I>(
+        pool: &WorkerPool,
+        arenas: &mut WorkerArenas<A>,
+        mut items: Vec<T>,
+        init: I,
+        f: F,
+    ) -> Vec<U>
+    where
+        A: Send,
+        T: Send,
+        U: Send,
+        F: Fn(usize, T, &mut A) -> U + Sync,
+        I: FnMut() -> A,
+    {
+        let mut out = Vec::new();
+        pool.map_with_arena_into(arenas, &mut items, &mut out, init, f);
+        out
     }
 
     #[test]
@@ -827,11 +819,6 @@ mod tests {
         let empty: Vec<u32> = map(&pool, Vec::new(), |_, x: u32| x);
         assert!(empty.is_empty());
         assert_eq!(map(&pool, vec![5u32], |_, x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn auto_pool_has_at_least_one_worker() {
-        assert!(WorkerPool::auto().workers() >= 1);
     }
 
     #[test]
@@ -889,16 +876,24 @@ mod tests {
         let pool = WorkerPool::new(3);
         let mut arenas: WorkerArenas<Vec<u8>> = WorkerArenas::new();
         assert!(arenas.is_empty());
-        let out = pool.map_with_arena(&mut arenas, (0..10usize).collect(), Vec::new, |i, x, a| {
-            a.push(1); // arenas accumulate across jobs within a call...
-            i + x
-        });
+        let out = map_arenas(
+            &pool,
+            &mut arenas,
+            (0..10usize).collect(),
+            Vec::new,
+            |i, x, a| {
+                a.push(1); // arenas accumulate across jobs within a call...
+                i + x
+            },
+        );
         assert_eq!(out, (0..10).map(|x| 2 * x).collect::<Vec<_>>());
         assert_eq!(arenas.len(), 3);
         // ...and persist across calls: no new arenas, contents retained.
         let total_before: usize = arenas.arenas.iter().map(Vec::len).sum();
         assert_eq!(total_before, 10);
-        pool.map_with_arena(&mut arenas, vec![0usize; 4], Vec::new, |_, _, a| a.push(1));
+        map_arenas(&pool, &mut arenas, vec![0usize; 4], Vec::new, |_, _, a| {
+            a.push(1)
+        });
         assert_eq!(arenas.len(), 3);
         let total_after: usize = arenas.arenas.iter().map(Vec::len).sum();
         assert!(total_after > total_before);
@@ -942,10 +937,10 @@ mod tests {
     }
 
     #[test]
-    fn map_with_arena_empty_input_builds_nothing() {
+    fn map_with_arena_into_empty_input_builds_nothing() {
         let mut arenas: WorkerArenas<Vec<u8>> = WorkerArenas::new();
-        let out: Vec<u8> =
-            WorkerPool::new(4).map_with_arena(&mut arenas, Vec::<u8>::new(), Vec::new, |_, x, _| x);
+        let pool = WorkerPool::new(4);
+        let out: Vec<u8> = map_arenas(&pool, &mut arenas, Vec::<u8>::new(), Vec::new, |_, x, _| x);
         assert!(out.is_empty());
         assert!(arenas.is_empty());
     }

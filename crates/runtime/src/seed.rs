@@ -98,11 +98,6 @@ pub fn aggregation_rng(run_seed: u64, round: u64) -> StdRng {
     StdRng::seed_from_u64(mix(run_seed, Domain::Aggregation, round, 0))
 }
 
-/// RNG for evaluation at a given round.
-pub fn eval_rng(run_seed: u64, round: u64) -> StdRng {
-    StdRng::seed_from_u64(mix(run_seed, Domain::Eval, round, 0))
-}
-
 /// Round-level RNG for sequential personalization setup (`begin_round`).
 pub fn round_setup_rng(run_seed: u64, round: u64) -> StdRng {
     StdRng::seed_from_u64(mix(run_seed, Domain::RoundSetup, round, 0))

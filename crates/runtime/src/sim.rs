@@ -52,11 +52,6 @@ pub fn ms_to_ticks(ms: f64) -> Ticks {
     (ms * TICKS_PER_MS as f64).round() as Ticks
 }
 
-/// Ticks back to fractional milliseconds (for reporting only).
-pub fn ticks_to_ms(t: Ticks) -> f64 {
-    t as f64 / TICKS_PER_MS as f64
-}
-
 /// Purposes within the [`seed::Domain::Sim`] stream. The discriminants are
 /// part of the replay-compatibility contract: reordering them changes
 /// every simulated schedule.

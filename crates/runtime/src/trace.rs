@@ -15,6 +15,7 @@
 //! [`TraceEvent::normalized`] zeroes them so two traces can be compared
 //! bit-for-bit in determinism tests.
 
+use crate::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use crate::json::{self, err, Obj, Value};
 use std::fs;
 use std::io::{BufWriter, Write};
@@ -452,16 +453,13 @@ struct EventHasher {
 impl EventHasher {
     fn new() -> Self {
         Self {
-            state: 0xcbf2_9ce4_8422_2325,
+            state: FNV_OFFSET,
             count: 0,
         }
     }
 
     fn fold(&mut self, line: &str) {
-        for b in line.as_bytes().iter().chain(std::iter::once(&b'\n')) {
-            self.state ^= *b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.state = fnv1a_extend(fnv1a_extend(self.state, line.as_bytes()), b"\n");
         self.count += 1;
     }
 }
@@ -536,17 +534,6 @@ impl TraceLog {
     }
 }
 
-/// FNV-1a of an event sequence exactly as [`TraceLog::hashing`] computes
-/// it — normalize, serialize, fold with a `\n` terminator per line — so
-/// retained traces and hash-only traces can be cross-checked.
-pub fn hash_events(events: &[TraceEvent]) -> (u64, u64) {
-    let mut h = EventHasher::new();
-    for e in events {
-        h.fold(&e.normalized().to_json());
-    }
-    (h.state, h.count)
-}
-
 /// `(fnv1a hash, event count)` over [`TraceEvent::canonical`] JSON lines:
 /// the worker-count-invariant digest of a run's event sequence. Two runs
 /// of the same configuration at any worker counts must produce the same
@@ -588,6 +575,17 @@ pub type TraceError = json::Error;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a of an event sequence exactly as [`TraceLog::hashing`]
+    /// computes it — normalize, serialize, fold with a `\n` terminator per
+    /// line — so retained traces and hash-only traces can be cross-checked.
+    fn hash_events(events: &[TraceEvent]) -> (u64, u64) {
+        let mut h = EventHasher::new();
+        for e in events {
+            h.fold(&e.normalized().to_json());
+        }
+        (h.state, h.count)
+    }
 
     #[test]
     fn hashing_log_matches_hash_of_retained_events() {

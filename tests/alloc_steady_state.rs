@@ -226,7 +226,8 @@ fn monitor_observe_steady_state() {
 
 /// The noisy aggregation steps draw their Gaussians through a block on the
 /// stack: once NormBound's reduction scratch is at size, a noisy
-/// `aggregate_into` and a noisy CRFL `post_process` must not touch the
+/// `aggregate_into` (the trait default, which runs the rule's one body on a
+/// one-lane pool) and a noisy CRFL `post_process` must not touch the
 /// allocator, over a dimension that is no multiple of the block.
 fn noisy_aggregation_steady_state() {
     const DIM: usize = 1000;

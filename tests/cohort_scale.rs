@@ -27,17 +27,13 @@ use collapois::core::scenario::{
     AttackKind, CohortMode, DefenseKind, RunOptions, Scenario, ScenarioConfig,
 };
 use collapois::data::{Dataset, FederatedDataset};
+use collapois::runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 
 /// FNV-1a over the little-endian `f32` bit patterns.
 fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    params.iter().fold(FNV_OFFSET, |h, v| {
+        fnv1a_extend(h, &v.to_bits().to_le_bytes())
+    })
 }
 
 fn assert_datasets_bitwise_eq(a: &Dataset, b: &Dataset, what: &str) {

@@ -24,20 +24,16 @@
 
 use collapois::core::scenario::{AttackKind, DefenseKind, RunOptions, Scenario, ScenarioConfig};
 use collapois::runtime::checkpoint;
+use collapois::runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use collapois::runtime::fault::{ClientFault, FaultPlan};
 use collapois::runtime::trace::{read_trace, TraceEvent};
 use std::path::PathBuf;
 
 /// FNV-1a over the little-endian `f32` bit patterns.
 fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    params.iter().fold(FNV_OFFSET, |h, v| {
+        fnv1a_extend(h, &v.to_bits().to_le_bytes())
+    })
 }
 
 /// A small, fast scenario; `attack` toggles the CollaPois adversary so the

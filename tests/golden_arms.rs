@@ -24,21 +24,16 @@ use collapois::fl::config::FlConfig;
 use collapois::fl::personalize::{Clustered, Ditto, FedDc, MetaFed, Personalization};
 use collapois::fl::server::FlServer;
 use collapois::nn::zoo::ModelSpec;
+use collapois::runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// FNV-1a over the little-endian `f32` bit patterns, continuing from `h`.
-fn fnv1a_extend(mut h: u64, params: &[f32]) -> u64 {
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+fn hash_params(h: u64, params: &[f32]) -> u64 {
+    params
+        .iter()
+        .fold(h, |h, v| fnv1a_extend(h, &v.to_bits().to_le_bytes()))
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn expected(fixture: &str) -> String {
     let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
@@ -77,7 +72,7 @@ fn assert_scenario_matches(cfg: ScenarioConfig, fixture: &str) {
             ..RunOptions::default()
         });
         assert_hash(
-            fnv1a_extend(FNV_OFFSET, &report.final_global),
+            hash_params(FNV_OFFSET, &report.final_global),
             fixture,
             workers,
         );
@@ -107,9 +102,9 @@ fn assert_algo_matches(algo: fn() -> Box<dyn Personalization>, fixture: &str) {
         server.set_workers(workers);
         server.run_rounds(cfg.rounds, None);
         let global = server.global().to_vec();
-        let mut h = fnv1a_extend(FNV_OFFSET, &global);
+        let mut h = hash_params(FNV_OFFSET, &global);
         for id in 0..10 {
-            h = fnv1a_extend(h, &server.personalization().eval_params(id, &global));
+            h = hash_params(h, &server.personalization().eval_params(id, &global));
         }
         assert_hash(h, fixture, workers);
     }

@@ -20,6 +20,7 @@
 //! file, and call the change out in the PR description.
 
 use collapois::fl::sim::SyntheticSim;
+use collapois::runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use collapois::runtime::fault::FaultPlan;
 use collapois::runtime::sim::{ArrivalProcess, ChurnPlan, EventQueue, SimDriver, SimPlan};
 use collapois::runtime::trace::{TraceEvent, TraceLog};
@@ -27,14 +28,9 @@ use proptest::prelude::*;
 
 /// FNV-1a over the little-endian `f32` bit patterns (the fixture idiom).
 fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    params.iter().fold(FNV_OFFSET, |h, v| {
+        fnv1a_extend(h, &v.to_bits().to_le_bytes())
+    })
 }
 
 proptest! {
