@@ -129,6 +129,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collapois_runtime::checkpoint::{fnv1a, fnv1a_extend};
     use rand::{Rng, RngCore, SeedableRng};
 
     /// Deterministic updates mixing exact zeros (sign votes), every
@@ -208,17 +209,67 @@ mod tests {
         (bits, rng.next_u64(), state(&rule))
     }
 
+    /// Every rule of Table I's battery, with the state each rule keeps
+    /// across rounds, handed one row at a time to a [`Rows`] visitor.
+    fn table(rows: &mut impl Rows) {
+        rows.row("fedavg", FedAvg::new, |_| ());
+        rows.row("norm-bound", || NormBound::new(1.0), |_| ());
+        rows.row(
+            "noisy norm-bound",
+            || NormBound::new(1.0).with_noise(0.05),
+            |_| (),
+        );
+        rows.row("krum", || Krum::new(1), |_| ());
+        rows.row("multi-krum", || Krum::multi(2, 3), |_| ());
+        rows.row("flare", || Flare::new(4.0), |_| ());
+        rows.row("trimmed-mean", || TrimmedMean::new(0.2), |_| ());
+        rows.row("median", CoordinateMedian::new, |_| ());
+        rows.row("dp", || DpAggregator::new(1.0, 0.0), |_| ());
+        rows.row("noisy dp", || DpAggregator::new(1.0, 1.0), |_| ());
+        rows.row(
+            "user-dp",
+            || UserLevelDp::new(1.0, 0.5),
+            |a| a.rho().to_bits(),
+        );
+        rows.row("crfl", || Crfl::new(10.0, 0.1), |_| ());
+        rows.row("rlr", || RobustLearningRate::new(2), |_| ());
+        rows.row("signsgd", || SignSgd::new(0.01), |_| ());
+        rows.row("stat-filter", StatFilter::new, |a| a.excluded_total());
+    }
+
+    /// A check run on every row of [`table`].
+    trait Rows {
+        fn row<A, S>(&mut self, name: &'static str, make: impl Fn() -> A, state: impl Fn(&A) -> S)
+        where
+            A: Aggregator,
+            S: PartialEq + std::fmt::Debug;
+    }
+
+    /// Update counts that make one tree leaf, two leaves, and several
+    /// leaves with a ragged tail, at dimensions below and past one
+    /// `COORD_SHARD`.
+    const SHAPES: [(usize, usize); 8] = [
+        (1, 1),
+        (1, 300),
+        (2, 1),
+        (2, 300),
+        (9, 1),
+        (9, 300),
+        (33, 1),
+        (33, 300),
+    ];
+
     /// Every entry point at every worker count must give the bits, RNG
-    /// position and rule state of `aggregate`, at update counts that make
-    /// one tree leaf, two leaves, and several leaves with a ragged tail,
-    /// and at dimensions below and past one `COORD_SHARD`.
-    fn check<A, S>(name: &str, make: impl Fn() -> A, state: impl Fn(&A) -> S)
-    where
-        A: Aggregator,
-        S: PartialEq + std::fmt::Debug,
-    {
-        for n in [1, 2, 9, 33] {
-            for dim in [1, 300] {
+    /// position and rule state of `aggregate`.
+    struct EntryPoints;
+
+    impl Rows for EntryPoints {
+        fn row<A, S>(&mut self, name: &'static str, make: impl Fn() -> A, state: impl Fn(&A) -> S)
+        where
+            A: Aggregator,
+            S: PartialEq + std::fmt::Debug,
+        {
+            for (n, dim) in SHAPES {
                 let updates = sample_updates(n, dim);
                 let expected = run(&make, &state, &updates, dim, Entry::Fresh);
                 let entries = [1, 2, 4, 8].map(Entry::Pooled);
@@ -235,28 +286,61 @@ mod tests {
 
     #[test]
     fn every_rule_has_one_body_at_every_entry_point_and_worker_count() {
-        check("fedavg", FedAvg::new, |_| ());
-        check("norm-bound", || NormBound::new(1.0), |_| ());
-        check(
-            "noisy norm-bound",
-            || NormBound::new(1.0).with_noise(0.05),
-            |_| (),
-        );
-        check("krum", || Krum::new(1), |_| ());
-        check("multi-krum", || Krum::multi(2, 3), |_| ());
-        check("flare", || Flare::new(4.0), |_| ());
-        check("trimmed-mean", || TrimmedMean::new(0.2), |_| ());
-        check("median", CoordinateMedian::new, |_| ());
-        check("dp", || DpAggregator::new(1.0, 0.0), |_| ());
-        check("noisy dp", || DpAggregator::new(1.0, 1.0), |_| ());
-        check(
-            "user-dp",
-            || UserLevelDp::new(1.0, 0.5),
-            |a| a.rho().to_bits(),
-        );
-        check("crfl", || Crfl::new(10.0, 0.1), |_| ());
-        check("rlr", || RobustLearningRate::new(2), |_| ());
-        check("signsgd", || SignSgd::new(0.01), |_| ());
-        check("stat-filter", StatFilter::new, |a| a.excluded_total());
+        table(&mut EntryPoints);
+    }
+
+    /// One FNV-1a digest per row over every shape's two rounds of output
+    /// bits, next RNG draw and `Debug`-printed rule state.
+    struct Digests(Vec<(&'static str, u64)>);
+
+    impl Rows for Digests {
+        fn row<A, S>(&mut self, name: &'static str, make: impl Fn() -> A, state: impl Fn(&A) -> S)
+        where
+            A: Aggregator,
+            S: PartialEq + std::fmt::Debug,
+        {
+            let mut h = fnv1a(name.as_bytes());
+            for (n, dim) in SHAPES {
+                let updates = sample_updates(n, dim);
+                let (bits, draw, state) = run(&make, &state, &updates, dim, Entry::Fresh);
+                for b in bits {
+                    h = fnv1a_extend(h, &b.to_le_bytes());
+                }
+                h = fnv1a_extend(h, &draw.to_le_bytes());
+                h = fnv1a_extend(h, format!("{state:?}").as_bytes());
+            }
+            self.0.push((name, h));
+        }
+    }
+
+    /// Each rule's output, RNG position and state, pinned per row. The
+    /// digests were recorded before the rules shared one averaging path
+    /// (clipping and index selection in the reduction tree's leaf), so any
+    /// bit that path moves shows here. The oracle kernels of the
+    /// `reference` feature reassociate norms and distances, so the pins
+    /// hold for the blocked and SIMD tiers only.
+    #[cfg(not(feature = "reference"))]
+    #[test]
+    fn every_rule_reproduces_its_pinned_output() {
+        const PINNED: [(&str, u64); 15] = [
+            ("fedavg", 0x42580befda9ab010),
+            ("norm-bound", 0xdbe3c5e26e13057a),
+            ("noisy norm-bound", 0x95c0e9c7fdeabca2),
+            ("krum", 0xc80f12ce0c00c6f2),
+            ("multi-krum", 0x21306d1dcbd55daa),
+            ("flare", 0xe0c0f7ef2d3553eb),
+            ("trimmed-mean", 0x02db9db57e08755d),
+            ("median", 0x1a68c68b7355149b),
+            ("dp", 0x77d3635a2badd2ed),
+            ("noisy dp", 0x3fca036fdda2b406),
+            ("user-dp", 0x121e5c8b233d754d),
+            ("crfl", 0xc31a20c2dd0b5352),
+            ("rlr", 0xfbfc41ea74f5094b),
+            ("signsgd", 0x1f41e978828b4946),
+            ("stat-filter", 0xb7183349df7cffe9),
+        ];
+        let mut digests = Digests(Vec::new());
+        table(&mut digests);
+        assert_eq!(digests.0, PINNED);
     }
 }
