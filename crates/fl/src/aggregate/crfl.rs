@@ -14,10 +14,12 @@ use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 
 /// CRFL: FedAvg + global-model parameter clipping + noising.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Crfl {
     param_bound: f64,
     noise_std: f64,
+    /// Reusable partial-accumulator matrix for the mean's reduction tree.
+    acc: Vec<f64>,
 }
 
 impl Crfl {
@@ -32,6 +34,7 @@ impl Crfl {
         Self {
             param_bound,
             noise_std,
+            acc: Vec::new(),
         }
     }
 }
@@ -48,7 +51,7 @@ impl Aggregator for Crfl {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        mean_delta_pooled_into(updates, out, &mut Vec::new(), pool);
+        mean_delta_pooled_into(updates, None, None, out, &mut self.acc, pool);
     }
 
     fn post_process(&mut self, global: &mut [f32], rng: &mut StdRng) {

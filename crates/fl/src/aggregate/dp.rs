@@ -8,14 +8,18 @@ use super::Aggregator;
 use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::for_each_standard_normal;
-use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
 
 /// Server-side DP aggregation (clip + calibrated Gaussian noise).
-#[derive(Debug, Clone, Copy)]
+///
+/// Each update is clipped inside the mean's reduction tree, so no clipped
+/// copy is made and steady-state rounds aggregate without allocating.
+#[derive(Debug, Clone)]
 pub struct DpAggregator {
     clip: f64,
-    noise_multiplier: f64,
+    pub(super) noise_multiplier: f64,
+    /// Reusable partial-accumulator matrix for the reduction tree.
+    acc: Vec<f64>,
 }
 
 impl DpAggregator {
@@ -33,12 +37,8 @@ impl DpAggregator {
         Self {
             clip,
             noise_multiplier,
+            acc: Vec::new(),
         }
-    }
-
-    /// The sensitivity (clipping) bound.
-    pub fn clip(&self) -> f64 {
-        self.clip
     }
 }
 
@@ -54,15 +54,7 @@ impl Aggregator for DpAggregator {
         rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        let clipped: Vec<ClientUpdate> = updates
-            .iter()
-            .map(|u| {
-                let mut delta = u.delta.clone();
-                clip_to_norm(&mut delta, self.clip);
-                ClientUpdate::new(u.client_id, delta, u.num_samples)
-            })
-            .collect();
-        mean_delta_pooled_into(&clipped, out, &mut Vec::new(), pool);
+        mean_delta_pooled_into(updates, None, Some(self.clip), out, &mut self.acc, pool);
         if self.noise_multiplier > 0.0 && !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.clip / updates.len() as f64) as f32;
             for_each_standard_normal(rng, out, |v, z| *v += sigma * z as f32);

@@ -34,7 +34,7 @@ impl Aggregator for FedAvg {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        mean_delta_pooled_into(updates, out, &mut self.acc, pool);
+        mean_delta_pooled_into(updates, None, None, out, &mut self.acc, pool);
     }
 }
 

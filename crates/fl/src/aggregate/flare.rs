@@ -14,10 +14,12 @@ use rand::rngs::StdRng;
 
 /// Trust-weighted aggregation with softmax over negative mean pairwise
 /// distances.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Flare {
     /// Softmax temperature: larger = sharper down-weighting of outliers.
     sharpness: f64,
+    /// Reusable `f64` accumulator for the trust-weighted sum.
+    acc: Vec<f64>,
 }
 
 impl Flare {
@@ -28,7 +30,10 @@ impl Flare {
     /// Panics if `sharpness <= 0`.
     pub fn new(sharpness: f64) -> Self {
         assert!(sharpness > 0.0, "sharpness must be positive");
-        Self { sharpness }
+        Self {
+            sharpness,
+            acc: Vec::new(),
+        }
     }
 
     /// Trust scores (softmax weights, sum to 1) for the given updates,
@@ -82,13 +87,15 @@ impl Aggregator for Flare {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        // `out = Σ trustᵢ·Δθᵢ`, accumulated in `f64` in update order.
+        // `out = Σ trustᵢ·Δθᵢ`, accumulated in `f64` in update order —
+        // serially: the mean's reduction tree would reassociate the sum.
         let trust = self.trust_scores(updates, pool);
-        let mut acc = vec![0.0f64; out.len()];
+        self.acc.clear();
+        self.acc.resize(out.len(), 0.0);
         for (u, &w) in updates.iter().zip(&trust) {
-            kernels::acc_scaled(&mut acc, &u.delta, w);
+            kernels::acc_scaled(&mut self.acc, &u.delta, w);
         }
-        for (o, a) in out.iter_mut().zip(acc) {
+        for (o, &a) in out.iter_mut().zip(&self.acc) {
             *o = a as f32;
         }
     }

@@ -8,29 +8,25 @@
 //! substantial drops in Benign AC").
 
 use super::Aggregator;
-use crate::update::{
-    pairwise_sq_distances_pooled, tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK,
-};
-use collapois_nn::kernels;
+use crate::update::{mean_delta_pooled_into, pairwise_sq_distances_pooled, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// Krum / Multi-Krum aggregation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Krum {
     /// Assumed number of malicious clients `f`.
     assumed_malicious: usize,
     /// Number of selected updates `m` (1 = classic Krum).
     select: usize,
+    /// Reusable partial-accumulator matrix for the selection's mean.
+    acc: Vec<f64>,
 }
 
 impl Krum {
     /// Classic Krum (selects a single update).
     pub fn new(assumed_malicious: usize) -> Self {
-        Self {
-            assumed_malicious,
-            select: 1,
-        }
+        Self::multi(assumed_malicious, 1)
     }
 
     /// Multi-Krum selecting (and averaging) the best `select` updates.
@@ -43,6 +39,7 @@ impl Krum {
         Self {
             assumed_malicious,
             select,
+            acc: Vec::new(),
         }
     }
 
@@ -79,29 +76,6 @@ impl Krum {
             .max(1)
             .min(n.saturating_sub(1))
     }
-
-    /// Selection order (ascending score, stable) and the mean of the best
-    /// `select` updates via the fixed-shape reduction tree.
-    fn select_and_average(
-        &self,
-        updates: &[ClientUpdate],
-        scores: &[f64],
-        out: &mut [f32],
-        pool: &WorkerPool,
-    ) {
-        let mut order: Vec<usize> = (0..updates.len()).collect();
-        order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
-        order.truncate(self.select.min(updates.len()));
-        let chosen = order.as_slice();
-        let n = chosen.len();
-        tree_reduce_pooled_into(n, n.max(1) as f64, out, &mut Vec::new(), pool, |c, row| {
-            let lo = c * MEAN_CHUNK;
-            let hi = (lo + MEAN_CHUNK).min(n);
-            for &idx in &chosen[lo..hi] {
-                kernels::acc_add(row, &updates[idx].delta);
-            }
-        });
-    }
 }
 
 impl Aggregator for Krum {
@@ -120,16 +94,19 @@ impl Aggregator for Krum {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        if updates.is_empty() {
-            out.fill(0.0);
+        // A lone update is its own selection, copied bit for bit (the mean
+        // would turn a -0.0 coordinate into +0.0).
+        if let [only] = updates {
+            out.copy_from_slice(&only.delta);
             return;
         }
-        if updates.len() == 1 {
-            out.copy_from_slice(&updates[0].delta);
-            return;
-        }
+        // The best `select` updates in ascending score order (a stable
+        // sort), averaged in that order.
         let scores = self.scores(updates, pool);
-        self.select_and_average(updates, &scores, out, pool);
+        let mut order: Vec<usize> = (0..updates.len()).collect();
+        order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
+        order.truncate(self.select.min(updates.len()));
+        mean_delta_pooled_into(updates, Some(&order), None, out, &mut self.acc, pool);
     }
 }
 
@@ -137,6 +114,7 @@ impl Aggregator for Krum {
 mod tests {
     use super::*;
     use crate::aggregate::testutil::updates;
+    use collapois_nn::kernels;
     use rand::SeedableRng;
 
     #[test]

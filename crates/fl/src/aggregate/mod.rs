@@ -113,6 +113,18 @@ fn fill_coordinate(updates: &[ClientUpdate], coord: usize, out: &mut Vec<f32>) {
     out.extend(updates.iter().map(|u| u.delta[coord]));
 }
 
+/// The updates' sign vote on coordinate `coord`: `Σ sign(Δθᵢ[coord])`,
+/// where a zero (or NaN) coordinate votes 0. RLR and SignSGD share it.
+pub(crate) fn sign_vote(updates: &[ClientUpdate], coord: usize) -> i64 {
+    updates
+        .iter()
+        .map(|u| {
+            let d = u.delta[coord];
+            i64::from(d > 0.0) - i64::from(d < 0.0)
+        })
+        .sum()
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::ClientUpdate;

@@ -2,18 +2,17 @@
 //! optionally add Gaussian noise.
 
 use super::Aggregator;
-use crate::update::{tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK};
-use collapois_nn::kernels;
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::for_each_standard_normal;
 use rand::rngs::StdRng;
 
 /// NormBound defense: per-update l2 clipping plus optional noise.
 ///
-/// The clip-average runs through the same fixed-shape reduction tree as
-/// FedAvg (each leaf chunk clips and accumulates its own updates), so it
-/// is bitwise identical at every worker count — and with a bound no
-/// update exceeds, NormBound degenerates to exactly FedAvg's sum.
+/// The clip-average is FedAvg's mean with a clip bound (each leaf chunk of
+/// the reduction tree clips and accumulates its own updates), so it is
+/// bitwise identical at every worker count — and with a bound no update
+/// exceeds, NormBound degenerates to exactly FedAvg's sum.
 #[derive(Debug, Clone)]
 pub struct NormBound {
     bound: f64,
@@ -47,31 +46,6 @@ impl NormBound {
         self.noise_std = noise_std;
         self
     }
-
-    /// The clipping bound.
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-}
-
-/// Clips and accumulates leaf chunk `c`'s updates into `row` — one leaf of
-/// the reduction tree. Updates within the bound accumulate directly; the
-/// rest accumulate their `f32`-rounded rescaled coordinates (exactly what
-/// averaging an explicitly clipped copy would have summed). No clipped
-/// copies are materialized.
-fn clip_leaf(updates: &[ClientUpdate], bound: f64, c: usize, row: &mut [f64]) {
-    let dim = row.len();
-    let lo = c * MEAN_CHUNK;
-    let hi = (lo + MEAN_CHUNK).min(updates.len());
-    for u in &updates[lo..hi] {
-        assert_eq!(u.delta.len(), dim, "update dimension mismatch");
-        let norm = kernels::sq_l2_norm(&u.delta).sqrt();
-        if norm > bound {
-            kernels::acc_scaled_f32(row, &u.delta, (bound / norm) as f32);
-        } else {
-            kernels::acc_add(row, &u.delta);
-        }
-    }
 }
 
 impl Aggregator for NormBound {
@@ -86,11 +60,7 @@ impl Aggregator for NormBound {
         rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        let bound = self.bound;
-        let n = updates.len();
-        tree_reduce_pooled_into(n, n.max(1) as f64, out, &mut self.acc, pool, |c, row| {
-            clip_leaf(updates, bound, c, row);
-        });
+        mean_delta_pooled_into(updates, None, Some(self.bound), out, &mut self.acc, pool);
         // Serial: the noise stream consumes `rng` in coordinate order at
         // every worker count.
         if self.noise_std > 0.0 {

@@ -7,15 +7,17 @@
 //! disputed, which destroys benign accuracy — the paper's observed 61.53 %
 //! Benign-AC drop.
 
-use super::Aggregator;
+use super::{sign_vote, Aggregator};
 use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// RLR defense: sign-agreement-gated learning-rate flipping.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RobustLearningRate {
     threshold: usize,
+    /// Reusable partial-accumulator matrix for the mean's reduction tree.
+    acc: Vec<f64>,
 }
 
 impl RobustLearningRate {
@@ -27,7 +29,10 @@ impl RobustLearningRate {
     /// Panics if `threshold == 0`.
     pub fn new(threshold: usize) -> Self {
         assert!(threshold > 0, "threshold must be positive");
-        Self { threshold }
+        Self {
+            threshold,
+            acc: Vec::new(),
+        }
     }
 }
 
@@ -47,22 +52,9 @@ impl Aggregator for RobustLearningRate {
             out.fill(0.0);
             return;
         }
-        mean_delta_pooled_into(updates, out, &mut Vec::new(), pool);
+        mean_delta_pooled_into(updates, None, None, out, &mut self.acc, pool);
         for (c, v) in out.iter_mut().enumerate() {
-            let sign_sum: i64 = updates
-                .iter()
-                .map(|u| {
-                    let d = u.delta[c];
-                    if d > 0.0 {
-                        1
-                    } else if d < 0.0 {
-                        -1
-                    } else {
-                        0
-                    }
-                })
-                .sum();
-            if (sign_sum.unsigned_abs() as usize) < self.threshold {
+            if (sign_vote(updates, c).unsigned_abs() as usize) < self.threshold {
                 *v = -*v;
             }
         }

@@ -1,6 +1,6 @@
 //! SignSGD with majority vote [Bernstein et al., 2018].
 
-use super::Aggregator;
+use super::{sign_vote, Aggregator};
 use crate::update::ClientUpdate;
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
@@ -36,30 +36,10 @@ impl Aggregator for SignSgd {
         _rng: &mut StdRng,
         _pool: &WorkerPool,
     ) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
         let step = self.step as f32;
         for (c, o) in out.iter_mut().enumerate() {
-            let vote: i64 = updates
-                .iter()
-                .map(|u| {
-                    let d = u.delta[c];
-                    if d > 0.0 {
-                        1
-                    } else if d < 0.0 {
-                        -1
-                    } else {
-                        0
-                    }
-                })
-                .sum();
-            *o = match vote.cmp(&0) {
-                std::cmp::Ordering::Greater => step,
-                std::cmp::Ordering::Less => -step,
-                std::cmp::Ordering::Equal => 0.0,
-            };
+            // ±step by the majority sign, +0.0 on a tie or an empty round.
+            *o = step * sign_vote(updates, c).signum() as f32;
         }
     }
 }

@@ -17,10 +17,12 @@ use collapois_stats::geometry::{cosine_similarity, l2_norm};
 use rand::rngs::StdRng;
 
 /// 3σ feature screening + FedAvg over the surviving updates.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StatFilter {
     /// Updates excluded across the aggregator's lifetime (for reporting).
     excluded_total: usize,
+    /// Reusable partial-accumulator matrix for the mean's reduction tree.
+    acc: Vec<f64>,
 }
 
 impl StatFilter {
@@ -89,13 +91,10 @@ impl Aggregator for StatFilter {
     ) {
         let flagged = Self::flagged(updates, out.len());
         self.excluded_total += flagged.len();
-        let kept: Vec<ClientUpdate> = updates
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !flagged.contains(i))
-            .map(|(_, u)| u.clone())
+        let kept: Vec<usize> = (0..updates.len())
+            .filter(|i| !flagged.contains(i))
             .collect();
-        mean_delta_pooled_into(&kept, out, &mut Vec::new(), pool);
+        mean_delta_pooled_into(updates, Some(&kept), None, out, &mut self.acc, pool);
     }
 }
 

@@ -7,18 +7,16 @@
 //! accountant (each Gaussian release of noise multiplier `z` costs
 //! `ρ = 1/(2z²)`; `ε(δ) = ρ + 2√(ρ·ln(1/δ))`).
 
-use super::Aggregator;
-use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use super::{Aggregator, DpAggregator};
+use crate::update::ClientUpdate;
 use collapois_runtime::pool::WorkerPool;
-use collapois_stats::distribution::for_each_standard_normal;
-use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
 
-/// User-level DP aggregation with zCDP accounting.
-#[derive(Debug, Clone, Copy)]
+/// User-level DP aggregation with zCDP accounting: [`DpAggregator`] at a
+/// positive noise multiplier, plus the accountant.
+#[derive(Debug, Clone)]
 pub struct UserLevelDp {
-    sensitivity: f64,
-    noise_multiplier: f64,
+    dp: DpAggregator,
     /// Accumulated zCDP budget ρ.
     rho: f64,
 }
@@ -34,8 +32,7 @@ impl UserLevelDp {
         assert!(sensitivity > 0.0, "sensitivity must be positive");
         assert!(noise_multiplier > 0.0, "noise multiplier must be positive");
         Self {
-            sensitivity,
-            noise_multiplier,
+            dp: DpAggregator::new(sensitivity, noise_multiplier),
             rho: 0.0,
         }
     }
@@ -69,20 +66,11 @@ impl Aggregator for UserLevelDp {
         rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        let clipped: Vec<ClientUpdate> = updates
-            .iter()
-            .map(|u| {
-                let mut delta = u.delta.clone();
-                clip_to_norm(&mut delta, self.sensitivity);
-                ClientUpdate::new(u.client_id, delta, u.num_samples)
-            })
-            .collect();
-        mean_delta_pooled_into(&clipped, out, &mut Vec::new(), pool);
+        self.dp.aggregate_pooled(updates, out, rng, pool);
         if !updates.is_empty() {
-            let sigma = (self.noise_multiplier * self.sensitivity / updates.len() as f64) as f32;
-            for_each_standard_normal(rng, out, |v, z| *v += sigma * z as f32);
             // One Gaussian release at multiplier z.
-            self.rho += 1.0 / (2.0 * self.noise_multiplier * self.noise_multiplier);
+            let z = self.dp.noise_multiplier;
+            self.rho += 1.0 / (2.0 * z * z);
         }
     }
 }

@@ -54,39 +54,50 @@ impl ClientUpdate {
 }
 
 /// Uniform element-wise mean of the deltas (Eq. 2's `Σ Δθ / |S_t|`):
-/// [`mean_delta_pooled_into`] on a one-lane pool. Returns a zero vector of
-/// `dim` when `updates` is empty.
+/// [`mean_delta_pooled_into`] of every update, unclipped, on a one-lane
+/// pool. Returns a zero vector of `dim` when `updates` is empty.
 ///
 /// # Panics
 ///
 /// Panics if any update's dimension differs from `dim`.
 pub fn mean_delta(updates: &[ClientUpdate], dim: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; dim];
-    mean_delta_pooled_into(updates, &mut out, &mut Vec::new(), &WorkerPool::new(1));
+    let pool = WorkerPool::new(1);
+    mean_delta_pooled_into(updates, None, None, &mut out, &mut Vec::new(), &pool);
     out
 }
 
-/// Writes the uniform mean of the deltas into `out` (length `dim`), with
-/// `acc` as a reusable f64 accumulator and the leaf chunks of the
-/// fixed-shape reduction tree fanned out over `pool`'s lanes. The tree's
-/// shape is fixed by the update count (see `MEAN_CHUNK`), so the result is
-/// bitwise identical at every worker count.
+/// The one uniform mean of the aggregation rules: writes the mean of the
+/// picked deltas into `out` through the fixed-shape reduction tree, with
+/// `acc` as a reusable f64 accumulator and the leaves fanned out over
+/// `pool` (bitwise identical at every worker count). `pick` lists the
+/// updates to average, in order (`None`: all). With `clip`, a leaf sums
+/// each update whose norm exceeds the bound scaled by `(bound / norm) as
+/// f32` and rounded to `f32`: exactly the sum of a clipped copy, with no
+/// copy made. Writes zeros when nothing is picked.
 ///
 /// # Panics
 ///
-/// Panics if any update's dimension differs from `out.len()`.
+/// Panics if a picked update's dimension differs from `out.len()`.
 pub fn mean_delta_pooled_into(
     updates: &[ClientUpdate],
+    pick: Option<&[usize]>,
+    clip: Option<f64>,
     out: &mut [f32],
     acc: &mut Vec<f64>,
     pool: &WorkerPool,
 ) {
-    let n = updates.len();
+    let n = pick.map_or(updates.len(), <[usize]>::len);
     tree_reduce_pooled_into(n, n.max(1) as f64, out, acc, pool, |c, row| {
-        let hi = ((c + 1) * MEAN_CHUNK).min(n);
-        for u in &updates[c * MEAN_CHUNK..hi] {
-            assert_eq!(u.delta.len(), row.len(), "update dimension mismatch");
-            kernels::acc_add(row, &u.delta);
+        for k in c * MEAN_CHUNK..((c + 1) * MEAN_CHUNK).min(n) {
+            let delta = &updates[pick.map_or(k, |p| p[k])].delta;
+            assert_eq!(delta.len(), row.len(), "update dimension mismatch");
+            match clip.map(|bound| (bound, kernels::sq_l2_norm(delta).sqrt())) {
+                Some((bound, norm)) if norm > bound => {
+                    kernels::acc_scaled_f32(row, delta, (bound / norm) as f32);
+                }
+                _ => kernels::acc_add(row, delta),
+            }
         }
     });
 }
@@ -122,9 +133,7 @@ pub fn weighted_mean_delta_pooled_into(
         let (lo, hi) = (c * MEAN_CHUNK, ((c + 1) * MEAN_CHUNK).min(n));
         for (u, &w) in updates[lo..hi].iter().zip(&weights[lo..hi]) {
             assert_eq!(u.delta.len(), row.len(), "update dimension mismatch");
-            for (r, &d) in row.iter_mut().zip(&u.delta) {
-                *r += w * d as f64;
-            }
+            kernels::acc_scaled(row, &u.delta, w);
         }
     });
 }
@@ -140,7 +149,7 @@ pub fn weighted_mean_delta_pooled_into(
 /// The leaf must write a function of `(c, n)` only — never of which thread
 /// runs it — which together with the worker-count-independent chunking
 /// makes the result bitwise identical at every worker count.
-pub(crate) fn tree_reduce_pooled_into<L>(
+fn tree_reduce_pooled_into<L>(
     n: usize,
     denom: f64,
     out: &mut [f32],
@@ -281,6 +290,26 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `updates` picked by index and clipped to `bound` explicitly: the
+    /// copies the leaf's in-place selection and clipping must sum like.
+    fn picked_and_clipped(
+        updates: &[ClientUpdate],
+        pick: &[usize],
+        bound: f64,
+    ) -> Vec<ClientUpdate> {
+        pick.iter()
+            .map(|&i| {
+                let mut u = updates[i].clone();
+                let norm = kernels::sq_l2_norm(&u.delta).sqrt();
+                if norm > bound {
+                    let s = (bound / norm) as f32;
+                    u.delta.iter_mut().for_each(|x| *x *= s);
+                }
+                u
+            })
+            .collect()
+    }
+
     #[test]
     fn means_match_the_reference_tree_at_every_worker_count() {
         // 37 updates span several tree leaves plus a ragged tail.
@@ -289,23 +318,30 @@ mod tests {
             let updates = sample_updates(n, dim);
             let unit = vec![1.0f64; n];
             let weights: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64).sqrt()).collect();
+            // Every third update, last first: a selection that spans leaves
+            // out of order.
+            let pick: Vec<usize> = (0..n).rev().step_by(3).collect();
+            let clipped = picked_and_clipped(&updates, &pick, 9.2);
             for workers in [1, 2, 4, 8] {
                 let pool = WorkerPool::new(workers);
+                let mut acc = Vec::new();
                 let mut out = vec![0.0f32; dim];
-                mean_delta_pooled_into(&updates, &mut out, &mut Vec::new(), &pool);
+                mean_delta_pooled_into(&updates, None, None, &mut out, &mut acc, &pool);
                 let expected = reference_tree(&updates, &unit, dim);
                 assert_eq!(bits(&out), expected, "mean n={n} workers={workers}");
-                weighted_mean_delta_pooled_into(&updates, &unit, &mut out, &mut Vec::new(), &pool);
+                weighted_mean_delta_pooled_into(&updates, &unit, &mut out, &mut acc, &pool);
                 assert_eq!(bits(&out), expected, "unit weights n={n} workers={workers}");
-                weighted_mean_delta_pooled_into(
-                    &updates,
-                    &weights,
-                    &mut out,
-                    &mut Vec::new(),
-                    &pool,
-                );
+                weighted_mean_delta_pooled_into(&updates, &weights, &mut out, &mut acc, &pool);
                 let expected = reference_tree(&updates, &weights, dim);
                 assert_eq!(bits(&out), expected, "weighted n={n} workers={workers}");
+                let (pick, bound) = (Some(pick.as_slice()), Some(9.2));
+                mean_delta_pooled_into(&updates, pick, bound, &mut out, &mut acc, &pool);
+                let expected = reference_tree(&clipped, &vec![1.0; clipped.len()], dim);
+                assert_eq!(
+                    bits(&out),
+                    expected,
+                    "picked, clipped n={n} workers={workers}"
+                );
             }
         }
     }
@@ -356,10 +392,11 @@ mod tests {
         let pool = WorkerPool::new(1);
         let mut out = vec![9.0f32; 2];
         let mut acc = vec![7.0f64; 5]; // stale contents must not leak through
-        mean_delta_pooled_into(&[u1.clone(), u2], &mut out, &mut acc, &pool);
+        let both = [u1, u2];
+        mean_delta_pooled_into(&both, None, None, &mut out, &mut acc, &pool);
         assert_eq!(out, vec![2.0, 3.0]);
-        // Second call with different updates reuses the same buffers.
-        mean_delta_pooled_into(&[u1], &mut out, &mut acc, &pool);
+        // Second call with a different selection reuses the same buffers.
+        mean_delta_pooled_into(&both, Some(&[0]), None, &mut out, &mut acc, &pool);
         assert_eq!(out, vec![1.0, 2.0]);
     }
 }

@@ -2,9 +2,9 @@
 //! paths: after warm-up has grown every arena to its working size, further
 //! passes perform **zero** heap allocations — both for a single client's
 //! local-training inner loop and for the pooled multi-worker fan-out the
-//! server's round loop uses, and for the noisy aggregation steps — and the
-//! Trojan's central training makes the same number of allocations however
-//! many epochs it runs.
+//! server's round loop uses, and for the averaging and voting aggregation
+//! rules — and the Trojan's central training makes the same number of
+//! allocations however many epochs it runs.
 //!
 //! The test installs a counting `#[global_allocator]` (the same mechanism as
 //! the `bench-alloc` feature of the `rounds_throughput` benchmark) and runs
@@ -47,7 +47,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use collapois_core::trojan::{train_trojan, TrojanConfig};
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::PatchTrigger;
-use collapois_fl::aggregate::{Crfl, NormBound};
+use collapois_fl::aggregate::{
+    CoordinateMedian, Crfl, DpAggregator, FedAvg, NormBound, RobustLearningRate, SignSgd,
+    TrimmedMean, UserLevelDp,
+};
 use collapois_fl::client::{local_sgd_delta_into, Correction};
 use collapois_fl::config::FlConfig;
 use collapois_fl::monitor::ShiftDetector;
@@ -224,14 +227,17 @@ fn monitor_observe_steady_state() {
     assert_zero("monitor observe", counts);
 }
 
-/// The noisy aggregation steps draw their Gaussians through a block on the
-/// stack: once NormBound's reduction scratch is at size, a noisy
-/// `aggregate_into` (the trait default, which runs the rule's one body on a
-/// one-lane pool) and a noisy CRFL `post_process` must not touch the
-/// allocator, over a dimension that is no multiple of the block.
-fn noisy_aggregation_steady_state() {
+/// The averaging and voting rules run allocation-free once warm: a
+/// one-lane `aggregate_into` (the trait default, which runs the rule's one
+/// body on a pool that holds no thread) takes its mean through the rule's
+/// persistent reduction scratch, clipping inside the tree's leaves, and
+/// draws its noise through a block on the stack; the coordinate rules
+/// gather into persistent lane buffers. A noisy CRFL `post_process` must
+/// not touch the allocator either, over a dimension that is no multiple of
+/// the noise block.
+fn aggregation_steady_state() {
     const DIM: usize = 1000;
-    let updates: Vec<ClientUpdate> = (0..6)
+    let updates: Vec<ClientUpdate> = (0..15)
         .map(|i| {
             let delta = (0..DIM).map(|j| ((i * 7 + j) as f32).sin()).collect();
             ClientUpdate::new(i, delta, 10)
@@ -240,15 +246,31 @@ fn noisy_aggregation_steady_state() {
     let mut out = vec![0.0f32; DIM];
     let mut rng = StdRng::seed_from_u64(5);
 
-    let mut norm_bound = NormBound::new(1.0).with_noise(0.01);
-    // Warm-up: grows the reduction tree's partial-accumulator matrix.
-    norm_bound.aggregate_into(&updates, &mut out, &mut rng);
-    let counts = counting(|| {
-        for _ in 0..8 {
-            norm_bound.aggregate_into(&updates, &mut out, &mut rng);
-        }
-    });
-    assert_zero("noisy NormBound aggregate_into", counts);
+    let rules: [(&str, Box<dyn Aggregator>); 9] = [
+        ("FedAvg", Box::new(FedAvg::new())),
+        (
+            "noisy NormBound",
+            Box::new(NormBound::new(1.0).with_noise(0.01)),
+        ),
+        ("noisy DP", Box::new(DpAggregator::new(1.0, 0.3))),
+        ("user-DP", Box::new(UserLevelDp::new(1.0, 0.05))),
+        ("CRFL", Box::new(Crfl::new(5.0, 0.01))),
+        ("RLR", Box::new(RobustLearningRate::new(2))),
+        ("SignSGD", Box::new(SignSgd::new(0.01))),
+        ("median", Box::new(CoordinateMedian::new())),
+        ("trimmed mean", Box::new(TrimmedMean::new(0.2))),
+    ];
+    for (label, mut rule) in rules {
+        // Warm-up: grows the reduction tree's partial-accumulator matrix or
+        // the coordinate gather buffer.
+        rule.aggregate_into(&updates, &mut out, &mut rng);
+        let counts = counting(|| {
+            for _ in 0..8 {
+                rule.aggregate_into(&updates, &mut out, &mut rng);
+            }
+        });
+        assert_zero(&format!("{label} aggregate_into"), counts);
+    }
 
     let mut crfl = Crfl::new(5.0, 0.01);
     let counts = counting(|| {
@@ -296,6 +318,6 @@ fn main() {
     serial_training_inner_loop();
     pooled_fanout_at_four_workers();
     monitor_observe_steady_state();
-    noisy_aggregation_steady_state();
+    aggregation_steady_state();
     trojan_allocations_do_not_grow_with_epochs();
 }
