@@ -41,7 +41,7 @@ fn main() {
     }
 
     // Per-client view (Fig. 11): the ten most and least affected clients.
-    let mut sorted = report.clients.clone();
+    let mut sorted = report.clients;
     sorted.sort_by(|a, b| b.score().partial_cmp(&a.score()).expect("finite scores"));
     println!("\nMost affected clients (Eq. 8 score ranking):");
     println!("{:<10} {:>10} {:>10}", "client", "benign AC", "attack SR");

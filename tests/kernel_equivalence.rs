@@ -410,7 +410,7 @@ proptest! {
         prop_assert_eq!(md_blk, md_ref);
 
         // Reversing the input must not change either statistic.
-        let mut rev: Vec<f32> = vals.clone();
+        let mut rev: Vec<f32> = vals;
         rev.reverse();
         let mut r1 = rev.clone();
         prop_assert_eq!(blocked::trimmed_mean_inplace(&mut r1, trim), tm_blk);

@@ -48,7 +48,7 @@ proptest! {
     ) {
         let xs = shape_tensor(raw, mode);
         let codec = [Quantization::F16, Quantization::Int8][codec_idx];
-        let mut once = xs.clone();
+        let mut once = xs;
         codec.roundtrip_inplace(&mut once);
         let mut twice = once.clone();
         codec.roundtrip_inplace(&mut twice);
