@@ -9,17 +9,6 @@ use collapois_fl::server::RoundRecord;
 use collapois_fl::update::ClientUpdate;
 use collapois_stats::geometry::mean_pairwise_angle;
 
-/// Per-round angle statistics among benign and malicious updates.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RoundAngles {
-    /// Round index.
-    pub round: usize,
-    /// Mean pairwise angle among benign updates (radians), if ≥ 2 benign.
-    pub benign: Option<f64>,
-    /// Mean pairwise angle among malicious updates (radians), if ≥ 2.
-    pub malicious: Option<f64>,
-}
-
 /// Splits a round's updates into benign/malicious by the compromised id set.
 pub fn split_updates<'a>(
     updates: &'a [ClientUpdate],
@@ -35,22 +24,6 @@ pub fn split_updates<'a>(
         }
     }
     (benign, malicious)
-}
-
-/// Computes [`RoundAngles`] for every record that kept its updates.
-pub fn round_angles(records: &[RoundRecord], compromised: &[usize]) -> Vec<RoundAngles> {
-    records
-        .iter()
-        .filter_map(|r| {
-            let updates = r.updates.as_ref()?;
-            let (benign, malicious) = split_updates(updates, compromised);
-            Some(RoundAngles {
-                round: r.round,
-                benign: mean_pairwise_angle(&benign),
-                malicious: mean_pairwise_angle(&malicious),
-            })
-        })
-        .collect()
 }
 
 /// Pools all benign (resp. malicious) update vectors across rounds and
@@ -103,25 +76,9 @@ mod tests {
     }
 
     #[test]
-    fn round_angles_computes_both_groups() {
-        let updates = vec![
-            ClientUpdate::new(0, vec![1.0, 0.0], 1),
-            ClientUpdate::new(1, vec![0.0, 1.0], 1),
-            ClientUpdate::new(2, vec![1.0, 0.0], 1),
-            ClientUpdate::new(3, vec![1.0, 0.0], 1),
-        ];
-        let angles = round_angles(&[record(0, updates)], &[2, 3]);
-        assert_eq!(angles.len(), 1);
-        // Benign: 0 and 1 at right angles.
-        assert!((angles[0].benign.unwrap() - std::f64::consts::FRAC_PI_2).abs() < 1e-6);
-        // Malicious: identical → angle 0.
-        assert!(angles[0].malicious.unwrap().abs() < 1e-3);
-    }
-
-    #[test]
     fn rounds_without_updates_are_skipped() {
         let empty = RoundRecord::default();
-        assert!(round_angles(&[empty], &[]).is_empty());
+        assert_eq!(pooled_mean_angles_deg(&[empty], &[]), (None, None));
     }
 
     #[test]

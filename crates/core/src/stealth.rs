@@ -60,19 +60,6 @@ pub struct StealthReport {
     pub malicious_angles: Summary,
 }
 
-impl StealthReport {
-    /// Whether every test fails to separate malicious from benign at the
-    /// given significance level and the 3σ flag rate stays below
-    /// `max_outlier_rate` (the paper's criterion).
-    pub fn is_stealthy(&self, significance: f64, max_outlier_rate: f64) -> bool {
-        !self.angle_t_test.rejects_at(significance)
-            && !self.angle_levene.rejects_at(significance)
-            && !self.angle_ks.rejects_at(significance)
-            && !self.magnitude_t_test.rejects_at(significance)
-            && self.three_sigma_rate <= max_outlier_rate
-    }
-}
-
 /// Error from the stealth battery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StealthError {
@@ -156,6 +143,17 @@ mod tests {
         v.iter().map(|x| x.as_slice()).collect()
     }
 
+    /// The paper's criterion: no test separates malicious from benign at
+    /// `significance`, and the 3σ flag rate stays at most
+    /// `max_outlier_rate`.
+    fn is_stealthy(r: &StealthReport, significance: f64, max_outlier_rate: f64) -> bool {
+        !r.angle_t_test.rejects_at(significance)
+            && !r.angle_levene.rejects_at(significance)
+            && !r.angle_ks.rejects_at(significance)
+            && !r.magnitude_t_test.rejects_at(significance)
+            && r.three_sigma_rate <= max_outlier_rate
+    }
+
     #[test]
     fn identically_distributed_groups_pass_the_battery() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -164,7 +162,7 @@ mod tests {
         let background = cloud(&mut rng, 30, 16, 0.5, 1.0);
         let report =
             stealth_battery(&refs(&benign), &refs(&malicious), &refs(&background)).unwrap();
-        assert!(report.is_stealthy(0.01, 0.05), "{report:?}");
+        assert!(is_stealthy(&report, 0.01, 0.05), "{report:?}");
     }
 
     #[test]
@@ -177,7 +175,7 @@ mod tests {
         let report =
             stealth_battery(&refs(&benign), &refs(&malicious), &refs(&background)).unwrap();
         assert!(
-            !report.is_stealthy(0.01, 0.05),
+            !is_stealthy(&report, 0.01, 0.05),
             "boosted attack must be detectable"
         );
         assert!(report.three_sigma_rate > 0.5 || report.magnitude_t_test.rejects_at(0.01));

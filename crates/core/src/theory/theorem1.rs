@@ -11,7 +11,6 @@
 //! between non-IIDness, attack cost and stealth (Fig. 5).
 
 use collapois_stats::descriptive::{mean, std_dev};
-use collapois_stats::hoeffding;
 
 /// Estimated angle statistics `(μ_α, σ)` in radians.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -52,62 +51,6 @@ pub fn theorem1_bound(mu: f64, sigma: f64, a: f64, b: f64, n: usize) -> f64 {
         return 0.0;
     }
     num / (a + b + num) * n as f64
-}
-
-/// The attacker's estimate of the bound from its own angle samples, with
-/// the Hoeffding-style confidence band used for Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundEstimate {
-    /// Point estimate of the `|C|` lower bound.
-    pub bound: f64,
-    /// Bound recomputed at the Hoeffding-perturbed `(μ+ε, σ)` (lower β²).
-    pub bound_low: f64,
-    /// Bound recomputed at the Hoeffding-perturbed `(μ−ε, σ)` (higher β²).
-    pub bound_high: f64,
-    /// Relative approximation error `|Ĉ − C| / C` against a reference
-    /// computed from `reference` angle statistics.
-    pub relative_error: f64,
-}
-
-/// Estimates the `|C|` bound from the attacker's `sampled` angles and
-/// reports the relative approximation error against the `reference` (ground
-/// truth) angles, with confidence `1 − delta`.
-///
-/// # Panics
-///
-/// Panics on the same conditions as [`theorem1_bound`], or if either sample
-/// is empty.
-pub fn estimate_bound(
-    sampled: &[f64],
-    reference: &[f64],
-    a: f64,
-    b: f64,
-    n: usize,
-    delta: f64,
-) -> BoundEstimate {
-    assert!(
-        !sampled.is_empty() && !reference.is_empty(),
-        "need angle samples"
-    );
-    let s = estimate_angle_stats(sampled);
-    let r = estimate_angle_stats(reference);
-    let bound = theorem1_bound(s.mu, s.sigma, a, b, n);
-    let truth = theorem1_bound(r.mu, r.sigma, a, b, n);
-    // Hoeffding deviation of the mean angle (angles live in [0, π]).
-    let eps = hoeffding::deviation(sampled.len(), 0.0, std::f64::consts::PI, delta);
-    let bound_low = theorem1_bound((s.mu + eps).min(std::f64::consts::PI), s.sigma, a, b, n);
-    let bound_high = theorem1_bound((s.mu - eps).max(0.0), s.sigma, a, b, n);
-    let relative_error = if truth.abs() < 1e-12 {
-        (bound - truth).abs()
-    } else {
-        ((bound - truth) / truth).abs()
-    };
-    BoundEstimate {
-        bound,
-        bound_low,
-        bound_high,
-        relative_error,
-    }
 }
 
 #[cfg(test)]
@@ -164,25 +107,6 @@ mod tests {
         // with a=b=1 that's 1/2 of N — a majority-style requirement.
         let b = theorem1_bound(0.0, 0.0, 0.999, 1.0, 1000);
         assert!((b - 2.0 / (0.999 + 1.0 + 2.0) * 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn estimate_matches_reference_for_identical_samples() {
-        let angles: Vec<f64> = (0..200).map(|i| 0.5 + 0.001 * (i % 10) as f64).collect();
-        let est = estimate_bound(&angles, &angles, 0.9, 1.0, 100, 0.05);
-        assert!(est.relative_error < 1e-12);
-        assert!(est.bound_low <= est.bound && est.bound <= est.bound_high);
-    }
-
-    #[test]
-    fn estimation_error_small_for_close_samples() {
-        // Attacker sees a slightly shifted sample of the same distribution.
-        let reference: Vec<f64> = (0..500)
-            .map(|i| 0.8 + 0.1 * ((i % 20) as f64 / 20.0))
-            .collect();
-        let sampled: Vec<f64> = reference.iter().map(|a| a + 0.01).collect();
-        let est = estimate_bound(&sampled, &reference, 0.9, 1.0, 1000, 0.05);
-        assert!(est.relative_error < 0.05, "error {}", est.relative_error);
     }
 
     #[test]

@@ -18,17 +18,6 @@ pub fn label_histogram(ds: &Dataset) -> Vec<usize> {
     counts
 }
 
-/// Normalized label distribution (sums to 1; all zeros for an empty
-/// dataset).
-pub fn label_distribution(ds: &Dataset) -> Vec<f64> {
-    let counts = label_histogram(ds);
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return vec![0.0; counts.len()];
-    }
-    counts.iter().map(|&c| c as f64 / total as f64).collect()
-}
-
 /// Cumulative label distribution `P_CL(D)` from the paper's Eq. 9:
 /// `N_j = Σ_{q<=j} count_q` (raw counts, not normalized — the cosine is
 /// scale-invariant).
@@ -73,16 +62,6 @@ mod tests {
     fn histogram_counts() {
         let ds = with_labels(&[0, 0, 1, 2, 2, 2], 3);
         assert_eq!(label_histogram(&ds), vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn distribution_normalizes() {
-        let ds = with_labels(&[0, 1, 1, 1], 2);
-        let d = label_distribution(&ds);
-        assert!((d[0] - 0.25).abs() < 1e-12);
-        assert!((d[1] - 0.75).abs() < 1e-12);
-        let empty = Dataset::empty(&[1], 2);
-        assert_eq!(label_distribution(&empty), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl DbaTrigger {
         Self { parts }
     }
 
-    /// Number of sub-patterns (always 4).
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
-    }
-
     /// The sub-pattern a given compromised client trains with.
     /// Clients are assigned round-robin: `client_index % 4`.
     pub fn part(&self, client_index: usize) -> &PatchTrigger {

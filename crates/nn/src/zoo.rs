@@ -83,14 +83,6 @@ impl ModelSpec {
         }
     }
 
-    /// Shape of a single (un-batched) input sample.
-    pub fn input_shape(&self) -> Vec<usize> {
-        match self {
-            Self::Mlp { input, .. } => vec![*input],
-            Self::LeNet { channels, side, .. } => vec![*channels, *side, *side],
-        }
-    }
-
     /// Instantiates the model with freshly initialized weights.
     ///
     /// # Panics
@@ -166,7 +158,6 @@ mod tests {
         let out = m.forward(&Tensor::zeros(&[3, 10]));
         assert_eq!(out.shape(), &[3, 4]);
         assert_eq!(spec.classes(), 4);
-        assert_eq!(spec.input_shape(), vec![10]);
     }
 
     #[test]
@@ -176,7 +167,6 @@ mod tests {
         let m = spec.build(&mut rng);
         let out = m.forward(&Tensor::zeros(&[2, 1, 28, 28]));
         assert_eq!(out.shape(), &[2, 10]);
-        assert_eq!(spec.input_shape(), vec![1, 28, 28]);
     }
 
     #[test]

@@ -27,15 +27,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Population variance (n denominator). Returns `0.0` for an empty slice.
-pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Median (average of middle two for even length). Returns `0.0` for an
 /// empty slice.
 pub fn median(xs: &[f64]) -> f64 {
@@ -165,7 +156,6 @@ mod tests {
     fn mean_and_variance_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((population_variance(&xs) - 4.0).abs() < 1e-12);
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 

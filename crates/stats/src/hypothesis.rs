@@ -120,43 +120,6 @@ pub fn t_test_welch(a: &[f64], b: &[f64]) -> Result<TestResult, TestError> {
     })
 }
 
-/// Student's pooled-variance two-sample t-test, two-sided.
-///
-/// # Errors
-///
-/// Returns [`TestError::TooFewObservations`] if either sample has fewer than
-/// two observations.
-pub fn t_test_student(a: &[f64], b: &[f64]) -> Result<TestResult, TestError> {
-    if a.len() < 2 || b.len() < 2 {
-        return Err(TestError::TooFewObservations { needed: 2 });
-    }
-    let (ma, mb) = (mean(a), mean(b));
-    let (va, vb) = (variance(a), variance(b));
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let df = na + nb - 2.0;
-    let sp2 = ((na - 1.0) * va + (nb - 1.0) * vb) / df;
-    let se2 = sp2 * (1.0 / na + 1.0 / nb);
-    if se2 <= 0.0 {
-        let p = if (ma - mb).abs() < f64::EPSILON {
-            1.0
-        } else {
-            0.0
-        };
-        return Ok(TestResult {
-            statistic: 0.0,
-            p_value: p,
-            df,
-        });
-    }
-    let t = (ma - mb) / se2.sqrt();
-    let p = (2.0 * t_sf(t.abs(), df)).clamp(0.0, 1.0);
-    Ok(TestResult {
-        statistic: t,
-        p_value: p,
-        df,
-    })
-}
-
 /// Levene's test for equality of variances (Brown–Forsythe variant: absolute
 /// deviations from the *median*, the robust form used in practice).
 ///
@@ -304,11 +267,12 @@ mod tests {
 
     #[test]
     fn student_matches_welch_on_equal_sizes() {
+        // At equal sizes Student's pooled standard error equals Welch's.
         let a = draws(0.0, 1.0, 200, 5);
         let b = draws(0.1, 1.0, 200, 6);
         let rw = t_test_welch(&a, &b).unwrap();
-        let rs = t_test_student(&a, &b).unwrap();
-        assert!((rw.statistic - rs.statistic).abs() < 0.05);
+        let student = (mean(&a) - mean(&b)) / ((variance(&a) + variance(&b)) / 200.0).sqrt();
+        assert!((rw.statistic - student).abs() < 1e-9);
     }
 
     #[test]
@@ -324,7 +288,6 @@ mod tests {
     #[test]
     fn t_test_errors_on_tiny_samples() {
         assert!(t_test_welch(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(t_test_student(&[], &[]).is_err());
     }
 
     #[test]
