@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 #[derive(Debug, Clone)]
 pub struct DpAggregator {
     clip: f64,
-    pub(super) noise_multiplier: f64,
+    noise_multiplier: f64,
     /// Reusable partial-accumulator matrix for the reduction tree.
     acc: Vec<f64>,
 }

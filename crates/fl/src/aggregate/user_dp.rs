@@ -17,6 +17,8 @@ use rand::rngs::StdRng;
 #[derive(Debug, Clone)]
 pub struct UserLevelDp {
     dp: DpAggregator,
+    /// zCDP cost of one Gaussian release at multiplier z: `1/(2z²)`.
+    release_rho: f64,
     /// Accumulated zCDP budget ρ.
     rho: f64,
 }
@@ -33,6 +35,7 @@ impl UserLevelDp {
         assert!(noise_multiplier > 0.0, "noise multiplier must be positive");
         Self {
             dp: DpAggregator::new(sensitivity, noise_multiplier),
+            release_rho: 1.0 / (2.0 * noise_multiplier * noise_multiplier),
             rho: 0.0,
         }
     }
@@ -68,9 +71,7 @@ impl Aggregator for UserLevelDp {
     ) {
         self.dp.aggregate_pooled(updates, out, rng, pool);
         if !updates.is_empty() {
-            // One Gaussian release at multiplier z.
-            let z = self.dp.noise_multiplier;
-            self.rho += 1.0 / (2.0 * z * z);
+            self.rho += self.release_rho;
         }
     }
 }

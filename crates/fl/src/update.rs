@@ -319,7 +319,8 @@ mod tests {
             let unit = vec![1.0f64; n];
             let weights: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64).sqrt()).collect();
             // Every third update, last first: a selection that spans leaves
-            // out of order.
+            // out of order. The clip bound lies inside the updates' norm
+            // range (8.9–9.6), so some are clipped and some pass.
             let pick: Vec<usize> = (0..n).rev().step_by(3).collect();
             let clipped = picked_and_clipped(&updates, &pick, 9.2);
             for workers in [1, 2, 4, 8] {
