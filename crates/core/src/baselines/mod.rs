@@ -58,3 +58,127 @@ pub(crate) fn poisoned_local_delta(
     scratch.store_delta(global);
     std::mem::take(&mut scratch.delta)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use collapois_data::semantic::SemanticRegion;
+    use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
+    use collapois_data::trigger::{DbaTrigger, PatchTrigger};
+    use collapois_fl::server::Adversary;
+    use collapois_nn::zoo::ModelSpec;
+    use collapois_runtime::checkpoint::{fnv1a, fnv1a_extend};
+    use rand::SeedableRng;
+
+    /// Client `id`'s local data: 60 noisy 8×8 images of three classes.
+    fn local_data(id: usize) -> Dataset {
+        SyntheticImage::new(SyntheticImageConfig {
+            side: 8,
+            classes: 3,
+            samples: 60,
+            seed: id as u64,
+            ..Default::default()
+        })
+        .generate()
+    }
+
+    fn spec() -> ModelSpec {
+        ModelSpec::mlp(64, &[16], 3)
+    }
+
+    /// One row per baseline, each over its own compromised clients (DBA
+    /// over three, so three sub-patterns) with `local_data(id)` apiece.
+    fn table() -> Vec<Box<dyn Adversary>> {
+        let spec = spec();
+        let cfg = LocalTrainConfig::default();
+        let data = |ids: &[usize]| ids.iter().map(|&c| local_data(c)).collect::<Vec<_>>();
+        let badnets = PatchTrigger::badnets(8);
+        let dba = DbaTrigger::new(8, 2, 1.0);
+        let region = SemanticRegion::fit(&local_data(0), 1, 0, 0.5, 7);
+        vec![
+            Box::new(DPois::new(
+                vec![3, 8],
+                &data(&[3, 8]),
+                &badnets,
+                0,
+                0.5,
+                &spec,
+                cfg,
+                11,
+            )),
+            Box::new(DbaAttack::new(
+                vec![0, 4, 7],
+                &data(&[0, 4, 7]),
+                &dba,
+                0,
+                0.5,
+                &spec,
+                cfg,
+                12,
+            )),
+            Box::new(MRepl::new(
+                vec![2, 6],
+                &data(&[2, 6]),
+                &badnets,
+                0,
+                0.5,
+                &spec,
+                cfg,
+                3.0,
+                13,
+            )),
+            Box::new(LabelFlip::new(vec![5, 1], &data(&[5, 1]), &spec, cfg, 14)),
+            Box::new(SemanticAttack::new(
+                vec![3, 9],
+                &data(&[3, 9]),
+                &region,
+                &spec,
+                cfg,
+                15,
+            )),
+        ]
+    }
+
+    /// FNV-1a over `name()`, the bits of two updates crafted per
+    /// compromised client (each from its own fixed seed, against one fixed
+    /// global model), and `compromised()`.
+    fn digest(adv: &mut dyn Adversary) -> u64 {
+        let global = spec()
+            .build(&mut StdRng::seed_from_u64(2))
+            .params()
+            .to_vec();
+        let ids = adv.compromised().to_vec();
+        let mut h = fnv1a(adv.name().as_bytes());
+        for round in 0..2 {
+            for &c in &ids {
+                let mut rng = StdRng::seed_from_u64((100 * round + c) as u64);
+                for d in adv.craft_update(c, &global, round, &mut rng) {
+                    h = fnv1a_extend(h, &d.to_bits().to_le_bytes());
+                }
+            }
+        }
+        for c in ids {
+            h = fnv1a_extend(h, &(c as u64).to_le_bytes());
+        }
+        h
+    }
+
+    /// Each baseline's crafted updates, pinned per row. The digests were
+    /// recorded while every baseline was still its own adversary type, so
+    /// any bit that sharing one adversary moves shows here.
+    #[test]
+    fn every_baseline_reproduces_its_pinned_output() {
+        const PINNED: [(&str, u64); 5] = [
+            ("dpois", 0x8b875ac402038135),
+            ("dba", 0x24a248b08743cb2a),
+            ("mrepl", 0x091e661355e8f109),
+            ("label-flip", 0xfaa02607f7111a03),
+            ("semantic", 0xe8221dab3652bfcd),
+        ];
+        let got: Vec<(&str, u64)> = table()
+            .iter_mut()
+            .map(|adv| (adv.name(), digest(adv.as_mut())))
+            .collect();
+        assert_eq!(got, PINNED);
+    }
+}
