@@ -1009,48 +1009,50 @@ impl Scenario {
             batch_size: cfg.batch_size,
             lr: cfg.client_lr,
         };
-        let local_data: Vec<Dataset> = compromised
-            .iter()
-            .map(|&c| fed.client(c).train.clone())
-            .collect();
-        match cfg.attack {
-            AttackKind::None => None,
+        // Only the baselines train on their clients' data.
+        let local_data = || -> Vec<Dataset> {
+            compromised
+                .iter()
+                .map(|&c| fed.client(c).train.clone())
+                .collect()
+        };
+        let ids = compromised.to_vec();
+        let target = cfg.trojan.target_class;
+        let poison = cfg.poison_fraction;
+        Some(match cfg.attack {
+            AttackKind::None => return None,
             AttackKind::CollaPois => {
                 let x = trojan
                     .expect("CollaPois requires a Trojaned model")
                     .params
                     .clone();
-                Some(Box::new(CollaPois::new(
-                    compromised.to_vec(),
-                    x,
-                    cfg.collapois,
-                )))
+                Box::new(CollaPois::new(ids, x, cfg.collapois))
             }
-            AttackKind::DPois => Some(Box::new(DPois::new(
-                compromised.to_vec(),
-                &local_data,
+            AttackKind::DPois => Box::new(DPois::new(
+                ids,
+                &local_data(),
                 trigger,
-                cfg.trojan.target_class,
-                cfg.poison_fraction,
+                target,
+                poison,
                 spec,
                 local_cfg,
                 cfg.seed ^ 0xD901,
-            ))),
-            AttackKind::LabelFlip => Some(Box::new(LabelFlip::new(
-                compromised.to_vec(),
-                &local_data,
+            )),
+            AttackKind::LabelFlip => Box::new(LabelFlip::new(
+                ids,
+                &local_data(),
                 spec,
                 local_cfg,
                 cfg.seed ^ 0x1F11,
-            ))),
-            AttackKind::Semantic => Some(Box::new(SemanticAttack::new(
-                compromised.to_vec(),
-                &local_data,
+            )),
+            AttackKind::Semantic => Box::new(SemanticAttack::new(
+                ids,
+                &local_data(),
                 semantic.expect("semantic attack requires a fitted region"),
                 spec,
                 local_cfg,
                 cfg.seed ^ 0x5E3A,
-            ))),
+            )),
             AttackKind::MRepl => {
                 let expected_cohort = (cfg.num_clients as f64 * cfg.sample_rate).round().max(1.0);
                 let expected_malicious = (compromised.len() as f64 * cfg.sample_rate)
@@ -1058,52 +1060,41 @@ impl Scenario {
                     .max(1.0);
                 let boost =
                     (expected_cohort / (cfg.server_lr * expected_malicious)).clamp(1.0, 50.0);
-                Some(Box::new(MRepl::new(
-                    compromised.to_vec(),
-                    &local_data,
+                Box::new(MRepl::new(
+                    ids,
+                    &local_data(),
                     trigger,
-                    cfg.trojan.target_class,
-                    cfg.poison_fraction,
+                    target,
+                    poison,
                     spec,
                     local_cfg,
                     boost,
                     cfg.seed ^ 0x39E1,
-                )))
+                ))
             }
-            AttackKind::Dba => {
-                let dba = match cfg.dataset {
-                    DatasetKind::Image => DbaTrigger::new(IMAGE_SIDE, 2, 1.0),
-                    // DBA is image-specific; for text we fall back to the
-                    // shared term trigger by giving every client the same
-                    // "sub-pattern" via a 1-part decomposition equivalent.
-                    DatasetKind::Text => DbaTrigger::new(IMAGE_SIDE, 2, 1.0),
-                };
-                if cfg.dataset == DatasetKind::Text {
-                    // Text has no spatial decomposition: DBA degenerates to
-                    // DPois with the term trigger (documented limitation).
-                    return Some(Box::new(DPois::new(
-                        compromised.to_vec(),
-                        &local_data,
-                        trigger,
-                        cfg.trojan.target_class,
-                        cfg.poison_fraction,
-                        spec,
-                        local_cfg,
-                        cfg.seed ^ 0xDBA,
-                    )));
-                }
-                Some(Box::new(DbaAttack::new(
-                    compromised.to_vec(),
-                    &local_data,
-                    &dba,
-                    cfg.trojan.target_class,
-                    cfg.poison_fraction,
-                    spec,
-                    local_cfg,
-                    cfg.seed ^ 0xDBA,
-                )))
-            }
-        }
+            // Text has no spatial decomposition: DBA degenerates to DPois
+            // with the term trigger (documented limitation).
+            AttackKind::Dba if cfg.dataset == DatasetKind::Text => Box::new(DPois::new(
+                ids,
+                &local_data(),
+                trigger,
+                target,
+                poison,
+                spec,
+                local_cfg,
+                cfg.seed ^ 0xDBA,
+            )),
+            AttackKind::Dba => Box::new(DbaAttack::new(
+                ids,
+                &local_data(),
+                &DbaTrigger::new(IMAGE_SIDE, 2, 1.0),
+                target,
+                poison,
+                spec,
+                local_cfg,
+                cfg.seed ^ 0xDBA,
+            )),
+        })
     }
 }
 
