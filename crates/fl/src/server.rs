@@ -219,7 +219,8 @@ pub struct FlServer {
     /// serialized).
     arenas: WorkerArenas<ClientScratch>,
     /// Recycled delta buffers handed to benign training jobs and reclaimed
-    /// after aggregation (unless update collection keeps them).
+    /// after aggregation (unless update collection keeps them); never more
+    /// than the largest benign cohort.
     update_pool: Vec<Vec<f32>>,
     /// Reusable aggregation output buffer.
     agg_buf: Vec<f32>,
@@ -873,7 +874,9 @@ impl FlServer {
             let norm = update.norm();
             if !norm.is_finite() {
                 self.reject_update(round, cid, p.corrupt);
-                self.update_pool.push(update.delta);
+                if commit.is_some() {
+                    self.update_pool.push(update.delta);
+                }
                 continue;
             }
             match commit {
@@ -972,12 +975,17 @@ impl FlServer {
             elapsed_ms: round_start.elapsed().as_secs_f64() * 1e3,
         });
 
-        // Reclaim the round's delta buffers unless the caller keeps them.
+        // Reclaim the buffers the pool handed to benign jobs unless the
+        // caller keeps them. An adversary's updates are its own allocations
+        // and are dropped, so the pool never outgrows the largest benign
+        // cohort.
         let kept_updates = if self.collect_updates {
             Some(updates)
         } else {
             for u in updates.drain(..) {
-                self.update_pool.push(u.delta);
+                if !compromised.contains(&u.client_id) {
+                    self.update_pool.push(u.delta);
+                }
             }
             self.updates_buf = updates;
             None
@@ -1275,6 +1283,29 @@ mod tests {
         let mut server = quick_server();
         let other = ModelSpec::mlp(64, &[8], 4);
         let _ = server.evaluate_clients(&other, &PatchTrigger::badnets(8), 0, &[]);
+    }
+
+    #[test]
+    fn update_pool_never_outgrows_the_largest_benign_cohort() {
+        let mut server = quick_server();
+        let mut adv = ConstAdversary {
+            ids: vec![0, 3, 6, 9],
+            value: 0.01,
+        };
+        let mut largest_benign = 0;
+        let mut malicious = 0;
+        for _ in 0..24 {
+            let record = server.run_round(Some(&mut adv));
+            largest_benign = largest_benign.max(record.sampled.len() - record.num_malicious);
+            malicious += record.num_malicious;
+            assert!(
+                server.update_pool.len() <= largest_benign,
+                "round {}: {} pooled buffers, largest benign cohort {largest_benign}",
+                record.round,
+                server.update_pool.len()
+            );
+        }
+        assert!(malicious > 0, "the adversary must take part");
     }
 
     #[test]
