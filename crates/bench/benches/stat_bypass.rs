@@ -12,8 +12,8 @@ use collapois_core::collapois::CollaPoisConfig;
 use collapois_core::scenario::{AttackKind, ScenarioConfig};
 use collapois_core::stealth::stealth_battery;
 use collapois_fl::aggregate::StatFilter;
-use collapois_fl::update::ClientUpdate;
 use collapois_grid::table::{num, pct, Table};
+use collapois_runtime::pool::WorkerPool;
 
 fn main() {
     let mut cfg = ScenarioConfig::quick_image(0.1, 0.1);
@@ -85,6 +85,8 @@ fn main() {
 
     // MESAS-style per-round screening: how often does the StatFilter
     // aggregator flag a CollaPois update?
+    let mut filter = StatFilter::new();
+    let pool = WorkerPool::new(1);
     let mut flagged_malicious = 0usize;
     let mut total_malicious = 0usize;
     for r in &report.records {
@@ -92,10 +94,9 @@ fn main() {
         if r.num_malicious == 0 {
             continue;
         }
-        let round_updates: Vec<ClientUpdate> = updates.clone();
-        let dim = round_updates[0].delta.len();
-        let flags = StatFilter::flagged(&round_updates, dim);
-        for (i, u) in round_updates.iter().enumerate() {
+        let dim = updates[0].delta.len();
+        let flags = filter.flagged(updates, dim, &pool);
+        for (i, u) in updates.iter().enumerate() {
             if report.compromised.contains(&u.client_id) {
                 total_malicious += 1;
                 if flags.contains(&i) {

@@ -81,7 +81,7 @@ impl FedBuff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::mean_delta;
+    use crate::update::mean_delta_pooled_into;
 
     fn updates(vs: &[&[f32]]) -> Vec<ClientUpdate> {
         vs.iter()
@@ -107,7 +107,8 @@ mod tests {
         let mut fb = FedBuff::new(DEFAULT_STALENESS_DECAY);
         let mut out = vec![0.0f32; 3];
         fb.merge_pooled(&us, &[0, 0, 0], &mut out, &pool);
-        let uniform = mean_delta(&us, 3);
+        let mut uniform = vec![0.0f32; 3];
+        mean_delta_pooled_into(&us, None, None, &mut uniform, &mut Vec::new(), &pool);
         let a: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = uniform.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "all-fresh buffers must merge as plain FedAvg");

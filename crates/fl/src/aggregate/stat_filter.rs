@@ -10,7 +10,7 @@
 //! while naive boosted attacks (MRepl) are filtered out.
 
 use super::Aggregator;
-use crate::update::{mean_delta, mean_delta_pooled_into, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use collapois_stats::descriptive::median;
 use collapois_stats::geometry::{cosine_similarity, l2_norm};
@@ -21,8 +21,10 @@ use rand::rngs::StdRng;
 pub struct StatFilter {
     /// Updates excluded across the aggregator's lifetime (for reporting).
     excluded_total: usize,
-    /// Reusable partial-accumulator matrix for the mean's reduction tree.
+    /// Reusable partial-accumulator matrix for the means' reduction tree.
     acc: Vec<f64>,
+    /// Reusable cohort mean the screening compares directions against.
+    mean: Vec<f32>,
 }
 
 impl StatFilter {
@@ -39,15 +41,22 @@ impl StatFilter {
     /// Indices of updates flagged by the robust 3σ rule (median ± 3·1.4826·MAD,
     /// the MAD-consistent estimate of σ — immune to the masking effect a
     /// boosted update has on the plain mean/std) on magnitude or direction.
-    pub fn flagged(updates: &[ClientUpdate], dim: usize) -> Vec<usize> {
+    /// The cohort mean is reduced on `pool` into the rule's own buffers.
+    pub fn flagged(
+        &mut self,
+        updates: &[ClientUpdate],
+        dim: usize,
+        pool: &WorkerPool,
+    ) -> Vec<usize> {
         if updates.len() < 3 {
             return Vec::new();
         }
-        let mean = mean_delta(updates, dim);
+        self.mean.resize(dim, 0.0);
+        mean_delta_pooled_into(updates, None, None, &mut self.mean, &mut self.acc, pool);
         let norms: Vec<f64> = updates.iter().map(|u| l2_norm(&u.delta)).collect();
         let cosines: Vec<f64> = updates
             .iter()
-            .map(|u| cosine_similarity(&u.delta, &mean).unwrap_or(0.0))
+            .map(|u| cosine_similarity(&u.delta, &self.mean).unwrap_or(0.0))
             .collect();
         let mut flagged = robust_three_sigma(&norms);
         flagged.extend(robust_three_sigma(&cosines));
@@ -89,7 +98,7 @@ impl Aggregator for StatFilter {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        let flagged = Self::flagged(updates, out.len());
+        let flagged = self.flagged(updates, out.len(), pool);
         self.excluded_total += flagged.len();
         let kept: Vec<usize> = (0..updates.len())
             .filter(|i| !flagged.contains(i))

@@ -53,20 +53,6 @@ impl ClientUpdate {
     }
 }
 
-/// Uniform element-wise mean of the deltas (Eq. 2's `Σ Δθ / |S_t|`):
-/// [`mean_delta_pooled_into`] of every update, unclipped, on a one-lane
-/// pool. Returns a zero vector of `dim` when `updates` is empty.
-///
-/// # Panics
-///
-/// Panics if any update's dimension differs from `dim`.
-pub fn mean_delta(updates: &[ClientUpdate], dim: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; dim];
-    let pool = WorkerPool::new(1);
-    mean_delta_pooled_into(updates, None, None, &mut out, &mut Vec::new(), &pool);
-    out
-}
-
 /// The one uniform mean of the aggregation rules: writes the mean of the
 /// picked deltas into `out` through the fixed-shape reduction tree, with
 /// `acc` as a reusable f64 accumulator and the leaves fanned out over
@@ -214,6 +200,14 @@ pub(crate) fn pairwise_sq_distances_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Uniform mean of every update, unclipped, on a one-lane pool.
+    fn mean_delta(updates: &[ClientUpdate], dim: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; dim];
+        let pool = WorkerPool::new(1);
+        mean_delta_pooled_into(updates, None, None, &mut out, &mut Vec::new(), &pool);
+        out
+    }
 
     #[test]
     fn mean_of_updates() {
