@@ -116,7 +116,7 @@ impl RoundRecord {
     /// Rebuilds a record from a round's `RoundStarted`/`RoundCompleted`
     /// trace-event pair. Returns `None` unless the events are that pair
     /// and agree on the round index.
-    pub fn from_trace(started: &TraceEvent, completed: &TraceEvent) -> Option<Self> {
+    fn from_trace(started: &TraceEvent, completed: &TraceEvent) -> Option<Self> {
         match (started, completed) {
             (
                 TraceEvent::RoundStarted { round, sampled, .. },
@@ -345,11 +345,6 @@ impl FlServer {
         self.workers = WorkerPool::new(workers);
     }
 
-    /// Current worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers.workers()
-    }
-
     /// Evaluates every benign client (Benign AC + Attack SR) on the
     /// persistent worker pool and the training lanes' arenas, so periodic
     /// evaluation builds no model and no workspace. Wall-clock is accounted
@@ -436,11 +431,6 @@ impl FlServer {
         plan.validate()
             .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}"));
         self.fault_plan = plan;
-    }
-
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
     }
 
     /// Current global parameters.
@@ -649,23 +639,7 @@ impl FlServer {
         self.execute_round(sampled, Some(cohort), dropped, corrupt, adversary)
     }
 
-    /// Runs one round over an explicit participant set, bypassing both
-    /// client sampling and the fault plan. This exposes the degradation
-    /// policy's core invariant for testing: a faulted round is bit-identical
-    /// to a fault-free round over the surviving cohort, because client
-    /// training streams are keyed by `(round, client)` and never by cohort
-    /// shape.
-    pub fn run_round_with_cohort(
-        &mut self,
-        cohort: &[usize],
-        adversary: Option<&mut (dyn Adversary + '_)>,
-    ) -> RoundRecord {
-        self.ensure_run_started();
-        self.execute_round(cohort.to_vec(), None, Vec::new(), Vec::new(), adversary)
-    }
-
-    /// The synchronous side of [`FlServer::run_round`] and
-    /// [`FlServer::run_round_with_cohort`]: every participant trains
+    /// The synchronous side of [`FlServer::run_round`]: every participant trains
     /// against the shared global under the round's RNG key, then the
     /// sync-only checkpoint schedule runs. `cohort` is the subset of
     /// `sampled` that actually participates (`None` means everyone);
@@ -1535,7 +1509,10 @@ mod tests {
                 .copied()
                 .filter(|c| !r.dropped.contains(c))
                 .collect();
-            replay.run_round_with_cohort(&survivors, None);
+            // One round over exactly the survivors, bypassing both client
+            // sampling and the fault plan.
+            replay.ensure_run_started();
+            replay.execute_round(survivors, None, Vec::new(), Vec::new(), None);
         }
         assert_eq!(faulted.global(), replay.global());
         for cid in 0..faulted.dataset().num_clients() {
