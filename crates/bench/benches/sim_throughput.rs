@@ -13,8 +13,8 @@
 //!   churn flips, completions, flush deadlines);
 //! * `flushes_per_sec` and the final virtual time reached.
 //!
-//! The trace runs in hashing mode (O(1) memory, every event still
-//! normalized and folded), and the run asserts the scale invariants the
+//! The trace runs in hashing mode (O(1) memory, every event still made
+//! canonical and folded), and the run asserts the scale invariants the
 //! simulator is designed around: live model snapshots stay within the
 //! concurrency cap, and every worker count produces bitwise identical
 //! final parameters and the same event-sequence hash.

@@ -1644,52 +1644,6 @@ mod tests {
         }
     }
 
-    /// Copies `events` with wall-clock and host-shape fields zeroed,
-    /// leaving only the deterministic payload (virtual time is part of
-    /// that payload).
-    fn normalized(events: &[TraceEvent]) -> Vec<TraceEvent> {
-        events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::RunStarted {
-                    run_seed,
-                    config_hash,
-                    num_clients,
-                    rounds,
-                    aggregator,
-                    resumed_from,
-                    ..
-                } => TraceEvent::RunStarted {
-                    run_seed: *run_seed,
-                    config_hash: *config_hash,
-                    num_clients: *num_clients,
-                    rounds: *rounds,
-                    workers: 0,
-                    aggregator: aggregator.clone(),
-                    resumed_from: *resumed_from,
-                },
-                TraceEvent::RoundCompleted {
-                    round,
-                    aggregator,
-                    num_malicious,
-                    benign_norms,
-                    malicious_norms,
-                    agg_delta_norm,
-                    ..
-                } => TraceEvent::RoundCompleted {
-                    round: *round,
-                    aggregator: aggregator.clone(),
-                    num_malicious: *num_malicious,
-                    benign_norms: benign_norms.clone(),
-                    malicious_norms: malicious_norms.clone(),
-                    agg_delta_norm: *agg_delta_norm,
-                    elapsed_ms: 0.0,
-                },
-                other => other.clone(),
-            })
-            .collect()
-    }
-
     #[test]
     fn sim_run_is_worker_count_invariant() {
         let mut reference: Option<(Vec<u32>, Vec<TraceEvent>)> = None;
@@ -1700,7 +1654,11 @@ mod tests {
             assert!(summary.reached_target, "plan must reach 6 flushes");
             assert_eq!(summary.flushes, 6);
             let bits: Vec<u32> = server.global().iter().map(|v| v.to_bits()).collect();
-            let events = normalized(server.trace_events());
+            let events: Vec<TraceEvent> = server
+                .trace_events()
+                .iter()
+                .map(TraceEvent::canonical)
+                .collect();
             match &reference {
                 None => reference = Some((bits, events)),
                 Some((rb, re)) => {

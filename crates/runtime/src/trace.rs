@@ -11,8 +11,9 @@
 //! the same codec's parser (`trace` CLI inspection, resume tooling, tests).
 //! Integer fields (`run_seed`, `config_hash`, …) round-trip exactly.
 //!
-//! Wall-clock fields (`elapsed_ms`) are the only nondeterministic content;
-//! [`TraceEvent::normalized`] zeroes them so two traces can be compared
+//! Wall-clock fields (`elapsed_ms`) are the only nondeterministic content,
+//! and `RunStarted.workers` the only host-shape field;
+//! [`TraceEvent::canonical`] zeroes them so two traces can be compared
 //! bit-for-bit in determinism tests.
 
 use crate::checkpoint::{fnv1a_extend, FNV_OFFSET};
@@ -180,29 +181,20 @@ impl TraceEvent {
         }
     }
 
-    /// A copy with all wall-clock fields zeroed, for bit-exact comparison
-    /// of traces from runs that differ only in scheduling.
-    pub fn normalized(&self) -> Self {
+    /// A copy with wall-clock *and* host-shape fields zeroed: the
+    /// `elapsed_ms` of `RoundCompleted` and `RunCompleted`, and the
+    /// `workers` count in `RunStarted`. What remains is the deterministic
+    /// payload of the run — identical for any worker count and schedule —
+    /// so canonical digests can pin a run's event sequence across host
+    /// shapes (the grid conformance harness compares these across workers).
+    pub fn canonical(&self) -> Self {
         let mut e = self.clone();
         match &mut e {
             Self::RoundCompleted { elapsed_ms, .. } | Self::RunCompleted { elapsed_ms, .. } => {
                 *elapsed_ms = 0.0
             }
+            Self::RunStarted { workers, .. } => *workers = 0,
             _ => {}
-        }
-        e
-    }
-
-    /// A copy with wall-clock *and* host-shape fields zeroed: everything
-    /// [`TraceEvent::normalized`] removes plus the `workers` count in
-    /// `RunStarted`. What remains is the deterministic payload of the run —
-    /// identical for any worker count — so canonical digests can pin a
-    /// run's event sequence across host shapes (the grid conformance
-    /// harness compares these across workers).
-    pub fn canonical(&self) -> Self {
-        let mut e = self.normalized();
-        if let Self::RunStarted { workers, .. } = &mut e {
-            *workers = 0;
         }
         e
     }
@@ -433,7 +425,7 @@ impl TraceEvent {
 ///
 /// The exception is [`TraceLog::hashing`] mode, built for million-event
 /// simulation runs: instead of retaining events it folds each one's
-/// *normalized* JSON line into a running FNV-1a hash, so a whole event
+/// *canonical* JSON line into a running FNV-1a hash, so a whole event
 /// sequence can be pinned against a golden fixture in O(1) memory.
 #[derive(Debug, Default)]
 pub struct TraceLog {
@@ -442,7 +434,7 @@ pub struct TraceLog {
     hasher: Option<EventHasher>,
 }
 
-/// Running FNV-1a over normalized event JSON lines (one `\n` terminator
+/// Running FNV-1a over canonical event JSON lines (one `\n` terminator
 /// per line, matching a hash over the equivalent JSONL file).
 #[derive(Debug, Clone, Copy)]
 struct EventHasher {
@@ -484,9 +476,9 @@ impl TraceLog {
         })
     }
 
-    /// A hash-only trace: events are normalized (wall-clock fields
-    /// zeroed), serialized, folded into a running FNV-1a and then
-    /// discarded. [`TraceLog::events`] stays empty; read the digest with
+    /// A hash-only trace: events are made [`TraceEvent::canonical`],
+    /// serialized, folded into a running FNV-1a and then discarded, so the
+    /// digest is [`hash_canonical_events`] of the pushed events. [`TraceLog::events`] stays empty; read the digest with
     /// [`TraceLog::event_hash`]. This is the constructor for
     /// million-event simulations, where retaining the trace would defeat
     /// the bounded-memory guarantee.
@@ -501,7 +493,7 @@ impl TraceLog {
     /// Appends an event (and writes it through to the file sink, if any).
     pub fn push(&mut self, event: TraceEvent) {
         if let Some(h) = &mut self.hasher {
-            h.fold(&event.normalized().to_json());
+            h.fold(&event.canonical().to_json());
             return;
         }
         if let Some(w) = &mut self.writer {
@@ -520,7 +512,7 @@ impl TraceLog {
         &self.events
     }
 
-    /// `(fnv1a hash, event count)` of the normalized event sequence.
+    /// `(fnv1a hash, event count)` of the canonical event sequence.
     /// `None` unless this log was built with [`TraceLog::hashing`].
     pub fn event_hash(&self) -> Option<(u64, u64)> {
         self.hasher.map(|h| (h.state, h.count))
@@ -576,17 +568,6 @@ pub type TraceError = json::Error;
 mod tests {
     use super::*;
 
-    /// FNV-1a of an event sequence exactly as [`TraceLog::hashing`]
-    /// computes it — normalize, serialize, fold with a `\n` terminator per
-    /// line — so retained traces and hash-only traces can be cross-checked.
-    fn hash_events(events: &[TraceEvent]) -> (u64, u64) {
-        let mut h = EventHasher::new();
-        for e in events {
-            h.fold(&e.normalized().to_json());
-        }
-        (h.state, h.count)
-    }
-
     #[test]
     fn hashing_log_matches_hash_of_retained_events() {
         let events = sample_events();
@@ -597,7 +578,10 @@ mod tests {
             hashed.push(e.clone());
         }
         assert!(hashed.events().is_empty(), "hashing mode retains nothing");
-        assert_eq!(hashed.event_hash(), Some(hash_events(retained.events())));
+        assert_eq!(
+            hashed.event_hash(),
+            Some(hash_canonical_events(retained.events()))
+        );
         assert_eq!(retained.event_hash(), None);
         let (h, n) = hashed.event_hash().unwrap();
         assert_eq!(n, events.len() as u64);
@@ -712,11 +696,11 @@ mod tests {
     }
 
     #[test]
-    fn normalized_zeroes_wall_clock_only() {
-        let events = sample_events();
-        for e in &events {
-            let n = e.normalized();
-            match (&n, e) {
+    fn canonical_zeroes_workers_and_wall_clock_only() {
+        for e in sample_events() {
+            let c = e.canonical();
+            match (&c, &e) {
+                (TraceEvent::RunStarted { workers, .. }, _) => assert_eq!(*workers, 0),
                 (
                     TraceEvent::RoundCompleted {
                         elapsed_ms,
@@ -730,22 +714,7 @@ mod tests {
                     assert_eq!(*elapsed_ms, 0.0);
                     assert_eq!(benign_norms, orig);
                 }
-                (TraceEvent::RunCompleted { elapsed_ms, .. }, _) => {
-                    assert_eq!(*elapsed_ms, 0.0)
-                }
-                _ => assert_eq!(&n, e),
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_zeroes_workers_and_wall_clock() {
-        for e in sample_events() {
-            let c = e.canonical();
-            match (&c, &e) {
-                (TraceEvent::RunStarted { workers, .. }, _) => assert_eq!(*workers, 0),
-                (TraceEvent::RoundCompleted { elapsed_ms, .. }, _)
-                | (TraceEvent::RunCompleted { elapsed_ms, .. }, _) => assert_eq!(*elapsed_ms, 0.0),
+                (TraceEvent::RunCompleted { elapsed_ms, .. }, _) => assert_eq!(*elapsed_ms, 0.0),
                 _ => assert_eq!(&c, &e),
             }
         }
@@ -758,7 +727,10 @@ mod tests {
             hash_canonical_events(&events)
         };
         assert_eq!(at(1), at(8));
-        assert_ne!(hash_events(&sample_events()), (EventHasher::new().state, 0));
+        assert_ne!(
+            hash_canonical_events(&sample_events()),
+            (EventHasher::new().state, 0)
+        );
     }
 
     #[test]

@@ -28,15 +28,13 @@ fn tiny_cfg() -> ScenarioConfig {
     cfg
 }
 
-/// Normalized trace with scheduling-dependent fields removed: wall-clock
-/// times are zeroed and the `RunStarted` event is dropped (its `workers`
-/// field legitimately differs between runs being compared).
+/// Canonical trace: wall-clock times and the `RunStarted` worker count
+/// (which legitimately differs between the runs being compared) zeroed.
 fn comparable_trace(path: &std::path::Path) -> Vec<TraceEvent> {
     read_trace(path)
         .expect("trace readable")
         .iter()
-        .filter(|e| !matches!(e, TraceEvent::RunStarted { .. }))
-        .map(TraceEvent::normalized)
+        .map(TraceEvent::canonical)
         .collect()
 }
 

@@ -7,7 +7,8 @@
 //!   sequence hashes to a committed fixture
 //!   (`tests/fixtures/golden_sim_scale_events.hash`), so the virtual
 //!   schedule at population scale cannot drift silently. The trace runs in
-//!   hashing mode: every event is normalized and folded, none retained.
+//!   hashing mode: every event is made canonical and folded, none
+//!   retained.
 //! * **100,000 virtual clients** — the acceptance-scale run: completes
 //!   with memory bounded by the concurrency cap (live model snapshots
 //!   `<=` `max_concurrency`, never `O(population)`), since a virtual
