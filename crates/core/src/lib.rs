@@ -12,8 +12,10 @@
 //!   `Δθ_c = ψ_c·(X − θ^t)` with the dynamic rate `ψ_c ~ U[a,b]` (Eq. 4),
 //!   optional l2 clipping to a shared bound `A` and optional τ-upscaling
 //!   (Theorem 3's lower-bound control).
-//! * [`baselines`] — DPois (local training on poisoned data), MRepl
-//!   (model replacement with boosting) and DBA (distributed sub-triggers).
+//! * [`baselines`] — one poisoned-training adversary behind DPois (local
+//!   training on poisoned data), MRepl (model replacement with boosting),
+//!   DBA (distributed sub-triggers), label flipping and the semantic
+//!   backdoor.
 //! * [`theory`] — Theorems 1–3: the lower bound on `|C|`, the convergence
 //!   bound `‖θ − X‖₂`, and the server's X-estimation error bounds.
 //! * [`stealth`] — the §IV-D / §V "bypassing defenses" analysis: blending

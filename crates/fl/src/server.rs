@@ -639,9 +639,9 @@ impl FlServer {
         self.execute_round(sampled, Some(cohort), dropped, corrupt, adversary)
     }
 
-    /// The synchronous side of [`FlServer::run_round`]: every participant trains
-    /// against the shared global under the round's RNG key, then the
-    /// sync-only checkpoint schedule runs. `cohort` is the subset of
+    /// The synchronous side of [`FlServer::run_round`]: every participant
+    /// trains against the shared global under the round's RNG key, then
+    /// the sync-only checkpoint schedule runs. `cohort` is the subset of
     /// `sampled` that actually participates (`None` means everyone);
     /// `dropped` carries `(client, cause, delay_ms)` fault verdicts for the
     /// trace; `corrupt` lists cohort members whose transmitted update is
