@@ -10,7 +10,9 @@
 
 use collapois_grid::schema::{GridSpec, SchemaError, SCHEMA_VERSION};
 use collapois_grid::toml::fmt_float;
+use collapois_runtime::checkpoint::fnv1a;
 use proptest::prelude::*;
+use std::path::Path;
 
 /// Builds a scenario document from generated knobs.
 fn doc(
@@ -238,4 +240,43 @@ fn version_gate_rejects_future_files() {
         GridSpec::parse(&future),
         Err(SchemaError::UnsupportedVersion { found: Some(2) })
     ));
+}
+
+/// Every committed grid (`scenarios/*.toml`, `scenarios/figures/*.toml`)
+/// expands to the cells pinned in `tests/fixtures/grid_cells.txt`: per
+/// file, its cell count and one FNV-1a digest over its `index id
+/// config_hash` lines. A change to how the schema reads, defaults or
+/// hashes a key that moves any cell's id, position or configuration fails
+/// here. To pin an intended change, copy the actual block from the failure
+/// message into the fixture.
+#[test]
+fn committed_grids_expand_to_pinned_cells() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = ["scenarios", "scenarios/figures"]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(root.join(dir)).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    files.sort();
+    let mut actual = String::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        let rel = path.strip_prefix(root).unwrap().display();
+        let cells = GridSpec::parse(&text)
+            .unwrap_or_else(|e| panic!("{rel}: {e}"))
+            .cells()
+            .unwrap();
+        let lines: String = cells
+            .iter()
+            .map(|c| format!("{} {} {:016x}\n", c.index, c.id, c.config_hash))
+            .collect();
+        let digest = fnv1a(lines.as_bytes());
+        actual.push_str(&format!("{rel} {} {digest:016x}\n", cells.len()));
+    }
+    let expected = std::fs::read_to_string(root.join("tests/fixtures/grid_cells.txt")).unwrap();
+    assert!(
+        actual == expected,
+        "committed grids moved; actual fixture block:\n{actual}"
+    );
 }
