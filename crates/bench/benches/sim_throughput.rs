@@ -30,7 +30,7 @@ use collapois_fl::sim::SyntheticSim;
 use collapois_nn::kernels;
 use collapois_runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use collapois_runtime::fault::FaultPlan;
-use collapois_runtime::sim::{ArrivalProcess, ChurnPlan, SimDriver, SimPlan};
+use collapois_runtime::sim::{ChurnPlan, SimDriver, SimPlan};
 use collapois_runtime::trace::TraceLog;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -63,7 +63,7 @@ fn fnv1a_params(params: &[f32]) -> u64 {
 fn plan(num_clients: usize) -> SimPlan {
     SimPlan {
         num_clients,
-        arrival: ArrivalProcess::Poisson { mean_ms: 200.0 },
+        arrival_mean_ms: 200.0,
         train_mean_ms: 30.0,
         buffer_k: 64,
         // A quarter of the population cycles offline: churn flips are part

@@ -38,7 +38,7 @@ use collapois_fl::server::round_records_from_events;
 use collapois_fl::server::{Adversary, FlServer, RoundRecord};
 use collapois_nn::zoo::ModelSpec;
 use collapois_runtime::fault::FaultPlan;
-use collapois_runtime::sim::{ArrivalProcess, ChurnPlan, SimPlan};
+use collapois_runtime::sim::{ChurnPlan, SimPlan};
 use collapois_runtime::trace::hash_canonical_events;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -584,10 +584,7 @@ impl Default for SimKnobs {
     fn default() -> Self {
         let d = SimPlan::default();
         Self {
-            arrival_mean_ms: match d.arrival {
-                ArrivalProcess::Poisson { mean_ms } => mean_ms,
-                ArrivalProcess::Trace(_) => 50.0,
-            },
+            arrival_mean_ms: d.arrival_mean_ms,
             train_mean_ms: d.train_mean_ms,
             buffer_k: d.buffer_k,
             flush_deadline_ms: d.flush_deadline_ms,
@@ -604,9 +601,7 @@ impl SimKnobs {
     pub fn to_plan(&self, num_clients: usize) -> SimPlan {
         SimPlan {
             num_clients,
-            arrival: ArrivalProcess::Poisson {
-                mean_ms: self.arrival_mean_ms,
-            },
+            arrival_mean_ms: self.arrival_mean_ms,
             train_mean_ms: self.train_mean_ms,
             buffer_k: self.buffer_k,
             flush_deadline_ms: self.flush_deadline_ms,

@@ -1630,13 +1630,11 @@ mod tests {
         ));
     }
 
-    use collapois_runtime::sim::ArrivalProcess;
-
     /// A small buffered-async plan matched to the 10-client quick fixture.
     fn quick_sim_plan() -> SimPlan {
         SimPlan {
             num_clients: 10,
-            arrival: ArrivalProcess::Poisson { mean_ms: 20.0 },
+            arrival_mean_ms: 20.0,
             train_mean_ms: 30.0,
             buffer_k: 4,
             max_concurrency: 8,

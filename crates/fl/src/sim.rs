@@ -247,7 +247,7 @@ impl SimHandler for SyntheticSim {
 mod tests {
     use super::*;
     use collapois_runtime::fault::FaultPlan;
-    use collapois_runtime::sim::{ArrivalProcess, SimDriver, SimPlan};
+    use collapois_runtime::sim::{SimDriver, SimPlan};
 
     #[test]
     fn version_store_refcounts_and_recycles() {
@@ -280,7 +280,7 @@ mod tests {
     fn scale_plan(num_clients: usize) -> SimPlan {
         SimPlan {
             num_clients,
-            arrival: ArrivalProcess::Poisson { mean_ms: 80.0 },
+            arrival_mean_ms: 80.0,
             train_mean_ms: 30.0,
             buffer_k: 16,
             max_concurrency: 64,

@@ -175,20 +175,6 @@ impl<E> EventQueue<E> {
 // Plans
 // ---------------------------------------------------------------------------
 
-/// How virtual clients arrive at the server.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalProcess {
-    /// Every client arrives repeatedly with `Exp(mean_ms)` inter-arrival
-    /// gaps, drawn from its own sim stream.
-    Poisson {
-        /// Mean inter-arrival gap per client, in virtual ms.
-        mean_ms: f64,
-    },
-    /// A fixed list of `(virtual ms, client)` arrivals; no rescheduling.
-    /// The simulation drains once all listed arrivals are processed.
-    Trace(Vec<(f64, usize)>),
-}
-
 /// Per-client availability churn: alternating `Exp(mean_up_ms)` available
 /// and `Exp(mean_down_ms)` unavailable periods. Clients start available.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,8 +190,10 @@ pub struct ChurnPlan {
 pub struct SimPlan {
     /// Virtual client population.
     pub num_clients: usize,
-    /// Arrival process shared by all clients.
-    pub arrival: ArrivalProcess,
+    /// Mean inter-arrival gap per client, in virtual ms: every client
+    /// arrives repeatedly with `Exp(arrival_mean_ms)` gaps (Poisson
+    /// arrivals), drawn from its own sim stream.
+    pub arrival_mean_ms: f64,
     /// Mean virtual training duration, in ms (exponential; 0 = instant).
     pub train_mean_ms: f64,
     /// Optional availability churn; `None` means always available.
@@ -230,7 +218,7 @@ impl Default for SimPlan {
     fn default() -> Self {
         Self {
             num_clients: 100,
-            arrival: ArrivalProcess::Poisson { mean_ms: 50.0 },
+            arrival_mean_ms: 50.0,
             train_mean_ms: 20.0,
             churn: None,
             buffer_k: 8,
@@ -248,25 +236,9 @@ impl SimPlan {
         if self.num_clients == 0 {
             return Err("sim num_clients must be positive".into());
         }
-        match &self.arrival {
-            ArrivalProcess::Poisson { mean_ms } => {
-                if !mean_ms.is_finite() || *mean_ms <= 0.0 {
-                    return Err(format!("sim arrival mean {mean_ms} must be finite and > 0"));
-                }
-            }
-            ArrivalProcess::Trace(arrivals) => {
-                for (ms, client) in arrivals {
-                    if !ms.is_finite() || *ms < 0.0 {
-                        return Err(format!("sim trace arrival time {ms} invalid"));
-                    }
-                    if *client >= self.num_clients {
-                        return Err(format!(
-                            "sim trace arrival client {client} outside population {}",
-                            self.num_clients
-                        ));
-                    }
-                }
-            }
+        let mean_ms = self.arrival_mean_ms;
+        if !mean_ms.is_finite() || mean_ms <= 0.0 {
+            return Err(format!("sim arrival mean {mean_ms} must be finite and > 0"));
         }
         if !self.train_mean_ms.is_finite() || self.train_mean_ms < 0.0 {
             return Err(format!(
@@ -449,20 +421,11 @@ impl SimDriver {
     /// Seeds first arrivals and churn flips in fixed client order, so
     /// sequence numbers (the tie-break) are deterministic.
     fn seed_schedule(&mut self) {
-        match self.plan.arrival.clone() {
-            ArrivalProcess::Poisson { mean_ms } => {
-                for c in 0..self.plan.num_clients {
-                    let gap = sim_exp_ms(self.run_seed, c, SimStream::Arrival, 0, mean_ms);
-                    self.queue
-                        .push(ms_to_ticks(gap), SimEvent::Arrival { client: c });
-                }
-            }
-            ArrivalProcess::Trace(arrivals) => {
-                for (ms, client) in arrivals {
-                    self.queue
-                        .push(ms_to_ticks(ms), SimEvent::Arrival { client });
-                }
-            }
+        let mean_ms = self.plan.arrival_mean_ms;
+        for c in 0..self.plan.num_clients {
+            let gap = sim_exp_ms(self.run_seed, c, SimStream::Arrival, 0, mean_ms);
+            self.queue
+                .push(ms_to_ticks(gap), SimEvent::Arrival { client: c });
         }
         if let Some(churn) = self.plan.churn {
             for c in 0..self.plan.num_clients {
@@ -527,20 +490,18 @@ impl SimDriver {
         let arrival_index = self.clients[client].arrivals;
         self.clients[client].arrivals += 1;
 
-        // Poisson arrivals re-schedule themselves; the gap is drawn from
-        // the stream for this client's *next* arrival index, independent
-        // of anything the event loop has done so far.
-        if let ArrivalProcess::Poisson { mean_ms } = self.plan.arrival {
-            let gap = sim_exp_ms(
-                self.run_seed,
-                client,
-                SimStream::Arrival,
-                arrival_index + 1,
-                mean_ms,
-            );
-            self.queue
-                .push(self.now + ms_to_ticks(gap), SimEvent::Arrival { client });
-        }
+        // Arrivals re-schedule themselves; the gap is drawn from the stream
+        // for this client's *next* arrival index, independent of anything
+        // the event loop has done so far.
+        let gap = sim_exp_ms(
+            self.run_seed,
+            client,
+            SimStream::Arrival,
+            arrival_index + 1,
+            self.plan.arrival_mean_ms,
+        );
+        self.queue
+            .push(self.now + ms_to_ticks(gap), SimEvent::Arrival { client });
 
         let turned_away = if !self.clients[client].available {
             self.summary.turned_away_offline += 1;
@@ -725,7 +686,7 @@ mod tests {
     fn quick_plan() -> SimPlan {
         SimPlan {
             num_clients: 20,
-            arrival: ArrivalProcess::Poisson { mean_ms: 10.0 },
+            arrival_mean_ms: 10.0,
             train_mean_ms: 25.0,
             buffer_k: 4,
             ..SimPlan::default()
@@ -847,32 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_driven_arrivals_follow_the_script() {
-        let plan = SimPlan {
-            num_clients: 3,
-            arrival: ArrivalProcess::Trace(vec![(5.0, 2), (1.0, 0), (3.0, 1), (7.0, 0)]),
-            train_mean_ms: 0.0,
-            buffer_k: 4,
-            ..SimPlan::default()
-        };
-        let mut trace = TraceLog::in_memory();
-        let mut rec = Recorder::default();
-        let mut driver = SimDriver::new(plan, 11, FaultPlan::none()).unwrap();
-        let summary = driver.run(&mut rec, &mut trace, 1);
-        assert!(summary.reached_target);
-        assert_eq!(summary.arrivals, 4);
-        let arrived: Vec<usize> = trace
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::ClientArrived { client, .. } => Some(*client),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(arrived, [0, 1, 2, 0], "arrivals sort by virtual time");
-    }
-
-    #[test]
     fn churn_turns_clients_away_while_offline() {
         let mut plan = quick_plan();
         plan.churn = Some(ChurnPlan {
@@ -928,7 +863,7 @@ mod tests {
         // Long training across short flush cycles must yield staleness > 0.
         let plan = SimPlan {
             num_clients: 40,
-            arrival: ArrivalProcess::Poisson { mean_ms: 5.0 },
+            arrival_mean_ms: 5.0,
             train_mean_ms: 120.0,
             buffer_k: 3,
             max_concurrency: 0,
@@ -950,10 +885,9 @@ mod tests {
         };
         assert!(bad(|p| p.num_clients = 0));
         assert!(bad(|p| p.buffer_k = 0));
-        assert!(bad(|p| p.arrival = ArrivalProcess::Poisson { mean_ms: 0.0 }));
+        assert!(bad(|p| p.arrival_mean_ms = 0.0));
         assert!(bad(|p| p.flush_deadline_ms = f64::NAN));
         assert!(bad(|p| p.staleness_decay = -1.0));
-        assert!(bad(|p| p.arrival = ArrivalProcess::Trace(vec![(1.0, 999)])));
         assert!(bad(|p| {
             p.churn = Some(ChurnPlan {
                 mean_up_ms: 0.0,

@@ -22,7 +22,7 @@
 use collapois::fl::sim::SyntheticSim;
 use collapois::runtime::checkpoint::{fnv1a_extend, FNV_OFFSET};
 use collapois::runtime::fault::FaultPlan;
-use collapois::runtime::sim::{ArrivalProcess, ChurnPlan, EventQueue, SimDriver, SimPlan};
+use collapois::runtime::sim::{ChurnPlan, EventQueue, SimDriver, SimPlan};
 use collapois::runtime::trace::{TraceEvent, TraceLog};
 use proptest::prelude::*;
 
@@ -85,7 +85,7 @@ proptest! {
 fn churny_plan() -> SimPlan {
     SimPlan {
         num_clients: 400,
-        arrival: ArrivalProcess::Poisson { mean_ms: 60.0 },
+        arrival_mean_ms: 60.0,
         train_mean_ms: 35.0,
         buffer_k: 16,
         churn: Some(ChurnPlan {

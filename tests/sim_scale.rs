@@ -20,7 +20,7 @@
 
 use collapois::fl::sim::SyntheticSim;
 use collapois::runtime::fault::FaultPlan;
-use collapois::runtime::sim::{ArrivalProcess, ChurnPlan, SimDriver, SimPlan};
+use collapois::runtime::sim::{ChurnPlan, SimDriver, SimPlan};
 use collapois::runtime::trace::TraceLog;
 
 const SEED: u64 = 990;
@@ -28,7 +28,7 @@ const SEED: u64 = 990;
 fn scale_plan(num_clients: usize, buffer_k: usize, max_concurrency: usize) -> SimPlan {
     SimPlan {
         num_clients,
-        arrival: ArrivalProcess::Poisson { mean_ms: 100.0 },
+        arrival_mean_ms: 100.0,
         train_mean_ms: 30.0,
         buffer_k,
         churn: Some(ChurnPlan {
