@@ -278,9 +278,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         checkpoint_every: args.get_or("checkpoint-every", 0)?,
         resume: args.get_or("resume", false)?,
         monitor: args.get_or("monitor", false)?,
-        profile_rounds: args.get_or("profile-rounds", false)?,
         ..RunOptions::default()
     };
+    // The report always carries the round-loop profile; this asks to print it.
+    let profile_rounds: bool = args.get_or("profile-rounds", false)?;
     if repeats > 1 && (opts.trace_path.is_some() || opts.checkpoint_dir.is_some()) {
         return Err("--repeats runs would overwrite their --trace/--checkpoint-dir files".into());
     }
@@ -374,7 +375,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
         }
     }
-    if opts.profile_rounds {
+    if profile_rounds {
         println!(
             "\nper-round profile: {}",
             report.profile.per_round_summary()

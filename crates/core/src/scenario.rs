@@ -538,10 +538,6 @@ pub struct RunOptions {
     pub resume: bool,
     /// Attach the round-to-round shift monitor; alerts land in the trace.
     pub monitor: bool,
-    /// Report the per-phase round-loop breakdown (the report's `profile`
-    /// field is always populated; this flag asks callers such as the CLI to
-    /// print it).
-    pub profile_rounds: bool,
     /// Deterministic fault-injection plan (dropout, stragglers, corrupted
     /// updates, checkpoint-write failures). The default plan injects
     /// nothing.

@@ -10,9 +10,6 @@ use crate::trigger::Trigger;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// The target class the paper uses (`y^Troj = 0`).
-pub const DEFAULT_TARGET_CLASS: usize = 0;
-
 /// Returns a poisoned copy of every sample: trigger stamped, label set to
 /// `target_class`.
 ///

@@ -57,10 +57,6 @@ pub mod simd;
 
 use std::sync::OnceLock;
 
-/// Whether the dispatchers below route to the naive reference oracle
-/// (`reference` cargo feature) instead of the optimized tiers.
-pub const USING_REFERENCE: bool = cfg!(feature = "reference");
-
 /// The optimized kernel implementation the process-wide dispatchers route
 /// to (ignored when the `reference` cargo feature forces the oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

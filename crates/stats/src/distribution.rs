@@ -44,14 +44,6 @@ impl Normal {
         Ok(Self { mean, std })
     }
 
-    /// Standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self {
-            mean: 0.0,
-            std: 1.0,
-        }
-    }
-
     /// The mean parameter.
     pub fn mean(&self) -> f64 {
         self.mean
