@@ -17,7 +17,8 @@
 //! Each cell flag sets one `grid::schema` key ([`CELL_FLAGS`]), so `run`
 //! and `sweep` accept what a scenario file accepts and fail its validation
 //! with `error:` before anything runs. `run` is a grid of one cell per
-//! `--repeats` seed (default one), `sweep` a grid with an `alpha` axis.
+//! `--repeats` seed (default one), `sweep` a grid with an `alpha` axis (so
+//! it refuses `--alpha`).
 //! Vocabularies: attack collapois|dpois|mrepl|dba|label-flip|semantic|none
 //! (or lflip, clean); defense none|dp|norm-bound|krum|rlr|median|trimmed-mean|
 //! signsgd|flare|crfl|stat-filter|user-dp|fine-prune (or fine_prune); algo
@@ -84,7 +85,7 @@ fn print_help() {
         "collapois — CollaPois reproduction experiment runner\n\n\
          commands:\n\
          \u{20}  run    run one scenario (attack x defense x FL algorithm)\n\
-         \u{20}  sweep  sweep the Dirichlet alpha for a fixed configuration\n\
+         \u{20}  sweep  sweep the Dirichlet alpha (0.01 to 100; no --alpha) for a fixed configuration\n\
          \u{20}  grid   run a declarative scenario matrix from a TOML file\n\
          \u{20}  report print a grid report's figure tables (collapois report REPORT.jsonl)\n\
          \u{20}  bound  print Theorem 1's |C| lower-bound table\n\
@@ -246,8 +247,12 @@ fn run_cells(args: &Args, repeats: usize) -> Result<Vec<GridCell>, String> {
     flag_cells(args, EXEC_FLAGS, ("seed", seeds))
 }
 
-/// `sweep`'s cells: one per Dirichlet α of the paper's sweep.
+/// `sweep`'s cells: one per Dirichlet α of the paper's sweep. It refuses
+/// `--alpha`, which its axis would override.
 fn sweep_cells(args: &Args) -> Result<Vec<GridCell>, String> {
+    if args.get("alpha").is_some() {
+        return Err("option --alpha: sweep runs its own alpha axis (0.01 to 100)".into());
+    }
     let alphas = [0.01, 0.1, 1.0, 10.0, 100.0].map(TomlValue::Float);
     flag_cells(args, &["workers"], ("alpha", alphas.to_vec()))
 }
@@ -822,6 +827,15 @@ mod tests {
     }
 
     #[test]
+    fn sweep_refuses_the_alpha_its_axis_would_override() {
+        let e = sweep_cells(&Args::parse(argv("sweep --alpha 0.5")).unwrap()).unwrap_err();
+        assert!(e.contains("--alpha"), "{e}");
+        // `run` derives its seed axis from `--seed`, so it keeps the flag.
+        let cells = run_cells(&Args::parse(argv("run --seed 7")).unwrap(), 1).unwrap();
+        assert_eq!(cells[0].spec.config.seed, 7);
+    }
+
+    #[test]
     fn invalid_configs_fail_before_running_and_name_their_flag_or_key() {
         for (tokens, needle) in [
             ("run --defense fine-prune --model cnn", "model"),
@@ -841,6 +855,7 @@ mod tests {
             ("run --repeats 2 --trace x", "--trace"),
             ("sweep --sim true --defense krum", "sim"),
             ("sweep --trace x", "--trace"),
+            ("sweep --alpha 0.5", "--alpha"),
         ] {
             let e = run(&argv(tokens)).unwrap_err();
             assert!(e.contains(needle), "{tokens}: {e}");

@@ -54,6 +54,21 @@ pub enum DatasetKind {
     Text,
 }
 
+impl DatasetKind {
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Image => "image",
+            Self::Text => "text",
+        }
+    }
+
+    /// Every dataset.
+    pub fn all() -> &'static [DatasetKind] {
+        &[Self::Image, Self::Text]
+    }
+}
+
 /// Which attack to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackKind {
@@ -89,6 +104,19 @@ impl AttackKind {
             Self::LabelFlip => "label-flip",
             Self::Semantic => "semantic",
         }
+    }
+
+    /// Every attack, the clean control first.
+    pub fn all() -> &'static [AttackKind] {
+        &[
+            Self::None,
+            Self::CollaPois,
+            Self::DPois,
+            Self::MRepl,
+            Self::Dba,
+            Self::LabelFlip,
+            Self::Semantic,
+        ]
     }
 }
 
@@ -210,6 +238,18 @@ impl FlAlgo {
             Self::Scaffold => "scaffold",
         }
     }
+
+    /// Every FL algorithm.
+    pub fn all() -> &'static [FlAlgo] {
+        &[
+            Self::FedAvg,
+            Self::FedDc,
+            Self::MetaFed,
+            Self::Ditto,
+            Self::Clustered,
+            Self::Scaffold,
+        ]
+    }
 }
 
 /// Which model family the image scenario trains (the paper uses a
@@ -231,6 +271,11 @@ impl ScenarioModel {
             Self::Mlp => "mlp",
             Self::Cnn => "cnn",
         }
+    }
+
+    /// Every model family.
+    pub fn all() -> &'static [ScenarioModel] {
+        &[Self::Mlp, Self::Cnn]
     }
 }
 
@@ -256,6 +301,11 @@ impl CohortMode {
             Self::Eager => "eager",
             Self::Lazy => "lazy",
         }
+    }
+
+    /// Every cohort mode.
+    pub fn all() -> &'static [CohortMode] {
+        &[Self::Auto, Self::Eager, Self::Lazy]
     }
 }
 

@@ -57,7 +57,7 @@ pub enum Quantization {
 impl Quantization {
     /// Stable lowercase name (`"f32"` / `"f16"` / `"int8"`) — the grid and
     /// CLI vocabulary, also used in canonical scenario dumps.
-    pub fn name(self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         match self {
             Quantization::F32 => "f32",
             Quantization::F16 => "f16",
@@ -65,15 +65,9 @@ impl Quantization {
         }
     }
 
-    /// Parses a [`name`](Self::name) back to the codec; `None` for anything
-    /// outside the closed vocabulary.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "f32" => Some(Quantization::F32),
-            "f16" => Some(Quantization::F16),
-            "int8" => Some(Quantization::Int8),
-            _ => None,
-        }
+    /// Every codec.
+    pub fn all() -> &'static [Quantization] {
+        &[Quantization::F32, Quantization::F16, Quantization::Int8]
     }
 
     /// Simulates the transport round-trip in place: encode `delta` to this
@@ -349,11 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn names_parse_back() {
-        for q in [Quantization::F32, Quantization::F16, Quantization::Int8] {
-            assert_eq!(Quantization::parse(q.name()), Some(q));
+    fn display_prints_the_name() {
+        for q in Quantization::all() {
             assert_eq!(format!("{q}"), q.name());
         }
-        assert_eq!(Quantization::parse("int4"), None);
     }
 }

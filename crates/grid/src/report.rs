@@ -95,10 +95,7 @@ impl CellReport {
             index: cell.index,
             schema_version: ROW_VERSION,
             config_hash: cell.config_hash,
-            dataset: match report.config.dataset {
-                collapois_core::scenario::DatasetKind::Image => "image".to_string(),
-                collapois_core::scenario::DatasetKind::Text => "text".to_string(),
-            },
+            dataset: report.config.dataset.name().to_string(),
             attack: report.config.attack.name().to_string(),
             defense: report.config.defense.name().to_string(),
             algo: report.config.algo.name().to_string(),

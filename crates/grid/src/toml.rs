@@ -1,6 +1,6 @@
-//! Minimal TOML subset reader/writer (this workspace is dependency-free,
-//! so the scenario schema carries its own parser, in the same spirit as
-//! the hand-rolled JSONL codec in `collapois-runtime::trace`).
+//! Minimal TOML subset reader (this workspace is dependency-free, so the
+//! scenario schema carries its own parser, in the same spirit as the
+//! hand-rolled JSON codec in `collapois-runtime::json`).
 //!
 //! Supported surface — exactly what scenario files need:
 //!
@@ -13,13 +13,6 @@
 //! Not supported (rejected with a line-numbered error, never silently
 //! misread): multi-line strings/arrays, inline tables, arrays of tables,
 //! dates, `+`/underscore digit separators, non-finite floats.
-//!
-//! The writer emits a *canonical* form — scalars before subtables, tables
-//! as explicit `[dotted.headers]` in first-insertion order, floats printed
-//! so they round-trip — so `write(parse(write(t))) == write(t)` holds and
-//! schema round-trip tests can compare strings byte-for-byte.
-
-use std::fmt::Write as _;
 
 /// One TOML value.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,26 +43,10 @@ impl TomlValue {
             Self::Table(_) => "table",
         }
     }
-
-    /// The value rendered as it would appear in a TOML file (scalars and
-    /// arrays only; tables render as their header form elsewhere).
-    pub fn render(&self) -> String {
-        match self {
-            Self::Str(s) => format!("\"{}\"", escape(s)),
-            Self::Int(i) => format!("{i}"),
-            Self::Float(f) => fmt_float(*f),
-            Self::Bool(b) => format!("{b}"),
-            Self::Array(items) => {
-                let inner: Vec<String> = items.iter().map(TomlValue::render).collect();
-                format!("[{}]", inner.join(", "))
-            }
-            Self::Table(_) => "<table>".to_string(),
-        }
-    }
 }
 
-/// An ordered table: entries keep first-insertion order so the canonical
-/// writer is deterministic.
+/// An ordered table: entries keep file order, which sets the order of a
+/// grid's axes and variants.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TomlTable {
     entries: Vec<(String, TomlValue)>,
@@ -230,34 +207,6 @@ pub fn parse(text: &str) -> Result<TomlTable, TomlError> {
             .map_err(|m| terr(lineno, m))?;
     }
     Ok(root)
-}
-
-/// Serializes a table to the canonical form the parser accepts.
-pub fn write(table: &TomlTable) -> String {
-    let mut out = String::new();
-    write_table(&mut out, table, &mut Vec::new());
-    out
-}
-
-fn write_table(out: &mut String, table: &TomlTable, path: &mut Vec<String>) {
-    // Scalars and arrays first…
-    for (k, v) in table.entries() {
-        if !matches!(v, TomlValue::Table(_)) {
-            let _ = writeln!(out, "{k} = {}", v.render());
-        }
-    }
-    // …then subtables as explicit headers, in insertion order.
-    for (k, v) in table.entries() {
-        if let TomlValue::Table(t) = v {
-            path.push(k.clone());
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            let _ = writeln!(out, "[{}]", path.join("."));
-            write_table(out, t, path);
-            path.pop();
-        }
-    }
 }
 
 /// Strips a `#` comment, respecting quoted strings.
@@ -428,21 +377,6 @@ fn parse_string(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Prints a float so it parses back to the same bits and always reads as a
 /// float (integral values keep a `.0`).
 pub fn fmt_float(v: f64) -> String {
@@ -489,45 +423,31 @@ attack = ["collapois", "dpois"]
     }
 
     #[test]
-    fn canonical_write_is_idempotent() {
-        let doc = r#"
-name = "x"
-[b]
-k = 1
-f = 2.5
-[a.inner]
-s = "hi # not a comment"
-list = [1, 2, 3]
-"#;
-        let once = write(&parse(doc).unwrap());
-        let twice = write(&parse(&once).unwrap());
-        assert_eq!(once, twice);
-        assert!(once.contains("[a.inner]"));
-        assert!(once.contains("f = 2.5"));
+    fn a_hash_inside_a_string_is_not_a_comment() {
+        let t = parse("[a.inner]\ns = \"hi # not a comment\" # a comment\n").unwrap();
+        assert_eq!(
+            t.get_path("a.inner.s"),
+            Some(&TomlValue::Str("hi # not a comment".into()))
+        );
     }
 
     #[test]
-    fn strings_round_trip_with_escapes() {
-        let table = {
-            let mut t = TomlTable::new();
-            t.insert("s", TomlValue::Str("a\"b\\c\nd\te # f".into()))
-                .unwrap();
-            t
-        };
-        let text = write(&table);
-        assert_eq!(parse(&text).unwrap(), table);
+    fn strings_unescape() {
+        let t = parse(r#"s = "a\"b\\c\nd\te # f""#).unwrap();
+        assert_eq!(
+            t.get("s"),
+            Some(&TomlValue::Str("a\"b\\c\nd\te # f".into()))
+        );
     }
 
     #[test]
-    fn empty_tables_survive_round_trips() {
+    fn empty_tables_parse() {
         let doc = "[variants.plain]\n\n[variants.faulted]\nx = 1\n";
         let t = parse(doc).unwrap();
         assert_eq!(
             t.get_path("variants.plain"),
             Some(&TomlValue::Table(TomlTable::new()))
         );
-        let once = write(&t);
-        assert_eq!(parse(&once).unwrap(), t);
     }
 
     #[test]

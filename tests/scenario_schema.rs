@@ -1,12 +1,12 @@
 //! Property-based and negative tests over the scenario-matrix schema
 //! (satellite of the grid conformance harness in `tests/grid_matrix.rs`).
 //!
-//! The round-trip property: any scenario file the schema accepts can be
-//! canonicalized with [`GridSpec::to_toml`] and reparsed into the *same*
-//! grid — same cell ids, same expansion order, same config hashes. The
-//! negative half: malformed documents (unknown keys, out-of-range α,
-//! fractions above 1, type confusion) surface as *typed* [`SchemaError`]s
-//! naming the offending key, never as silently-defaulted cells.
+//! A cell's config hash is a function of its resolved settings, not of how
+//! the file spells them, and every committed grid expands to its pinned
+//! cells. Malformed documents (unknown keys, out-of-range α, fractions
+//! above 1, type confusion, a variant overriding an axis) surface as
+//! *typed* [`SchemaError`]s naming the offending key, never as
+//! silently-defaulted or mislabelled cells.
 
 use collapois_grid::schema::{GridSpec, SchemaError, SCHEMA_VERSION};
 use collapois_grid::toml::fmt_float;
@@ -53,60 +53,37 @@ fn doc(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// parse -> to_toml -> parse is the identity on the grid: same spec,
-    /// same cells, same config hashes, and the canonical form is a fixed
-    /// point.
-    #[test]
-    fn accepted_documents_round_trip_canonically(
-        alpha_m in 1u32..2000,
-        frac_m in 0u32..=100,
-        clients in 4usize..40,
-        rounds in 1usize..30,
-        seed in 0u64..1_000_000,
-        dropout_m in 0u32..=100,
-        workers in 0usize..8,
-    ) {
-        let text = doc(
-            alpha_m as f64 / 100.0,
-            frac_m as f64 / 100.0,
-            clients,
-            rounds,
-            seed,
-            dropout_m as f64 / 100.0,
-            workers,
-        );
-        let spec = GridSpec::parse(&text).expect("generated document is in-schema");
-        let canon = spec.to_toml();
-        let reparsed = GridSpec::parse(&canon).expect("canonical form reparses");
-        prop_assert_eq!(&spec, &reparsed);
-        prop_assert_eq!(&canon, &reparsed.to_toml());
-        let a = spec.cells().unwrap();
-        let b = reparsed.cells().unwrap();
-        prop_assert_eq!(a.len(), 3 * 2 * 2);
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(&x.id, &y.id);
-            prop_assert_eq!(x.index, y.index);
-            prop_assert_eq!(x.config_hash, y.config_hash);
-            prop_assert_eq!(&x.spec, &y.spec);
-        }
-    }
-
-    /// The config hash is a function of the resolved settings: insensitive
-    /// to canonicalization, sensitive to any changed value.
+    /// The config hash is a function of the resolved settings: the same
+    /// document spelled another way (keys reordered, a dotted key written
+    /// under its own table header, a default written out) hashes every
+    /// cell identically, while any changed value changes it.
     #[test]
     fn config_hash_tracks_resolved_settings(
         alpha_m in 1u32..2000,
         seed in 0u64..1_000_000,
+        dropout_m in 0u32..=100,
     ) {
-        let text = doc(alpha_m as f64 / 100.0, 0.5, 12, 3, seed, 0.1, 0);
-        let spec = GridSpec::parse(&text).unwrap();
-        let canon = GridSpec::parse(&spec.to_toml()).unwrap();
-        let a = spec.cells().unwrap();
-        let b = canon.cells().unwrap();
-        prop_assert_eq!(a[0].config_hash, b[0].config_hash);
-        let other = doc(alpha_m as f64 / 100.0, 0.5, 12, 3, seed ^ 1, 0.1, 0);
-        let c = GridSpec::parse(&other).unwrap().cells().unwrap();
-        prop_assert_ne!(a[0].config_hash, c[0].config_hash);
+        let dropout = dropout_m as f64 / 100.0;
+        let text = doc(alpha_m as f64 / 100.0, 0.5, 12, 3, seed, dropout, 0);
+        let respelled = text
+            .replace(
+                "clients = 12\nsamples_per_client = 10\n",
+                "samples_per_client = 10\ncohort = \"auto\"\nclients = 12\n",
+            )
+            .replace(
+                "[variants.faulted]\nfault.dropout",
+                "[variants.faulted.fault]\ndropout",
+            );
+        prop_assert_ne!(&text, &respelled);
+        let hashes = |text: &str| -> Vec<u64> {
+            let cells = GridSpec::parse(text).unwrap().cells().unwrap();
+            cells.iter().map(|c| c.config_hash).collect()
+        };
+        let a = hashes(&text);
+        prop_assert_eq!(a.len(), 3 * 2 * 2);
+        prop_assert_eq!(&a, &hashes(&respelled));
+        let other = doc(alpha_m as f64 / 100.0, 0.5, 12, 3, seed ^ 1, dropout, 0);
+        prop_assert_ne!(a[0], hashes(&other)[0]);
     }
 
     /// Out-of-range α is always a typed OutOfRange naming `alpha`.
@@ -279,4 +256,53 @@ fn committed_grids_expand_to_pinned_cells() {
         actual == expected,
         "committed grids moved; actual fixture block:\n{actual}"
     );
+}
+
+/// A `[base.base]` table is not `[base]`: its keys are unknown, not applied
+/// as if written one level up.
+#[test]
+fn nested_base_table_is_an_unknown_key() {
+    let text = format!("{}[base.base]\nseed = 7\n", doc(1.0, 0.1, 12, 3, 1, 0.1, 0));
+    match GridSpec::parse(&text) {
+        Err(SchemaError::UnknownKey { path }) => assert_eq!(path, "base.seed"),
+        other => panic!("expected UnknownKey(base.seed), got {other:?}"),
+    }
+}
+
+/// A variant that sets an axis key would run one setting under every label
+/// of the axis, so it is a typed error at the variant's key.
+#[test]
+fn variant_may_not_set_an_axis_key() {
+    let text = doc(1.0, 0.1, 12, 3, 1, 0.1, 0).replace(
+        "fault.dropout = 0.1",
+        "fault.dropout = 0.1\nattack = \"mrepl\"",
+    );
+    match GridSpec::parse(&text) {
+        Err(e @ SchemaError::VariantSetsAxis { .. }) => {
+            assert_eq!(
+                e,
+                SchemaError::VariantSetsAxis {
+                    path: "variants.faulted.attack".into()
+                }
+            );
+            assert!(e.to_string().contains("variants.faulted.attack"), "{e}");
+        }
+        other => panic!("expected VariantSetsAxis, got {other:?}"),
+    }
+}
+
+/// Axes take dotted keys, written inline or under a subtable header.
+#[test]
+fn dotted_keys_are_axes() {
+    for axes in [
+        "[axes]\nfault.dropout = [0.0, 0.1]\n",
+        "[axes.fault]\ndropout = [0.0, 0.1]\n",
+    ] {
+        let text = format!("schema_version = 1\nname = \"dotted\"\n{axes}");
+        let cells = GridSpec::parse(&text).unwrap().cells().unwrap();
+        let ids: Vec<&str> = cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["fault.dropout=0.0", "fault.dropout=0.1"], "{axes}");
+        assert_eq!(cells[0].spec.fault.dropout, 0.0);
+        assert_eq!(cells[1].spec.fault.dropout, 0.1);
+    }
 }
