@@ -305,10 +305,10 @@ impl<'a> Field<'a> {
         match self {
             Self::Count(slot, min) => *slot = as_count(path, value, min)?,
             Self::Seed(slot) => *slot = as_u64(path, value)?,
-            Self::Frac(slot) => *slot = float_in_unit(path, value, false)?,
-            Self::Rate(slot) => *slot = float_in_unit(path, value, true)?,
-            Self::NonNeg(slot) => *slot = float_above_zero(path, value, false)?,
-            Self::Positive(slot) => *slot = float_above_zero(path, value, true)?,
+            Self::Frac(slot) => *slot = unit_float(path, value, false)?,
+            Self::Rate(slot) => *slot = unit_float(path, value, true)?,
+            Self::NonNeg(slot) => *slot = nonneg_float(path, value, false)?,
+            Self::Positive(slot) => *slot = nonneg_float(path, value, true)?,
             Self::Flag(slot) => *slot = as_bool(path, value)?,
             Self::Name(noun, mut choice) => {
                 let text = as_str(path, value)?;
@@ -442,23 +442,33 @@ fn as_float(path: &str, v: &TomlValue) -> Result<f64, SchemaError> {
 }
 
 /// A float in `[0, 1]`, or `(0, 1]` when `open`.
-fn float_in_unit(path: &str, v: &TomlValue, open: bool) -> Result<f64, SchemaError> {
+fn unit_float(path: &str, v: &TomlValue, open: bool) -> Result<f64, SchemaError> {
     let f = as_float(path, v)?;
-    if (if open { f > 0.0 } else { f >= 0.0 }) && f <= 1.0 {
-        return Ok(f);
+    let (lo_ok, bracket) = if open {
+        (f > 0.0, '(')
+    } else {
+        (f >= 0.0, '[')
+    };
+    if lo_ok && f <= 1.0 {
+        Ok(f)
+    } else {
+        Err(out_of_range(path, format!("{f} is outside {bracket}0, 1]")))
     }
-    let bracket = if open { '(' } else { '[' };
-    Err(out_of_range(path, format!("{f} is outside {bracket}0, 1]")))
 }
 
 /// A float ≥ 0, or > 0 when `open`.
-fn float_above_zero(path: &str, v: &TomlValue, open: bool) -> Result<f64, SchemaError> {
+fn nonneg_float(path: &str, v: &TomlValue, open: bool) -> Result<f64, SchemaError> {
     let f = as_float(path, v)?;
-    if if open { f > 0.0 } else { f >= 0.0 } {
-        return Ok(f);
+    let (ok, rel) = if open {
+        (f > 0.0, ">")
+    } else {
+        (f >= 0.0, "≥")
+    };
+    if ok {
+        Ok(f)
+    } else {
+        Err(out_of_range(path, format!("{f} must be {rel} 0")))
     }
-    let rel = if open { ">" } else { "≥" };
-    Err(out_of_range(path, format!("{f} must be {rel} 0")))
 }
 
 impl CellSpec {
