@@ -11,10 +11,11 @@
 //! matmuls must beat blocked at each of the MLP's batch-16 training shapes
 //! (`dense_mlp_b16`: forward, weight gradient, input gradient) without
 //! slowing the 256³ `simd` row. The quant group measures the f16/int8
-//! client-update codec round-trip bandwidth.
+//! client-update codec round-trip bandwidth, and the trimmed-mean group
+//! the column-block sort against the one-coordinate reference.
 
 use collapois_fl::quant::Quantization;
-use collapois_nn::kernels::{blocked, reference, simd};
+use collapois_nn::kernels::{blocked, reference, simd, SortingNetwork, BLOCK};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,32 +188,44 @@ fn bench_quant_roundtrip(c: &mut Criterion) {
 }
 
 fn bench_trimmed_mean(c: &mut Criterion) {
-    // Coordinate-wise trimming at β = 0.2. At 20 values per coordinate the
-    // blocked kernel's small-`n` cutoff makes it sort like the reference
-    // (parity expected); at 5000 the partial-select path kicks in.
-    for (clients, dim) in [(20usize, 10_000usize), (5_000, 100)] {
+    // Coordinate-wise trimming at β = 0.2 over a model-sized dimension, as
+    // `TrimmedMean` runs it: 15 updates is a FEMNIST-sim round, 64 the
+    // `cohort.toml` round. The column-block sort copies 8 coordinates of
+    // every update into rows and sorts their columns with one network; the
+    // reference gathers and sorts one coordinate at a time.
+    let dim = 7_156;
+    for clients in [15usize, 64] {
         let trim = clients / 5;
         let mut rng = StdRng::seed_from_u64(3);
-        let columns: Vec<Vec<f32>> = (0..dim).map(|_| randvec(&mut rng, clients)).collect();
-        let mut scratch = vec![0.0f32; clients];
+        let updates: Vec<Vec<f32>> = (0..clients).map(|_| randvec(&mut rng, dim)).collect();
 
         let name = format!("trimmed_mean_{clients}x{dim}");
         let mut group = c.benchmark_group(&name);
-        group.bench_function("blocked", |bch| {
+        let mut network = SortingNetwork::new();
+        let mut rows = vec![[0.0f32; BLOCK]; clients];
+        group.bench_function("column_block", |bch| {
             bch.iter(|| {
+                network.build(clients);
                 let mut acc = 0.0f32;
-                for col in &columns {
-                    scratch.copy_from_slice(col);
-                    acc += blocked::trimmed_mean_inplace(&mut scratch, trim);
+                for start in (0..dim).step_by(BLOCK) {
+                    let width = BLOCK.min(dim - start);
+                    for (row, u) in rows.iter_mut().zip(&updates) {
+                        row[..width].copy_from_slice(&u[start..start + width]);
+                    }
+                    let means = network.trimmed_mean_columns(&mut rows, trim);
+                    acc += means[..width].iter().sum::<f32>();
                 }
                 black_box(acc)
             });
         });
+        let mut scratch = vec![0.0f32; clients];
         group.bench_function("reference", |bch| {
             bch.iter(|| {
                 let mut acc = 0.0f32;
-                for col in &columns {
-                    scratch.copy_from_slice(col);
+                for j in 0..dim {
+                    for (v, u) in scratch.iter_mut().zip(&updates) {
+                        *v = u[j];
+                    }
                     acc += reference::trimmed_mean_inplace(&mut scratch, trim);
                 }
                 black_box(acc)

@@ -1,23 +1,31 @@
 //! Coordinate-wise median [Yin et al., ICML 2018].
 
-use super::{coordinate_shard, Aggregator, COORD_SHARD};
+use super::{column_blocks, Aggregator, COORD_SHARD};
 use crate::update::ClientUpdate;
-use collapois_nn::kernels;
+use collapois_nn::kernels::{BlockRow, SortingNetwork};
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
 use rand::rngs::StdRng;
 
 /// Element-wise median of the round's deltas.
 ///
-/// Each coordinate is gathered into a reusable scratch buffer and reduced
-/// by [`kernels::median_inplace`] (partial select instead of a full sort;
-/// even lengths interpolate the two middle order statistics in `f64`,
-/// matching `collapois_stats::descriptive::median`). The coordinate loop
-/// is sharded into fixed-width column blocks with per-lane gather buffers —
+/// Each block of 8 coordinates is copied from every update into a lane's
+/// block of rows and its columns sorted at once by the round's
+/// [`SortingNetwork`]; the median is the middle row, and even counts
+/// interpolate the two middle rows in `f64` (matching
+/// `collapois_stats::descriptive::median`). The coordinate loop is sharded
+/// into fixed-width column shards, each lane filling its own rows —
 /// bitwise exact because coordinates are independent.
+///
+/// Updates must be finite, which the server's finite-norm gate
+/// guarantees. A NaN does not panic: it leaves its own coordinate's
+/// output unspecified, and a NaN or an infinity changes no other
+/// coordinate's output.
 #[derive(Debug, Default)]
 pub struct CoordinateMedian {
-    /// Per-lane gather buffers, one per column-shard lane.
-    arenas: WorkerArenas<Vec<f32>>,
+    /// The sorting network for the current round's update count.
+    network: SortingNetwork,
+    /// Per-lane blocks of rows, one per column-shard lane.
+    arenas: WorkerArenas<Vec<BlockRow>>,
 }
 
 impl CoordinateMedian {
@@ -43,14 +51,16 @@ impl Aggregator for CoordinateMedian {
             out.fill(0.0);
             return;
         }
+        self.network.build(updates.len());
+        let network = &self.network;
         pool.for_chunks_mut_with_arena(
             &mut self.arenas,
             out,
             COORD_SHARD,
             Vec::new,
-            |shard, chunk, scratch| {
-                coordinate_shard(updates, shard, chunk, scratch, |buf| {
-                    kernels::median_inplace(buf)
+            |shard, chunk, rows| {
+                column_blocks(updates, shard, chunk, rows, |block| {
+                    network.median_columns(block)
                 });
             },
         );
@@ -61,6 +71,7 @@ impl Aggregator for CoordinateMedian {
 mod tests {
     use super::*;
     use crate::aggregate::testutil::updates;
+    use collapois_nn::kernels::reference;
     use rand::SeedableRng;
 
     #[test]
@@ -98,7 +109,8 @@ mod tests {
 
     #[test]
     fn column_shards_match_the_per_coordinate_reference() {
-        let dim = 520;
+        // Two shards and a ragged last block of 3 coordinates.
+        let dim = 523;
         let us: Vec<ClientUpdate> = (0..9)
             .map(|i| {
                 let delta: Vec<f32> = (0..dim).map(|j| ((i * 7 + j) as f32).cos()).collect();
@@ -108,7 +120,7 @@ mod tests {
         let expected: Vec<u32> = (0..dim)
             .map(|j| {
                 let mut col: Vec<f32> = us.iter().map(|u| u.delta[j]).collect();
-                kernels::median_inplace(&mut col).to_bits()
+                reference::median_inplace(&mut col).to_bits()
             })
             .collect();
         let mut agg = CoordinateMedian::new();

@@ -7,7 +7,7 @@
 //! disputed, which destroys benign accuracy — the paper's observed 61.53 %
 //! Benign-AC drop.
 
-use super::{sign_vote, Aggregator};
+use super::{count_signs, Aggregator};
 use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
@@ -18,6 +18,8 @@ pub struct RobustLearningRate {
     threshold: usize,
     /// Reusable partial-accumulator matrix for the mean's reduction tree.
     acc: Vec<f64>,
+    /// Reusable per-coordinate sign votes.
+    votes: Vec<i32>,
 }
 
 impl RobustLearningRate {
@@ -32,6 +34,7 @@ impl RobustLearningRate {
         Self {
             threshold,
             acc: Vec::new(),
+            votes: Vec::new(),
         }
     }
 }
@@ -53,8 +56,9 @@ impl Aggregator for RobustLearningRate {
             return;
         }
         mean_delta_pooled_into(updates, None, None, out, &mut self.acc, pool);
-        for (c, v) in out.iter_mut().enumerate() {
-            if (sign_vote(updates, c).unsigned_abs() as usize) < self.threshold {
+        count_signs(updates, out.len(), &mut self.votes);
+        for (v, &vote) in out.iter_mut().zip(&self.votes) {
+            if (vote.unsigned_abs() as usize) < self.threshold {
                 *v = -*v;
             }
         }

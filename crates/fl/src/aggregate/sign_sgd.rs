@@ -1,15 +1,17 @@
 //! SignSGD with majority vote [Bernstein et al., 2018].
 
-use super::{sign_vote, Aggregator};
+use super::{count_signs, Aggregator};
 use crate::update::ClientUpdate;
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// SignSGD: the aggregated delta is the per-coordinate majority sign times a
 /// fixed step size.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SignSgd {
     step: f64,
+    /// Reusable per-coordinate sign votes.
+    votes: Vec<i32>,
 }
 
 impl SignSgd {
@@ -20,7 +22,10 @@ impl SignSgd {
     /// Panics if `step <= 0`.
     pub fn new(step: f64) -> Self {
         assert!(step > 0.0, "step must be positive");
-        Self { step }
+        Self {
+            step,
+            votes: Vec::new(),
+        }
     }
 }
 
@@ -37,9 +42,10 @@ impl Aggregator for SignSgd {
         _pool: &WorkerPool,
     ) {
         let step = self.step as f32;
-        for (c, o) in out.iter_mut().enumerate() {
+        count_signs(updates, out.len(), &mut self.votes);
+        for (o, &vote) in out.iter_mut().zip(&self.votes) {
             // ±step by the majority sign, +0.0 on a tie or an empty round.
-            *o = step * sign_vote(updates, c).signum() as f32;
+            *o = step * vote.signum() as f32;
         }
     }
 }

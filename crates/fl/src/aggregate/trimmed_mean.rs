@@ -1,26 +1,33 @@
 //! α-trimmed mean [Yin et al., ICML 2018].
 
-use super::{coordinate_shard, Aggregator, COORD_SHARD};
+use super::{column_blocks, Aggregator, COORD_SHARD};
 use crate::update::ClientUpdate;
-use collapois_nn::kernels;
+use collapois_nn::kernels::{BlockRow, SortingNetwork};
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
 use rand::rngs::StdRng;
 
 /// Per-coordinate trimmed mean: drop the top and bottom `beta` fraction of
 /// values, average the rest.
 ///
-/// Each coordinate is gathered into a reusable scratch buffer and reduced
-/// by [`kernels::trimmed_mean_inplace`], which partial-selects the trim
-/// boundaries instead of fully sorting and sums the kept middle in
-/// ascending order — so the result is independent of client order. The
-/// coordinate loop is sharded into fixed-width column blocks (coordinates
-/// are independent, so any sharding is bitwise exact), each lane gathering
-/// into its own persistent scratch buffer.
+/// Each block of 8 coordinates is copied from every update into a lane's
+/// block of rows and its columns sorted at once by the round's
+/// [`SortingNetwork`]; the kept middle rows are summed in ascending order
+/// in `f64`, so the result is independent of client order. The coordinate
+/// loop is sharded into fixed-width column shards (coordinates are
+/// independent, so any sharding is bitwise exact), each lane filling its
+/// own persistent rows.
+///
+/// Updates must be finite, which the server's finite-norm gate
+/// guarantees. A NaN does not panic: it leaves its own coordinate's
+/// output unspecified, and a NaN or an infinity changes no other
+/// coordinate's output.
 #[derive(Debug)]
 pub struct TrimmedMean {
     beta: f64,
-    /// Per-lane gather buffers, one per column-shard lane.
-    arenas: WorkerArenas<Vec<f32>>,
+    /// The sorting network for the current round's update count.
+    network: SortingNetwork,
+    /// Per-lane blocks of rows, one per column-shard lane.
+    arenas: WorkerArenas<Vec<BlockRow>>,
 }
 
 impl TrimmedMean {
@@ -33,6 +40,7 @@ impl TrimmedMean {
         assert!((0.0..0.5).contains(&beta), "beta must be in [0, 0.5)");
         Self {
             beta,
+            network: SortingNetwork::new(),
             arenas: WorkerArenas::new(),
         }
     }
@@ -60,14 +68,16 @@ impl Aggregator for TrimmedMean {
             return;
         }
         let trim = self.trim(updates.len());
+        self.network.build(updates.len());
+        let network = &self.network;
         pool.for_chunks_mut_with_arena(
             &mut self.arenas,
             out,
             COORD_SHARD,
             Vec::new,
-            |shard, chunk, scratch| {
-                coordinate_shard(updates, shard, chunk, scratch, |buf| {
-                    kernels::trimmed_mean_inplace(buf, trim)
+            |shard, chunk, rows| {
+                column_blocks(updates, shard, chunk, rows, |block| {
+                    network.trimmed_mean_columns(block, trim)
                 });
             },
         );
@@ -78,6 +88,7 @@ impl Aggregator for TrimmedMean {
 mod tests {
     use super::*;
     use crate::aggregate::testutil::updates;
+    use collapois_nn::kernels::reference;
     use rand::SeedableRng;
 
     #[test]
@@ -127,8 +138,9 @@ mod tests {
 
     #[test]
     fn column_shards_match_the_per_coordinate_reference() {
-        // Dimension far beyond one COORD_SHARD so several shards exist.
-        let dim = 600;
+        // Dimension far beyond one COORD_SHARD so several shards exist,
+        // with a ragged last block of 3 coordinates.
+        let dim = 603;
         let us: Vec<ClientUpdate> = (0..11)
             .map(|i| {
                 let delta: Vec<f32> = (0..dim).map(|j| ((i * 13 + j) as f32).sin()).collect();
@@ -139,7 +151,7 @@ mod tests {
         let expected: Vec<u32> = (0..dim)
             .map(|j| {
                 let mut col: Vec<f32> = us.iter().map(|u| u.delta[j]).collect();
-                kernels::trimmed_mean_inplace(&mut col, trim).to_bits()
+                reference::trimmed_mean_inplace(&mut col, trim).to_bits()
             })
             .collect();
         let mut agg = TrimmedMean::new(0.2);

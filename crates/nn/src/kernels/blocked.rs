@@ -18,8 +18,7 @@
 //! accumulator visiting `k` in ascending order — exactly the order of the
 //! naive triple loop in [`super::reference`] — so the blocked kernels are
 //! **bitwise identical** to the reference, not merely close. The same holds
-//! for all element-wise ops and for the partial-select reductions (which
-//! sum the kept values in ascending sorted order, as the reference does).
+//! for all element-wise ops.
 //!
 //! The only functions allowed to reassociate are the `f64` reductions
 //! `dot` / `sq_l2_norm` / `sq_l2_distance` (and `pairwise_sq_distances` on
@@ -402,83 +401,6 @@ pub fn pairwise_sq_distances_upper_row_into(vectors: &[&[f32]], i: usize, row: &
     assert_eq!(row.len(), vectors.len(), "pairwise row: length mismatch");
     for (slot, v) in row[i + 1..].iter_mut().zip(&vectors[i + 1..]) {
         *slot = sq_l2_distance(vectors[i], v);
-    }
-}
-
-// `#[inline(always)]`: passed by value into `sort_unstable_by` /
-// `select_nth_unstable_by`; without the hint the fn item can land in a
-// different codegen unit and every comparison becomes an indirect call
-// (measured ~2.5× slower sorts).
-#[inline(always)]
-fn cmp_finite(a: &f32, b: &f32) -> std::cmp::Ordering {
-    a.partial_cmp(b).expect("finite values")
-}
-
-/// Below this length a single full sort beats two `select_nth` passes plus
-/// the middle sort — measured crossover is around 500 elements at β = 0.2.
-/// Both paths produce bitwise-identical results, so the cutoff is purely a
-/// speed heuristic.
-const TRIM_SELECT_CUTOFF: usize = 512;
-
-/// α-trimmed mean via partial selection: two `select_nth_unstable` passes
-/// isolate the kept middle, which is then sorted and summed in ascending
-/// order — the same multiset in the same summation order as the reference's
-/// full sort, hence bitwise identical, without sorting the trimmed tails.
-/// Small buffers skip the selection and sort outright.
-///
-/// # Panics
-///
-/// Panics if `buf` is empty, contains NaN, or `2 * trim >= buf.len()`.
-pub fn trimmed_mean_inplace(buf: &mut [f32], trim: usize) -> f32 {
-    assert!(!buf.is_empty(), "trimmed_mean_inplace: empty buffer");
-    assert!(
-        2 * trim < buf.len(),
-        "trimmed_mean_inplace: trim {} too large for {} values",
-        trim,
-        buf.len()
-    );
-    let n = buf.len();
-    if n <= TRIM_SELECT_CUTOFF {
-        buf.sort_unstable_by(cmp_finite);
-        let kept = &buf[trim..n - trim];
-        let sum: f64 = kept.iter().map(|&v| v as f64).sum();
-        return (sum / kept.len() as f64) as f32;
-    }
-    if trim > 0 {
-        // Everything below index `trim` is a dropped low value...
-        buf.select_nth_unstable_by(trim - 1, cmp_finite);
-        // ...and within the rest, everything past the kept range is a
-        // dropped high value.
-        let rest = &mut buf[trim..];
-        let keep = n - 2 * trim;
-        if keep < rest.len() {
-            rest.select_nth_unstable_by(keep - 1, cmp_finite);
-        }
-    }
-    let kept = &mut buf[trim..n - trim];
-    kept.sort_unstable_by(cmp_finite);
-    let sum: f64 = kept.iter().map(|&v| v as f64).sum();
-    (sum / kept.len() as f64) as f32
-}
-
-/// Coordinate median via `select_nth_unstable` (no full sort): odd length
-/// selects the middle directly; even length selects the upper middle and
-/// takes the maximum of the lower partition. Bitwise identical to the
-/// reference (same two order statistics, same `f64` interpolation).
-///
-/// # Panics
-///
-/// Panics if `buf` is empty or contains NaN.
-pub fn median_inplace(buf: &mut [f32]) -> f32 {
-    assert!(!buf.is_empty(), "median_inplace: empty buffer");
-    let n = buf.len();
-    if n % 2 == 1 {
-        *buf.select_nth_unstable_by(n / 2, cmp_finite).1
-    } else {
-        let (lo_part, hi, _) = buf.select_nth_unstable_by(n / 2, cmp_finite);
-        let hi = *hi as f64;
-        let lo = lo_part.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
-        (lo * 0.5 + hi * 0.5) as f32
     }
 }
 

@@ -7,8 +7,8 @@
 //!
 //! * [`blocked`] — the optimized kernels: GotoBLAS-style tiled matmul with
 //!   transposed-`B` packing, 8-wide unrolled axpy microkernels, 4-chain
-//!   `f64` reductions, partial-select order statistics, and a fused
-//!   softmax + cross-entropy that never materializes a probability tensor.
+//!   `f64` reductions, and a fused softmax + cross-entropy that never
+//!   materializes a probability tensor.
 //! * [`reference`](mod@reference) — the naive textbook formulations, kept alive forever as
 //!   the differential-testing oracle (`tests/kernel_equivalence.rs` in the
 //!   workspace root pins one to the other).
@@ -28,14 +28,24 @@
 //! values). [`active_tier`] and [`cpu_features`] expose the decision and
 //! the detected ISA extensions for bench metadata.
 //!
+//! The coordinate median and trimmed mean have no tiers: a
+//! [`SortingNetwork`] sorts a block of [`BLOCK`] coordinates' columns at
+//! once, in one portable implementation the compiler vectorizes.
+//!
 //! # Numerical contract
 //!
 //! * Matmul family, element-wise ops (`axpy`, `scale`, the `acc_*`
-//!   accumulators), partial-select reductions (`trimmed_mean_inplace`,
-//!   `median_inplace`), `softmax_rows` and `softmax_xent`: **bitwise
+//!   accumulators), `softmax_rows` and `softmax_xent`: **bitwise
 //!   identical** across implementations — the blocked kernels preserve the
 //!   reference's per-element floating-point operation order (see the
 //!   module docs of [`blocked`] for why blocking does not change it).
+//! * Column-block order statistics ([`SortingNetwork::median_columns`],
+//!   [`SortingNetwork::trimmed_mean_columns`]): per column, the bits of
+//!   [`reference::median_inplace`] and [`reference::trimmed_mean_inplace`]
+//!   (the same order statistics, the kept values summed in ascending order
+//!   in `f64`), except that where a column holds zeros of both signs, a
+//!   zero result may carry the other sign. Inputs should be finite. A NaN
+//!   never panics; it leaves only its own column's result unspecified.
 //! * `dot`, `sq_l2_norm`, `sq_l2_distance`, `pairwise_sq_distances`:
 //!   reassociated `f64` reductions, deterministic but up to a few `f64`
 //!   ulps from the reference.
@@ -52,8 +62,11 @@
 //!   changes golden fixtures.
 
 pub mod blocked;
+mod columns;
 pub mod reference;
 pub mod simd;
+
+pub use columns::{BlockRow, SortingNetwork, BLOCK};
 
 use std::sync::OnceLock;
 
@@ -263,18 +276,6 @@ fn pairwise_from_upper_rows(
     out
 }
 
-/// α-trimmed mean of a scratch buffer (reordered in place): drop the
-/// `trim` lowest and highest values, average the rest.
-pub fn trimmed_mean_inplace(buf: &mut [f32], trim: usize) -> f32 {
-    dispatch!(trimmed_mean_inplace(buf, trim))
-}
-
-/// Median of a scratch buffer (reordered in place); even lengths
-/// interpolate the two middle order statistics in `f64`.
-pub fn median_inplace(buf: &mut [f32]) -> f32 {
-    dispatch!(median_inplace(buf))
-}
-
 /// In-place numerically-stable softmax over `n` rows of length `k`.
 pub fn softmax_rows(data: &mut [f32], n: usize, k: usize) {
     dispatch!(softmax_rows(data, n, k))
@@ -363,18 +364,6 @@ mod tests {
         assert_eq!(acc, vec![2.0, 3.0]);
         acc_scaled_f32(&mut acc, &[4.0, 4.0], 0.25);
         assert_eq!(acc, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn order_statistics() {
-        let mut buf = vec![5.0f32, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(median_inplace(&mut buf), 3.0);
-        let mut buf = vec![4.0f32, 1.0, 2.0, 3.0];
-        assert_eq!(median_inplace(&mut buf), 2.5);
-        let mut buf = vec![-1000.0f32, 1.0, 3.0, 1000.0];
-        assert_eq!(trimmed_mean_inplace(&mut buf, 1), 2.0);
-        let mut buf = vec![1.0f32, 2.0, 3.0];
-        assert_eq!(trimmed_mean_inplace(&mut buf, 0), 2.0);
     }
 
     #[test]

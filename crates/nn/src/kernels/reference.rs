@@ -1,7 +1,9 @@
 //! Naive reference implementations — the differential-testing oracle.
 //!
 //! Every function here is the textbook, single-accumulator, one-pass-at-a-
-//! time formulation of the corresponding primitive in [`super::blocked`].
+//! time formulation of the corresponding primitive in [`super::blocked`],
+//! or, for the median and trimmed mean, of one column of a
+//! [`super::SortingNetwork`].
 //! They are deliberately unoptimized: their only job is to pin down the
 //! *semantics* (including the exact floating-point reduction order where the
 //! optimized kernel promises bitwise equality) so that

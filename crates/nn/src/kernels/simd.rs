@@ -39,9 +39,6 @@
 //!   `f32` sum stay scalar (vectorizing the sum would reassociate it; `exp`
 //!   must be the libm call the other tiers use); only the per-element
 //!   normalizing divide and `1/n` scale are vectorized.
-//! * Order statistics (`trimmed_mean_inplace`, `median_inplace`) are
-//!   selection problems with no profitable lane structure — they delegate
-//!   to the blocked implementations outright.
 //!
 //! Every AVX2 call site is guarded by `is_x86_feature_detected!` (cached by
 //! `std` after the first CPUID), so calling any function in this module is
@@ -333,25 +330,6 @@ fn distance4(a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
     }
     // SAFETY: callers only reach this behind a `supported()` check.
     unsafe { x86::sq_l2_distance4(a, b) }
-}
-
-/// α-trimmed mean — a selection problem with no lane structure; delegates
-/// to [`super::blocked::trimmed_mean_inplace`].
-///
-/// # Panics
-///
-/// Panics if `buf` is empty, contains NaN, or `2 * trim >= buf.len()`.
-pub fn trimmed_mean_inplace(buf: &mut [f32], trim: usize) -> f32 {
-    blocked::trimmed_mean_inplace(buf, trim)
-}
-
-/// Coordinate median — delegates to [`super::blocked::median_inplace`].
-///
-/// # Panics
-///
-/// Panics if `buf` is empty or contains NaN.
-pub fn median_inplace(buf: &mut [f32]) -> f32 {
-    blocked::median_inplace(buf)
 }
 
 /// In-place row softmax: scalar max fold / `exp` / running sum (their

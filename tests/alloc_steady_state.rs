@@ -2,9 +2,10 @@
 //! paths: after warm-up has grown every arena to its working size, further
 //! passes perform **zero** heap allocations — both for a single client's
 //! local-training inner loop and for the pooled multi-worker fan-out the
-//! server's round loop uses, and for the averaging and voting aggregation
-//! rules — and the Trojan's central training makes the same number of
-//! allocations however many epochs it runs.
+//! server's round loop uses, and for the averaging, voting and coordinate
+//! aggregation rules at two round sizes — and the Trojan's central
+//! training makes the same number of allocations however many epochs it
+//! runs.
 //!
 //! The test installs a counting `#[global_allocator]` (the same mechanism as
 //! the `bench-alloc` feature of the `rounds_throughput` benchmark) and runs
@@ -231,10 +232,12 @@ fn monitor_observe_steady_state() {
 /// one-lane `aggregate_into` (the trait default, which runs the rule's one
 /// body on a pool that holds no thread) takes its mean through the rule's
 /// persistent reduction scratch, clipping inside the tree's leaves, and
-/// draws its noise through a block on the stack; the coordinate rules
-/// gather into persistent lane buffers. A noisy CRFL `post_process` must
-/// not touch the allocator either, over a dimension that is no multiple of
-/// the noise block.
+/// draws its noise through a block on the stack; RLR and SignSGD count
+/// votes into a persistent buffer, and the coordinate rules rebuild their
+/// sorting network in place and fill persistent lane rows. Rounds vary in
+/// size, so the counted calls alternate 15 and 13 updates after a warm-up
+/// at 15. A noisy CRFL `post_process` must not touch the allocator either,
+/// over a dimension that is no multiple of the noise block.
 fn aggregation_steady_state() {
     const DIM: usize = 1000;
     let updates: Vec<ClientUpdate> = (0..15)
@@ -261,12 +264,13 @@ fn aggregation_steady_state() {
         ("trimmed mean", Box::new(TrimmedMean::new(0.2))),
     ];
     for (label, mut rule) in rules {
-        // Warm-up: grows the reduction tree's partial-accumulator matrix or
-        // the coordinate gather buffer.
+        // Warm-up: grows the reduction tree's partial-accumulator matrix,
+        // the vote buffer, or the sorting network and lane rows.
         rule.aggregate_into(&updates, &mut out, &mut rng);
         let counts = counting(|| {
-            for _ in 0..8 {
-                rule.aggregate_into(&updates, &mut out, &mut rng);
+            for round in 0..8 {
+                let n = if round % 2 == 0 { 15 } else { 13 };
+                rule.aggregate_into(&updates[..n], &mut out, &mut rng);
             }
         });
         assert_zero(&format!("{label} aggregate_into"), counts);

@@ -1,6 +1,8 @@
 //! Differential tests pinning the blocked kernels to the naive reference
-//! oracle (`collapois::nn::kernels::{blocked, reference}`), and the
-//! explicit-SIMD tier to the blocked kernels.
+//! oracle (`collapois::nn::kernels::{blocked, reference}`), the
+//! explicit-SIMD tier to the blocked kernels, and the column-block order
+//! statistics (`kernels::SortingNetwork`) to the reference's one-column
+//! median and trimmed mean.
 //!
 //! All implementations are always compiled, so this suite compares them
 //! directly regardless of which one the `reference` cargo feature or the
@@ -14,13 +16,18 @@
 //! # Tolerance policy
 //!
 //! * **Exact (bitwise)** — matmul family, element-wise ops (`axpy`,
-//!   `scale`, the `acc_*` accumulators), order statistics
-//!   (`trimmed_mean_inplace`, `median_inplace`), `softmax_rows` and the
-//!   fused `softmax_xent`: the blocked kernels preserve the reference's
+//!   `scale`, the `acc_*` accumulators), `softmax_rows` and the fused
+//!   `softmax_xent`: the blocked kernels preserve the reference's
 //!   per-element floating-point reduction order (a single `f32`
-//!   accumulator sweeping `k` in ascending order per output element;
-//!   ascending sorted-order sums for the order statistics), so any
-//!   difference at all is a bug. The matmul family is compared with
+//!   accumulator sweeping `k` in ascending order per output element), so
+//!   any difference at all is a bug.
+//! * **Exact (bitwise) but for the sign of a tied zero** — the
+//!   column-block order statistics (`SortingNetwork::median_columns`,
+//!   `trimmed_mean_columns`) against the one-column `reference` kernels:
+//!   both take the same order statistics and sum the kept values in
+//!   ascending order in `f64`. A sort may order `-0.0` and `+0.0` either
+//!   way, so where a column holds zeros of both signs, a zero result may
+//!   carry either sign. The matmul family is compared with
 //!   `to_bits()` on inputs seeded with exact `±0.0` (ReLU outputs and
 //!   masked gradients are exact zeros on the real path): `f32` equality
 //!   treats `-0.0 == +0.0`, which would let a kernel that seeds its
@@ -38,7 +45,7 @@
 //!   fixed combine tree), and no FMA is used, so the tiers agree bit for
 //!   bit and golden fixtures are tier-invariant.
 
-use collapois::nn::kernels::{blocked, reference, simd};
+use collapois::nn::kernels::{blocked, reference, simd, BlockRow, SortingNetwork, BLOCK};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,6 +67,32 @@ fn fill_with_zeros(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
     let r = rng.gen_range(0..rows);
     v[r * cols..(r + 1) * cols].fill(-0.0);
     v
+}
+
+/// One column for the column-block sort: `n` values mixing a few
+/// repeated values, zeros of both signs and distinct finite floats, in
+/// proportions that vary from column to column (some columns are mostly
+/// ties or zeros), and in one column of four, infinities of both signs.
+fn order_stat_column(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    let ties = rng.gen_range(0u32..4);
+    let infinite = rng.gen_bool(0.25);
+    (0..n)
+        .map(|_| match rng.gen_range(0u32..16) {
+            r if r < 2 * ties => [1.5f32, -2.25, 3.0][rng.gen_range(0usize..3)],
+            r if r < 4 * ties => [0.0f32, -0.0][rng.gen_range(0usize..2)],
+            15 if infinite => [f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0usize..2)],
+            _ => rng.gen_range(-4.0f32..4.0),
+        })
+        .collect()
+}
+
+/// Whether the column-block statistic `got` stands for the one-column
+/// reference's `want` over `column`: the same bits, or zeros of either
+/// sign where the column holds zeros of both signs, which a sort may
+/// order either way.
+fn stands_for(got: f32, want: f32, column: &[f32]) -> bool {
+    let has = |zero: f32| column.iter().any(|v| v.to_bits() == zero.to_bits());
+    got.to_bits() == want.to_bits() || (has(0.0) && has(-0.0) && got == 0.0 && want == 0.0)
 }
 
 /// Bit-for-bit equality of two `f32` slices (`-0.0` differs from `+0.0`).
@@ -387,35 +420,43 @@ proptest! {
         prop_assert_eq!(c_blk, c_ref);
     }
 
-    /// Partial-select order statistics equal the full-sort reference bitwise
-    /// and are invariant to input order (both sum kept values ascending).
-    /// The size range straddles the blocked kernel's small-`n` sort cutoff
-    /// (512) so both code paths are exercised.
+    /// The column-block sort against the one-column reference: every `n`
+    /// from 1 to 70 (both parities; 64 is `scenarios/cohort.toml`'s round
+    /// size), block widths 1 to 8 with NaN in the unused lanes, as in a
+    /// ragged last block, columns of repeated values, zeros of both signs
+    /// and ±inf, and the rows in either order. Bits must match, except
+    /// that a column holding zeros of both signs may give a zero of the
+    /// other sign.
     #[test]
-    fn order_statistics_bitwise(seed in 0u64..10_000, n in 1usize..700) {
+    fn column_block_sort_matches_reference(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let vals = fill(&mut rng, n);
-        let trim = rng.gen_range(0usize..=(n.saturating_sub(1)) / 2);
-
-        let mut b_blk = vals.clone();
-        let mut b_ref = vals.clone();
-        let tm_blk = blocked::trimmed_mean_inplace(&mut b_blk, trim);
-        let tm_ref = reference::trimmed_mean_inplace(&mut b_ref, trim);
-        prop_assert_eq!(tm_blk, tm_ref);
-
-        let mut b_blk = vals.clone();
-        let mut b_ref = vals.clone();
-        let md_blk = blocked::median_inplace(&mut b_blk);
-        let md_ref = reference::median_inplace(&mut b_ref);
-        prop_assert_eq!(md_blk, md_ref);
-
-        // Reversing the input must not change either statistic.
-        let mut rev: Vec<f32> = vals;
-        rev.reverse();
-        let mut r1 = rev.clone();
-        prop_assert_eq!(blocked::trimmed_mean_inplace(&mut r1, trim), tm_blk);
-        let mut r2 = rev;
-        prop_assert_eq!(blocked::median_inplace(&mut r2), md_blk);
+        let mut network = SortingNetwork::new();
+        for n in 1..=70 {
+            network.build(n);
+            let width = rng.gen_range(1usize..=BLOCK);
+            let trim = rng.gen_range(0usize..=(n - 1) / 2);
+            let columns: Vec<Vec<f32>> = (0..width).map(|_| order_stat_column(&mut rng, n)).collect();
+            let mut rows: Vec<BlockRow> = (0..n)
+                .map(|r| std::array::from_fn(|l| columns.get(l).map_or(f32::NAN, |c| c[r])))
+                .collect();
+            for _ in 0..2 {
+                rows.reverse();
+                let median = network.median_columns(&mut rows.clone());
+                let trimmed = network.trimmed_mean_columns(&mut rows.clone(), trim);
+                for (l, column) in columns.iter().enumerate() {
+                    let want = reference::median_inplace(&mut column.clone());
+                    prop_assert!(
+                        stands_for(median[l], want, column),
+                        "median, n={} lane {}: {} vs {}", n, l, median[l], want
+                    );
+                    let want = reference::trimmed_mean_inplace(&mut column.clone(), trim);
+                    prop_assert!(
+                        stands_for(trimmed[l], want, column),
+                        "trimmed mean, n={} trim={} lane {}: {} vs {}", n, trim, l, trimmed[l], want
+                    );
+                }
+            }
+        }
     }
 
     /// Reassociated f64 reductions: within 1e-12 relative of the
@@ -538,10 +579,9 @@ proptest! {
     }
 
     /// SIMD softmax paths (vectorized normalizing divide and 1/n scale,
-    /// scalar max/exp/sum) are bitwise identical to the blocked tier, and
-    /// the delegated order statistics trivially so.
+    /// scalar max/exp/sum) are bitwise identical to the blocked tier.
     #[test]
-    fn simd_softmax_and_order_stats_bitwise_vs_blocked(seed in 0u64..10_000, n in 1usize..16, k in 2usize..12) {
+    fn simd_softmax_bitwise_vs_blocked(seed in 0u64..10_000, n in 1usize..16, k in 2usize..12) {
         let mut rng = StdRng::seed_from_u64(seed);
         let logits = fill(&mut rng, n * k);
         let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..k)).collect();
@@ -559,17 +599,6 @@ proptest! {
         prop_assert_eq!(g_simd, g_blk);
         prop_assert_eq!(l_simd.to_bits(), l_blk.to_bits());
         prop_assert_eq!(c_simd, c_blk);
-
-        let vals = fill(&mut rng, n * k);
-        let mut b_simd = vals.clone();
-        let mut b_blk = vals.clone();
-        prop_assert_eq!(
-            simd::trimmed_mean_inplace(&mut b_simd, (n * k - 1) / 4),
-            blocked::trimmed_mean_inplace(&mut b_blk, (n * k - 1) / 4)
-        );
-        let mut b_simd = vals.clone();
-        let mut b_blk = vals;
-        prop_assert_eq!(simd::median_inplace(&mut b_simd), blocked::median_inplace(&mut b_blk));
     }
 
     /// Upper-row distance kernel (the triangle-sharded Krum/FLARE path):
