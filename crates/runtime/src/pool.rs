@@ -68,10 +68,20 @@ use std::time::Instant;
 /// call; between calls the arenas (and their grown buffers) are retained, so
 /// steady-state rounds run allocation-free. Checkpoint/resume does not
 /// serialize arenas: they are pure scratch and must never carry state.
+///
+/// Each arena sits in a slot of its own, 128-byte aligned, so no two lanes
+/// write to one cache line: a job that resizes its lane's `Vec` (writing
+/// the `Vec` header) never stalls a neighbouring lane doing the same.
 #[derive(Debug, Default)]
 pub struct WorkerArenas<A> {
-    arenas: Vec<A>,
+    arenas: Vec<LaneSlot<A>>,
 }
+
+/// One lane's arena, aligned (and so padded) to 128 bytes: two 64-byte
+/// cache lines, since x86 cores also prefetch a line's 128-byte pair.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct LaneSlot<A>(A);
 
 impl<A> WorkerArenas<A> {
     /// Creates an empty arena set; arenas are built lazily by the pooled
@@ -93,7 +103,7 @@ impl<A> WorkerArenas<A> {
     /// Grows the set to at least `n` arenas using `init`.
     fn ensure_with<I: FnMut() -> A>(&mut self, n: usize, mut init: I) {
         while self.arenas.len() < n {
-            self.arenas.push(init());
+            self.arenas.push(LaneSlot(init()));
         }
     }
 }
@@ -557,10 +567,10 @@ impl WorkerPool {
                     // SAFETY: `lane` is unique to the executing thread for
                     // the whole dispatch, so this is the only live
                     // reference to its arena slot.
-                    work(lane, unsafe { &mut *arenas_ptr.get().add(lane) });
+                    work(lane, unsafe { &mut (*arenas_ptr.get().add(lane)).0 });
                 });
             }
-            None => work(0, &mut arenas.arenas[0]),
+            None => work(0, &mut arenas.arenas[0].0),
         }
     }
 
@@ -644,7 +654,7 @@ impl WorkerPool {
             // SAFETY: `lane` is unique to the executing thread for the
             // whole dispatch, so this is the only live reference to its
             // arena slot — stealing reroutes indices, never arenas.
-            let arena = unsafe { &mut *arenas_ptr.get().add(lane) };
+            let arena = unsafe { &mut (*arenas_ptr.get().add(lane)).0 };
             for i in begin..end {
                 // SAFETY: the queue protocol hands each index to exactly
                 // one lane and both buffers hold >= n slots.
@@ -727,7 +737,7 @@ impl WorkerPool {
             // SAFETY: `lane` is unique to the executing thread for the
             // whole dispatch, so this is the only live reference to its
             // arena slot.
-            let arena = unsafe { &mut *arenas_ptr.get().add(lane) };
+            let arena = unsafe { &mut (*arenas_ptr.get().add(lane)).0 };
             for c in cbegin..cend {
                 let start = c * chunk_len;
                 let end = (start + chunk_len).min(n);
@@ -744,6 +754,13 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<A> WorkerArenas<A> {
+        /// The arenas built so far, in lane order.
+        fn slots(&self) -> impl Iterator<Item = &A> {
+            self.arenas.iter().map(|slot| &slot.0)
+        }
+    }
 
     /// The fan-out most tests drive: `map_with_arena_into` over unit
     /// arenas and fresh buffers.
@@ -889,13 +906,13 @@ mod tests {
         assert_eq!(out, (0..10).map(|x| 2 * x).collect::<Vec<_>>());
         assert_eq!(arenas.len(), 3);
         // ...and persist across calls: no new arenas, contents retained.
-        let total_before: usize = arenas.arenas.iter().map(Vec::len).sum();
+        let total_before: usize = arenas.slots().map(Vec::len).sum();
         assert_eq!(total_before, 10);
         map_arenas(&pool, &mut arenas, vec![0usize; 4], Vec::new, |_, _, a| {
             a.push(1)
         });
         assert_eq!(arenas.len(), 3);
-        let total_after: usize = arenas.arenas.iter().map(Vec::len).sum();
+        let total_after: usize = arenas.slots().map(Vec::len).sum();
         assert!(total_after > total_before);
     }
 
@@ -916,7 +933,7 @@ mod tests {
         );
         assert_eq!(arenas.len(), 4);
         // Every lane ran exactly once — stealing cannot skip a lane here.
-        assert_eq!(arenas.arenas, vec![1usize; 4]);
+        assert_eq!(arenas.slots().collect::<Vec<_>>(), [&1usize; 4]);
         let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|&(lane, _)| lane);
         assert_eq!(
@@ -933,7 +950,24 @@ mod tests {
         let seq = WorkerPool::new(1);
         let mut arenas: WorkerArenas<usize> = WorkerArenas::new();
         seq.warm_lanes(&mut arenas, || 0usize, |_, hits| *hits += 1);
-        assert_eq!(arenas.arenas, vec![1usize]);
+        assert_eq!(arenas.slots().collect::<Vec<_>>(), [&1usize]);
+    }
+
+    /// Two lanes that write their arenas' `Vec` headers must not share a
+    /// cache line (nor its prefetched pair).
+    #[test]
+    fn lane_arenas_start_a_cache_line_pair_apart() {
+        let pool = WorkerPool::new(2);
+        let mut arenas: WorkerArenas<Vec<f32>> = WorkerArenas::new();
+        let starts = Mutex::new(Vec::new());
+        pool.warm_lanes(&mut arenas, Vec::new, |lane, arena| {
+            let addr = std::ptr::from_ref(arena) as usize;
+            starts.lock().unwrap().push((lane, addr));
+        });
+        let mut starts = starts.into_inner().unwrap();
+        starts.sort_unstable();
+        let gap = starts[1].1.abs_diff(starts[0].1);
+        assert!(gap >= 128, "lane arenas start {gap} bytes apart");
     }
 
     #[test]
@@ -998,7 +1032,7 @@ mod tests {
             }
         });
         assert!(data.iter().all(|&v| v == 1), "every element visited once");
-        let mut all: Vec<usize> = arenas.arenas.iter().flatten().copied().collect();
+        let mut all: Vec<usize> = arenas.slots().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..6).collect::<Vec<_>>(), "chunks 0..6 each ran once");
     }
