@@ -28,7 +28,9 @@
 //! wrong types and out-of-range values are typed [`SchemaError`]s, never
 //! silent defaults. An axis may vary any key, dotted ones included
 //! (`fault.dropout = [0.0, 0.1]`); a variant may not set an axis key,
-//! since each cell's id would still name the axis value it replaced.
+//! since each cell's id would still name the axis value it replaced, and
+//! an axis may not list one setting twice (`"lflip"` and `"label-flip"`,
+//! `1` and `1.0`), since two cells would run one configuration.
 //! Unset keys fall back to the documented defaults of
 //! [`ScenarioConfig::quick_image`], [`FaultPlan::none`] and
 //! [`SimKnobs::default`], so a file states only what a cell changes.
@@ -97,6 +99,17 @@ pub enum SchemaError {
         /// Dotted path of the variant's assignment.
         path: String,
     },
+    /// An `[axes]` entry lists one setting twice, however spelled
+    /// (`"lflip"` and `"label-flip"`, `1` and `1.0`), which would run one
+    /// configuration under several cells.
+    RepeatedAxisValue {
+        /// The axis key.
+        path: String,
+        /// The first value's spelling.
+        first: String,
+        /// The later value's spelling.
+        second: String,
+    },
     /// A resolved cell fails cross-field validation.
     InvalidCell {
         /// The cell's id.
@@ -129,6 +142,14 @@ impl std::fmt::Display for SchemaError {
             Self::VariantSetsAxis { path } => {
                 write!(f, "key '{path}': a variant may not set an axis key")
             }
+            Self::RepeatedAxisValue {
+                path,
+                first,
+                second,
+            } => write!(
+                f,
+                "axis '{path}' lists one setting twice: '{first}' and '{second}'"
+            ),
             Self::InvalidCell { cell, message } => write!(f, "cell '{cell}': {message}"),
         }
     }
@@ -382,6 +403,16 @@ fn alias(text: &str) -> &str {
     }
 }
 
+/// The [`Field`] the key `path` names.
+fn field(path: &str) -> Result<fn(&mut CellSpec) -> Field<'_>, SchemaError> {
+    KEYS.iter()
+        .find(|(key, _)| *key == path)
+        .map(|&(_, field)| field)
+        .ok_or_else(|| SchemaError::UnknownKey {
+            path: path.to_string(),
+        })
+}
+
 fn wrong_type(path: &str, expected: &'static str, v: &TomlValue) -> SchemaError {
     SchemaError::WrongType {
         path: path.to_string(),
@@ -480,12 +511,15 @@ impl CellSpec {
     /// [`SchemaError::WrongType`]/[`SchemaError::OutOfRange`] for a value
     /// outside the key's domain.
     pub fn apply(&mut self, path: &str, value: &TomlValue) -> Result<(), SchemaError> {
-        let Some((_, field)) = KEYS.iter().find(|(key, _)| *key == path) else {
-            return Err(SchemaError::UnknownKey {
-                path: path.to_string(),
-            });
-        };
-        field(self).set(path, value)
+        field(path)?(self).set(path, value)
+    }
+
+    /// Applies one assignment and returns the setting it made, as
+    /// [`canonical_lines`](Self::canonical_lines) writes it.
+    fn setting(&mut self, path: &str, value: &TomlValue) -> Result<String, SchemaError> {
+        let field = field(path)?;
+        field(self).set(path, value)?;
+        Ok(field(self).render())
     }
 
     /// Cross-field validation of the resolved cell.
@@ -729,7 +763,31 @@ impl GridSpec {
         };
         // Expanding validates every assignment and every resolved cell.
         spec.cells()?;
+        spec.check_axes_distinct()?;
         Ok(spec)
+    }
+
+    /// Rejects an axis that lists one setting twice, however it is spelled:
+    /// its cells would run one configuration under several ids, or two
+    /// cells under one id.
+    fn check_axes_distinct(&self) -> Result<(), SchemaError> {
+        for (key, values) in &self.axes {
+            let mut settings: Vec<String> = Vec::with_capacity(values.len());
+            for (i, value) in values.iter().enumerate() {
+                let setting = CellSpec::default()
+                    .setting(key, value)
+                    .map_err(|e| rescope(e, "axes.", Some(i)))?;
+                if let Some(first) = settings.iter().position(|s| *s == setting) {
+                    return Err(SchemaError::RepeatedAxisValue {
+                        path: format!("axes.{key}"),
+                        first: id_fragment(&values[first]),
+                        second: id_fragment(value),
+                    });
+                }
+                settings.push(setting);
+            }
+        }
+        Ok(())
     }
 
     /// The grid's axes (name, value count) — for `--list` style summaries.

@@ -4,7 +4,8 @@
 //! A cell's config hash is a function of its resolved settings, not of how
 //! the file spells them, and every committed grid expands to its pinned
 //! cells. Malformed documents (unknown keys, out-of-range α, fractions
-//! above 1, type confusion, a variant overriding an axis) surface as
+//! above 1, type confusion, a variant overriding an axis, an axis listing
+//! one setting twice) surface as
 //! *typed* [`SchemaError`]s naming the offending key, never as
 //! silently-defaulted or mislabelled cells.
 
@@ -288,6 +289,54 @@ fn variant_may_not_set_an_axis_key() {
         e.to_string(),
         "key 'variants.faulted.attack': a variant may not set an axis key"
     );
+}
+
+/// An axis that lists one setting twice, under any spelling, would run one
+/// configuration under two cells, and two cells under one id, so it is a
+/// typed error naming the axis and both spellings.
+#[test]
+fn axis_may_not_list_one_setting_twice() {
+    for (axes, path, first, second) in [
+        (
+            "attack = [\"dpois\", \"dpois\", \"lflip\", \"label-flip\"]\nalpha = [1, 1.0]\n",
+            "axes.attack",
+            "dpois",
+            "dpois",
+        ),
+        (
+            "attack = [\"dpois\", \"lflip\", \"label-flip\"]\n",
+            "axes.attack",
+            "lflip",
+            "label-flip",
+        ),
+        ("alpha = [1, 0.5, 1.0]\n", "axes.alpha", "1", "1.0"),
+        (
+            "[axes.fault]\ndropout = [0.1, 0.2, 0.10]\n",
+            "axes.fault.dropout",
+            "0.1",
+            "0.1",
+        ),
+    ] {
+        let text = format!("schema_version = 1\nname = \"dup\"\n[axes]\n{axes}");
+        let e = GridSpec::parse(&text).unwrap_err();
+        assert_eq!(
+            e,
+            SchemaError::RepeatedAxisValue {
+                path: path.into(),
+                first: first.into(),
+                second: second.into(),
+            },
+            "{axes}"
+        );
+        assert_eq!(
+            e.to_string(),
+            format!("axis '{path}' lists one setting twice: '{first}' and '{second}'")
+        );
+    }
+    // Distinct settings of the same axes still expand.
+    let text = "schema_version = 1\nname = \"dup\"\n[axes]\n\
+                attack = [\"dpois\", \"lflip\"]\nalpha = [1, 0.5]\n";
+    assert_eq!(GridSpec::parse(text).unwrap().cells().unwrap().len(), 4);
 }
 
 /// Axes take dotted keys, written inline or under a subtable header.
