@@ -1,6 +1,6 @@
 //! Coordinate-wise median [Yin et al., ICML 2018].
 
-use super::{column_blocks, Aggregator, COORD_SHARD};
+use super::{reduce_column_blocks, Aggregator};
 use crate::update::ClientUpdate;
 use collapois_nn::kernels::{BlockRow, SortingNetwork};
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
@@ -47,22 +47,13 @@ impl Aggregator for CoordinateMedian {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        self.network.build(updates.len());
-        let network = &self.network;
-        pool.for_chunks_mut_with_arena(
-            &mut self.arenas,
+        reduce_column_blocks(
+            updates,
             out,
-            COORD_SHARD,
-            Vec::new,
-            |shard, chunk, rows| {
-                column_blocks(updates, shard, chunk, rows, |block| {
-                    network.median_columns(block)
-                });
-            },
+            pool,
+            &mut self.network,
+            &mut self.arenas,
+            SortingNetwork::median_columns,
         );
     }
 }

@@ -34,8 +34,8 @@ pub use trimmed_mean::TrimmedMean;
 pub use user_dp::UserLevelDp;
 
 use crate::update::ClientUpdate;
-use collapois_nn::kernels::{BlockRow, BLOCK};
-use collapois_runtime::pool::WorkerPool;
+use collapois_nn::kernels::{BlockRow, SortingNetwork, BLOCK};
+use collapois_runtime::pool::{WorkerArenas, WorkerPool};
 use rand::rngs::StdRng;
 
 /// A server-side aggregation rule.
@@ -86,36 +86,47 @@ pub trait Aggregator: std::fmt::Debug + Send {
 /// shard boundaries a function of the dimension only — per-coordinate
 /// reductions are independent, so any sharding is bitwise exact; the
 /// constant just bounds dispatch granularity.
-pub(crate) const COORD_SHARD: usize = 256;
+const COORD_SHARD: usize = 256;
 
-/// Reduces one column shard: `chunk` is the output slice for coordinates
-/// `shard·COORD_SHARD ..`. Each block of [`BLOCK`] coordinates (fewer at
-/// the end of the vector) is copied from every update into `rows`, one row
-/// per update, and `reduce` collapses the block's columns.
-pub(crate) fn column_blocks<R>(
+/// The coordinate rules' one body: writes `reduce`'s statistic of every
+/// coordinate's values across `updates` into `out` (zeros for an empty
+/// round). `network` is rebuilt for the update count. The parameter
+/// vector is split into [`COORD_SHARD`]-wide column shards over `pool`,
+/// and each block of [`BLOCK`] coordinates in a shard (fewer at the end of
+/// the vector) is copied from every update into the lane's rows, one row
+/// per update, which `reduce` collapses to one value per column.
+pub(crate) fn reduce_column_blocks<R>(
     updates: &[ClientUpdate],
-    shard: usize,
-    chunk: &mut [f32],
-    rows: &mut Vec<BlockRow>,
+    out: &mut [f32],
+    pool: &WorkerPool,
+    network: &mut SortingNetwork,
+    arenas: &mut WorkerArenas<Vec<BlockRow>>,
     reduce: R,
 ) where
-    R: Fn(&mut [BlockRow]) -> BlockRow,
+    R: Fn(&SortingNetwork, &mut [BlockRow]) -> BlockRow + Sync,
 {
-    rows.resize(updates.len(), [0.0; BLOCK]);
-    let base = shard * COORD_SHARD;
-    for (b, out) in chunk.chunks_mut(BLOCK).enumerate() {
-        let start = base + b * BLOCK;
-        for (row, u) in rows.iter_mut().zip(updates) {
-            let src = &u.delta[start..start + out.len()];
-            // A whole block moves as one `[f32; 8]`; a copy of unknown
-            // length calls `memcpy` per row, which doubled the rules' time.
-            match <&BlockRow>::try_from(src) {
-                Ok(block) => *row = *block,
-                Err(_) => row[..src.len()].copy_from_slice(src),
-            }
-        }
-        out.copy_from_slice(&reduce(rows)[..out.len()]);
+    if updates.is_empty() {
+        out.fill(0.0);
+        return;
     }
+    network.build(updates.len());
+    let network = &*network;
+    pool.for_chunks_mut_with_arena(arenas, out, COORD_SHARD, Vec::new, |shard, chunk, rows| {
+        rows.resize(updates.len(), [0.0; BLOCK]);
+        for (b, out) in chunk.chunks_mut(BLOCK).enumerate() {
+            let start = shard * COORD_SHARD + b * BLOCK;
+            for (row, u) in rows.iter_mut().zip(updates) {
+                let src = &u.delta[start..start + out.len()];
+                // A whole block moves as one `[f32; 8]`; a copy of unknown
+                // length calls `memcpy` per row, which doubled the rules' time.
+                match <&BlockRow>::try_from(src) {
+                    Ok(block) => *row = *block,
+                    Err(_) => row[..src.len()].copy_from_slice(src),
+                }
+            }
+            out.copy_from_slice(&reduce(network, rows)[..out.len()]);
+        }
+    });
 }
 
 /// Refills `votes` with the updates' sign vote on each of the first `dim`

@@ -1,6 +1,6 @@
 //! α-trimmed mean [Yin et al., ICML 2018].
 
-use super::{column_blocks, Aggregator, COORD_SHARD};
+use super::{reduce_column_blocks, Aggregator};
 use crate::update::ClientUpdate;
 use collapois_nn::kernels::{BlockRow, SortingNetwork};
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
@@ -63,23 +63,14 @@ impl Aggregator for TrimmedMean {
         _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
         let trim = self.trim(updates.len());
-        self.network.build(updates.len());
-        let network = &self.network;
-        pool.for_chunks_mut_with_arena(
-            &mut self.arenas,
+        reduce_column_blocks(
+            updates,
             out,
-            COORD_SHARD,
-            Vec::new,
-            |shard, chunk, rows| {
-                column_blocks(updates, shard, chunk, rows, |block| {
-                    network.trimmed_mean_columns(block, trim)
-                });
-            },
+            pool,
+            &mut self.network,
+            &mut self.arenas,
+            |network, rows| network.trimmed_mean_columns(rows, trim),
         );
     }
 }
@@ -138,7 +129,7 @@ mod tests {
 
     #[test]
     fn column_shards_match_the_per_coordinate_reference() {
-        // Dimension far beyond one COORD_SHARD so several shards exist,
+        // Dimension far beyond one column shard so several shards exist,
         // with a ragged last block of 3 coordinates.
         let dim = 603;
         let us: Vec<ClientUpdate> = (0..11)
